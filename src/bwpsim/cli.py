@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
-from .config import DelayType, validate
+from .config import DelayType, Severity, ValidationReport, validate
 from .engine import ScenarioInvalid, run
 from .fsm import UnsupportedScs, switch_delay_khz
 from .scenario import FORMAT_VERSION, ParseError, load_scenario
@@ -23,6 +23,22 @@ from .trace import ms_str, write_trace
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
+
+
+def _print_findings(reports: Iterable[tuple[str, ValidationReport]]) -> tuple[int, int]:
+    """Report every finding on stderr; returns the (error, warning) counts."""
+    n_errors = n_warnings = 0
+    for cid, rep in reports:
+        for f in rep.findings:
+            print(
+                f"{cid}/{f.location}: {f.severity.value} [{f.rule_code}] {f.message}",
+                file=sys.stderr,
+            )
+            if f.severity is Severity.ERROR:
+                n_errors += 1
+            else:
+                n_warnings += 1
+    return n_errors, n_warnings
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -39,17 +55,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "cells": {cid: rep.to_obj() for cid, rep in reports.items()},
     }
     print(json.dumps(machine, sort_keys=True, indent=2))
-    n_errors = n_warnings = 0
-    for cid, rep in reports.items():
-        for f in rep.findings:
-            print(
-                f"{cid}/{f.location}: {f.severity.value} [{f.rule_code}] {f.message}",
-                file=sys.stderr,
-            )
-            if f.severity.value == "Error":
-                n_errors += 1
-            else:
-                n_warnings += 1
+    n_errors, n_warnings = _print_findings(reports.items())
     print(
         f"{n_errors} error(s), {n_warnings} warning(s) across {len(reports)} cell(s)",
         file=sys.stderr,
@@ -67,12 +73,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         trace, metrics = run(scenario)
     except ScenarioInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for cid, rep in sorted(exc.reports.items()):
-            for f in rep.findings:
-                print(
-                    f"{cid}/{f.location}: {f.severity.value} [{f.rule_code}] {f.message}",
-                    file=sys.stderr,
-                )
+        _print_findings(sorted(exc.reports.items()))
         return EXIT_DOMAIN
     metrics_doc = json.dumps(metrics.to_obj(), sort_keys=True, indent=2)
     try:

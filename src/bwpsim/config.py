@@ -14,6 +14,7 @@ strings) is rejected at construction time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping, Optional
@@ -150,6 +151,11 @@ class CellConfig:
     def __post_init__(self) -> None:
         if self.fr is FrequencyRange.UNASSIGNED:
             raise ValueError("cell must sit in FR1 or FR2")
+        width_hz = self.channel_bandwidth_mhz * 1_000_000
+        if not (math.isfinite(width_hz) and round(width_hz) > 0):
+            raise ValueError(
+                f"channel bandwidth must be a positive finite number of MHz, got {self.channel_bandwidth_mhz}"
+            )
         object.__setattr__(self, "dl_bwps", tuple(self.dl_bwps))
         object.__setattr__(self, "ul_bwps", tuple(self.ul_bwps))
         object.__setattr__(self, "prach_configured_on", frozenset(self.prach_configured_on))
@@ -262,12 +268,7 @@ class _Collector:
         self.findings.append(Finding(code, Severity.WARNING, message, location))
 
 
-def validate(
-    cfg: CellConfig,
-    cap: UeCapability,
-    *,
-    rbg_floor_rbs: int = DEFAULT_RBG_FLOOR_RBS,
-) -> ValidationReport:
+def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
     """Check every configuration rule against a capability profile.
 
     Deterministic and order-stable: the same inputs always produce the
@@ -325,7 +326,7 @@ def validate(
         )
 
     for direction, bwps in (("dl_bwps", cfg.dl_bwps), ("ul_bwps", cfg.ul_bwps)):
-        _check_direction(out, cfg, direction, bwps, rbg_floor_rbs)
+        _check_direction(out, cfg, direction, bwps)
 
     if cfg.ul_bwps and not any(b.id == 0 for b in cfg.ul_bwps):
         out.error("INITIAL-BWP", "UL direction configured without BWP #0", "ul_bwps")
@@ -440,13 +441,7 @@ def validate(
     return ValidationReport(tuple(out.findings))
 
 
-def _check_direction(
-    out: _Collector,
-    cfg: CellConfig,
-    direction: str,
-    bwps: tuple[BwpConfig, ...],
-    rbg_floor_rbs: int,
-) -> None:
+def _check_direction(out: _Collector, cfg: CellConfig, direction: str, bwps: tuple[BwpConfig, ...]) -> None:
     seen: set[int] = set()
     for i, bwp in enumerate(bwps):
         loc = f"{direction}[{i}]"
@@ -466,10 +461,10 @@ def _check_direction(
             out.error(
                 "BWP-SIZE", f"{n} RBs outside [{MIN_BWP_RBS}, {MAX_BWP_RBS}]", loc
             )
-        elif n < rbg_floor_rbs:
+        elif n < DEFAULT_RBG_FLOOR_RBS:
             out.warning(
                 "RBG-FLOOR",
-                f"BWP #{bwp.id} is {n} RBs, below the RBG/PRG floor of {rbg_floor_rbs}",
+                f"BWP #{bwp.id} is {n} RBs, below the RBG/PRG floor of {DEFAULT_RBG_FLOOR_RBS}",
                 loc,
             )
         if not cfg.channel_span.contains(bwp.geometry.span(cfg.point_a_hz)):

@@ -14,22 +14,22 @@ must agree, which pins the trace as a complete account of the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from .config import CellConfig, UeCapability, validate
+from .config import CellConfig, UeCapability, effective_default_dl, validate
 from .dci import DciEvent, Direction
-from .fsm import CellStateMachine, EventRejection, SwitchCause
+from .fsm import CellStateMachine, EventRejection, SwitchCause, rejection_record
 from .trace import (
-    DATA_SERVED,
     EVENT_REJECTED,
     RUN_END,
     RUN_START,
     STATE_CHANGE,
     MalformedTrace,
     TraceRecord,
+    ms_str,
 )
 
 
@@ -97,8 +97,6 @@ class CellMetrics:
     time_on_default_ms: Fraction
 
     def to_obj(self) -> dict:
-        from .trace import ms_str
-
         return {
             "switch_count_by_cause": dict(sorted(self.switch_count_by_cause.items())),
             "rejected_event_count": self.rejected_event_count,
@@ -113,8 +111,6 @@ class RunMetrics:
     cells: dict[str, CellMetrics]
 
     def to_obj(self) -> dict:
-        from .trace import ms_str
-
         return {
             "total_time_ms": ms_str(self.total_time_ms),
             "cells": {cid: m.to_obj() for cid, m in sorted(self.cells.items())},
@@ -138,7 +134,6 @@ class _CellTally:
         self.on_default = Fraction(0)
         self.switches: dict[str, int] = {c.value: 0 for c in SwitchCause}
         self.rejected = 0
-        self.ended = False
 
     def integrate_to(self, t: Fraction) -> None:
         dt = t - self.last_t
@@ -157,7 +152,6 @@ class _CellTally:
 
     def finish(self, t: Fraction) -> CellMetrics:
         self.integrate_to(t)
-        self.ended = True
         return CellMetrics(
             switch_count_by_cause=self.switches,
             rejected_event_count=self.rejected,
@@ -173,8 +167,6 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     event references an unknown cell, or the horizon does not cover all
     events; EventMisaligned when an event is off its cell's tick grid.
     """
-    from .config import effective_default_dl
-
     if scenario.horizon_ms is None:
         raise ScenarioInvalid("scenario has no horizon_ms and cannot run")
     reports = {cid: validate(cfg, scenario.capability) for cid, cfg in scenario.cells.items()}
@@ -266,33 +258,22 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     return trace, metrics
 
 
+_HANDLERS: dict[EventKind, Callable[[CellStateMachine, SimEvent], list[TraceRecord]]] = {
+    EventKind.RRC_RECONFIG: lambda m, ev: m.on_rrc_reconfig(ev.at_ms, ev.first_active_dl, ev.first_active_ul),
+    EventKind.SCELL_ACTIVATE: lambda m, ev: m.on_rrc_reconfig(ev.at_ms, scell_activation=True),
+    EventKind.DCI: lambda m, ev: m.on_dci(ev.at_ms, ev.dci),
+    EventKind.RACH_START: lambda m, ev: m.on_rach_start(ev.at_ms),
+    EventKind.RACH_COMPLETE: lambda m, ev: m.on_rach_complete(ev.at_ms),
+    EventKind.DATA_DL_ASSIGNMENT: lambda m, ev: m.on_data(ev.at_ms, Direction.DL_ASSIGNMENT),
+    EventKind.DATA_UL_GRANT: lambda m, ev: m.on_data(ev.at_ms, Direction.UL_GRANT),
+}
+
+
 def _dispatch(machine: CellStateMachine, ev: SimEvent) -> list[TraceRecord]:
     try:
-        if ev.kind is EventKind.RRC_RECONFIG:
-            return machine.on_rrc_reconfig(ev.at_ms, ev.first_active_dl, ev.first_active_ul)
-        if ev.kind is EventKind.SCELL_ACTIVATE:
-            return machine.on_rrc_reconfig(ev.at_ms, scell_activation=True)
-        if ev.kind is EventKind.DCI:
-            assert ev.dci is not None
-            return machine.on_dci(ev.at_ms, ev.dci)
-        if ev.kind is EventKind.RACH_START:
-            return machine.on_rach_start(ev.at_ms)
-        if ev.kind is EventKind.RACH_COMPLETE:
-            return machine.on_rach_complete(ev.at_ms)
-        if ev.kind is EventKind.DATA_DL_ASSIGNMENT:
-            return machine.on_data(ev.at_ms, Direction.DL_ASSIGNMENT)
-        if ev.kind is EventKind.DATA_UL_GRANT:
-            return machine.on_data(ev.at_ms, Direction.UL_GRANT)
-        raise AssertionError(f"unhandled event kind {ev.kind}")
+        return _HANDLERS[ev.kind](machine, ev)
     except EventRejection as rej:
-        return [
-            TraceRecord(
-                ev.at_ms,
-                ev.cell,
-                EVENT_REJECTED,
-                {"event_kind": ev.kind.value, "reason": rej.reason, "detail": rej.detail},
-            )
-        ]
+        return [rejection_record(ev.at_ms, ev.cell, ev.kind.value, rej)]
 
 
 def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
@@ -303,6 +284,7 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
     for unknown cells, or a missing RunStart/RunEnd bracket.
     """
     tallies: dict[str, _CellTally] = {}
+    cells: dict[str, CellMetrics] = {}
     horizon: Optional[Fraction] = None
     last_t: Optional[Fraction] = None
     for rec in trace:
@@ -324,7 +306,7 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
         tally = tallies.get(rec.cell)
         if tally is None:
             raise MalformedTrace(f"record for cell {rec.cell!r} before its RunStart")
-        if tally.ended:
+        if rec.cell in cells:
             raise MalformedTrace(f"record for cell {rec.cell!r} after its RunEnd")
         if rec.record == STATE_CHANGE:
             try:
@@ -336,26 +318,15 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
         elif rec.record == EVENT_REJECTED:
             tally.rejected += 1
         elif rec.record == RUN_END:
-            tally.finish(rec.at_ms)
+            cells[rec.cell] = tally.finish(rec.at_ms)
             if horizon is None:
                 horizon = rec.at_ms
             elif horizon != rec.at_ms:
                 raise MalformedTrace("cells end at different horizons")
     if not tallies:
         raise MalformedTrace("empty trace")
-    unfinished = [cid for cid, t in tallies.items() if not t.ended]
+    unfinished = [cid for cid in tallies if cid not in cells]
     if unfinished:
         raise MalformedTrace(f"missing RunEnd for cells: {', '.join(sorted(unfinished))}")
     assert horizon is not None
-    return RunMetrics(
-        total_time_ms=horizon,
-        cells={
-            cid: CellMetrics(
-                switch_count_by_cause=t.switches,
-                rejected_event_count=t.rejected,
-                bandwidth_time_proxy_rb_ms=t.proxy,
-                time_on_default_ms=t.on_default,
-            )
-            for cid, t in tallies.items()
-        },
-    )
+    return RunMetrics(total_time_ms=horizon, cells=cells)

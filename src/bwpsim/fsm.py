@@ -40,7 +40,6 @@ from typing import Optional
 
 from .config import (
     CellConfig,
-    CellRole,
     DelayType,
     Duplex,
     UeCapability,
@@ -74,6 +73,13 @@ class EventRejection(Exception):
         self.reason = reason
         self.detail = detail
         super().__init__(f"{reason}: {detail}" if detail else reason)
+
+
+def rejection_record(at_ms: Fraction, cell: str, event_kind: str, rej: EventRejection) -> TraceRecord:
+    """The EventRejected trace record for one refused event."""
+    return TraceRecord(
+        at_ms, cell, EVENT_REJECTED, {"event_kind": event_kind, "reason": rej.reason, "detail": rej.detail}
+    )
 
 
 class SwitchCause(Enum):
@@ -201,14 +207,7 @@ class CellStateMachine:
         if first_active_ul is not None and not self.cfg.has_ul_bwp(first_active_ul):
             raise EventRejection("InvalidTarget", f"first-active UL BWP #{first_active_ul} not configured")
 
-        scs: list[int] = []
-        if first_active_dl is not None:
-            scs += [self._dl_geom(st.active_dl).numerology.scs_khz,
-                    self._dl_geom(first_active_dl).numerology.scs_khz]
-        if first_active_ul is not None:
-            scs += [self._ul_geom(st.active_ul).numerology.scs_khz,
-                    self._ul_geom(first_active_ul).numerology.scs_khz]
-        spec = self._delay_or_reject(tuple(scs))
+        spec = self._switch_spec(first_active_dl, first_active_ul)
         end = now + Fraction(self.cfg.rrc_processing_delay_ms) + spec.duration_ms
         cause = (
             SwitchCause.FIRST_ACTIVE_ON_SCELL_ACTIVATION
@@ -254,35 +253,19 @@ class CellStateMachine:
             self._timer_on_scheduling(now, dci.direction, records)
             return records
 
-        paired_tdd = self.cfg.duplex is Duplex.TDD and self.cfg.has_uplink
-        if paired_tdd:
-            if not (self.cfg.has_dl_bwp(target) and self.cfg.has_ul_bwp(target)):
-                raise EventRejection("TargetNotConfigured", f"BWP pair #{target} not configured")
-            target_dl: Optional[int] = target
-            target_ul: Optional[int] = target
-            scs = (
-                self._dl_geom(st.active_dl).numerology.scs_khz,
-                self._dl_geom(target).numerology.scs_khz,
-                self._ul_geom(st.active_ul).numerology.scs_khz,
-                self._ul_geom(target).numerology.scs_khz,
-            )
+        target_dl: Optional[int]
+        target_ul: Optional[int]
+        if self.cfg.duplex is Duplex.TDD and self.cfg.has_uplink:
+            target_dl, target_ul, what = target, target, "BWP pair"
         elif to_ul:
-            if not self.cfg.has_ul_bwp(target):
-                raise EventRejection("TargetNotConfigured", f"UL BWP #{target} not configured")
-            target_dl, target_ul = None, target
-            scs = (
-                self._ul_geom(st.active_ul).numerology.scs_khz,
-                self._ul_geom(target).numerology.scs_khz,
-            )
+            target_dl, target_ul, what = None, target, "UL BWP"
         else:
-            if not self.cfg.has_dl_bwp(target):
-                raise EventRejection("TargetNotConfigured", f"DL BWP #{target} not configured")
-            target_dl, target_ul = target, None
-            scs = (
-                self._dl_geom(st.active_dl).numerology.scs_khz,
-                self._dl_geom(target).numerology.scs_khz,
-            )
-        spec = self._delay_or_reject(scs)
+            target_dl, target_ul, what = target, None, "DL BWP"
+        if (target_dl is not None and not self.cfg.has_dl_bwp(target_dl)) or (
+            target_ul is not None and not self.cfg.has_ul_bwp(target_ul)
+        ):
+            raise EventRejection("TargetNotConfigured", f"{what} #{target} not configured")
+        spec = self._switch_spec(target_dl, target_ul)
         self._open_window(now, now + spec.duration_ms, target_dl, target_ul, SwitchCause.DCI, records)
         self._try_arm_timer(now, records)
         return records
@@ -336,15 +319,8 @@ class CellStateMachine:
             target_dl = new_ul
         if target_dl is not None and not self.cfg.has_dl_bwp(target_dl):
             raise EventRejection("InvalidTarget", f"no DL BWP #{target_dl} to align with the UL BWP")
-
-        scs: list[int] = []
-        if target_ul is not None:
-            scs += [self._ul_geom(st.active_ul).numerology.scs_khz,
-                    self._ul_geom(target_ul).numerology.scs_khz]
-        if target_dl is not None:
-            scs += [self._dl_geom(st.active_dl).numerology.scs_khz,
-                    self._dl_geom(target_dl).numerology.scs_khz]
-        spec = self._delay_or_reject(tuple(scs)) if scs else None
+        moves = target_dl is not None or target_ul is not None
+        spec = self._switch_spec(target_dl, target_ul) if moves else None
 
         records: list[TraceRecord] = []
         st.rach_in_progress = True
@@ -401,15 +377,26 @@ class CellStateMachine:
             raise EventRejection("NoUplinkConfigured", "no active UL BWP")
         return self.cfg.ul_bwp(bwp_id).geometry
 
-    def _default_dl(self) -> int:
-        return effective_default_dl(self.cfg)
-
     def _rec(self, at_ms: Fraction, kind: str, **fields) -> TraceRecord:
         return TraceRecord(at_ms, self.cell, kind, fields)
 
-    def _delay_or_reject(self, scs: tuple[int, ...]) -> SwitchDelaySpec:
+    def _switch_spec(self, target_dl: Optional[int], target_ul: Optional[int]) -> SwitchDelaySpec:
+        """Delay budget for moving to the targets; None leaves a direction alone.
+
+        Every trigger goes through here: the smallest SCS among the current
+        and target BWPs of the moving directions governs, and a 240 kHz
+        BWP among them rejects the switch.
+        """
+        st = self.state
+        scs: list[int] = []
+        if target_dl is not None:
+            scs += [self._dl_geom(st.active_dl).numerology.scs_khz,
+                    self._dl_geom(target_dl).numerology.scs_khz]
+        if target_ul is not None:
+            scs += [self._ul_geom(st.active_ul).numerology.scs_khz,
+                    self._ul_geom(target_ul).numerology.scs_khz]
         try:
-            return _delay_for_scs(scs, self.cap.switch_delay_type)
+            return _delay_for_scs(tuple(scs), self.cap.switch_delay_type)
         except UnsupportedScs as exc:
             raise EventRejection("UnsupportedScs", str(exc)) from exc
 
@@ -459,7 +446,7 @@ class CellStateMachine:
                         new_dl_rbs=self._dl_geom(st.active_dl).n_rbs,
                     )
                 )
-            default = self._default_dl()
+            default = effective_default_dl(self.cfg)
             if st.active_dl == default:
                 # the default BWP carries no inactivity tracking
                 st.timer_remaining_ms = None
@@ -480,26 +467,13 @@ class CellStateMachine:
                 self._arm_timer(t, records)
 
     def _open_expiry_window(self, now: Fraction, records: list[TraceRecord]) -> None:
-        st = self.state
-        default = self._default_dl()
+        default = effective_default_dl(self.cfg)
         target_ul = default if (self.cfg.duplex is Duplex.TDD and self.cfg.has_uplink) else None
-        scs = [
-            self._dl_geom(st.active_dl).numerology.scs_khz,
-            self._dl_geom(default).numerology.scs_khz,
-        ]
-        if target_ul is not None:
-            scs += [
-                self._ul_geom(st.active_ul).numerology.scs_khz,
-                self._ul_geom(target_ul).numerology.scs_khz,
-            ]
         try:
-            spec = _delay_for_scs(tuple(scs), self.cap.switch_delay_type)
-        except UnsupportedScs as exc:
+            spec = self._switch_spec(default, target_ul)
+        except EventRejection as rej:
             # a 240 kHz BWP cannot be switched; record the stuck expiry
-            records.append(
-                self._rec(now, EVENT_REJECTED, event_kind="TimerExpiry", reason="UnsupportedScs",
-                          detail=str(exc))
-            )
+            records.append(rejection_record(now, self.cell, TIMER_EXPIRY, rej))
             return
         self._open_window(now, now + spec.duration_ms, default, target_ul,
                           SwitchCause.TIMER_EXPIRY, records)
@@ -514,7 +488,7 @@ class CellStateMachine:
             return
         if self.state.rach_in_progress:
             return
-        if self.state.active_dl == self._default_dl():
+        if self.state.active_dl == effective_default_dl(self.cfg):
             return
         self._arm_timer(now, records)
 

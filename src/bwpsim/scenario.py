@@ -55,9 +55,24 @@ def _int(value: Any, where: str) -> int:
     return value
 
 
+def _opt_int(value: Any, where: str) -> Optional[int]:
+    return None if value is None else _int(value, where)
+
+
+def _obj(value: Any, where: str, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected {what}")
+    return value
+
+
+def _list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def numerology_from_obj(obj: Any, where: str = "numerology") -> Numerology:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object with 'mu'")
+    _obj(obj, where, "an object with 'mu'")
     try:
         return Numerology(_int(_require(obj, "mu", where), f"{where}.mu"))
     except ValueError as exc:
@@ -65,8 +80,7 @@ def numerology_from_obj(obj: Any, where: str = "numerology") -> Numerology:
 
 
 def span_from_obj(obj: Any, where: str) -> HzSpan:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object with low_hz/high_hz")
+    _obj(obj, where, "an object with low_hz/high_hz")
     try:
         return HzSpan(
             _int(_require(obj, "low_hz", where), f"{where}.low_hz"),
@@ -77,8 +91,7 @@ def span_from_obj(obj: Any, where: str) -> HzSpan:
 
 
 def geometry_from_obj(obj: Any, where: str) -> BwpGeometry:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected a geometry object")
+    _obj(obj, where, "a geometry object")
     cp = _enum(CyclicPrefix, obj.get("cyclic_prefix", "normal"), f"{where}.cyclic_prefix")
     try:
         return BwpGeometry(
@@ -92,9 +105,8 @@ def geometry_from_obj(obj: Any, where: str) -> BwpGeometry:
 
 
 def bwp_from_obj(obj: Any, where: str) -> BwpConfig:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected a BWP object")
-    common_obj = _require(obj, "common", where)
+    _obj(obj, where, "a BWP object")
+    common_obj = _obj(_require(obj, "common", where), f"{where}.common", "an object")
     common = BwpCommon(
         geometry=geometry_from_obj(_require(common_obj, "geometry", f"{where}.common"), f"{where}.common.geometry"),
         link_params=dict(common_obj.get("link_params", {})),
@@ -102,6 +114,7 @@ def bwp_from_obj(obj: Any, where: str) -> BwpConfig:
     dedicated = None
     ded_obj = obj.get("dedicated")
     if ded_obj is not None:
+        _obj(ded_obj, f"{where}.dedicated", "an object or null")
         waveform = ded_obj.get("uplink_waveform")
         dedicated = BwpDedicated(
             link_params=dict(ded_obj.get("link_params", {})),
@@ -119,10 +132,8 @@ def bwp_from_obj(obj: Any, where: str) -> BwpConfig:
 
 
 def cell_config_from_obj(obj: Any, where: str = "cell") -> CellConfig:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected a cell object")
+    _obj(obj, where, "a cell object")
     try:
-        timer = obj.get("inactivity_timer_ms")
         return CellConfig(
             cell_role=_enum(CellRole, _require(obj, "cell_role", where), f"{where}.cell_role"),
             duplex=_enum(Duplex, _require(obj, "duplex", where), f"{where}.duplex"),
@@ -133,20 +144,25 @@ def cell_config_from_obj(obj: Any, where: str = "cell") -> CellConfig:
             ssb_span=span_from_obj(_require(obj, "ssb_span", where), f"{where}.ssb_span"),
             dl_bwps=tuple(
                 bwp_from_obj(b, f"{where}.dl_bwps[{i}]")
-                for i, b in enumerate(_require(obj, "dl_bwps", where))
+                for i, b in enumerate(_list(_require(obj, "dl_bwps", where), f"{where}.dl_bwps"))
             ),
             ul_bwps=tuple(
                 bwp_from_obj(b, f"{where}.ul_bwps[{i}]")
-                for i, b in enumerate(obj.get("ul_bwps", []))
+                for i, b in enumerate(_list(obj.get("ul_bwps", []), f"{where}.ul_bwps"))
             ),
-            first_active_dl=obj.get("first_active_dl"),
-            first_active_ul=obj.get("first_active_ul"),
-            default_dl_bwp=obj.get("default_dl_bwp"),
-            inactivity_timer_ms=_int(timer, f"{where}.inactivity_timer_ms") if timer is not None else None,
+            first_active_dl=_opt_int(obj.get("first_active_dl"), f"{where}.first_active_dl"),
+            first_active_ul=_opt_int(obj.get("first_active_ul"), f"{where}.first_active_ul"),
+            default_dl_bwp=_opt_int(obj.get("default_dl_bwp"), f"{where}.default_dl_bwp"),
+            inactivity_timer_ms=_opt_int(obj.get("inactivity_timer_ms"), f"{where}.inactivity_timer_ms"),
             rrc_processing_delay_ms=_int(
                 obj.get("rrc_processing_delay_ms", 10), f"{where}.rrc_processing_delay_ms"
             ),
-            prach_configured_on=frozenset(obj.get("prach_configured_on", [0])),
+            prach_configured_on=frozenset(
+                _int(x, f"{where}.prach_configured_on[{i}]")
+                for i, x in enumerate(
+                    _list(obj.get("prach_configured_on", [0]), f"{where}.prach_configured_on")
+                )
+            ),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
@@ -155,8 +171,7 @@ def cell_config_from_obj(obj: Any, where: str = "cell") -> CellConfig:
 
 
 def capability_from_obj(obj: Any, where: str = "capability") -> UeCapability:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected a capability object")
+    _obj(obj, where, "a capability object")
     try:
         return UeCapability(
             max_rrc_bwps=_int(_require(obj, "max_rrc_bwps", where), f"{where}.max_rrc_bwps"),
@@ -175,26 +190,30 @@ def capability_from_obj(obj: Any, where: str = "capability") -> UeCapability:
 
 
 def event_from_obj(obj: Any, where: str) -> SimEvent:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an event object")
+    _obj(obj, where, "an event object")
     kind = _enum(EventKind, _require(obj, "kind", where), f"{where}.kind")
     try:
         at_ms = parse_ms(_require(obj, "at_ms", where))
     except ValueError as exc:
         raise ParseError(f"{where}.at_ms: {exc}") from exc
     cell = _require(obj, "cell", where)
+    if not isinstance(cell, str):
+        raise ParseError(f"{where}.cell: expected a cell id string, got {cell!r}")
     dci = None
     first_dl = None
     first_ul = None
     if kind is EventKind.DCI:
         fmt = _enum(DciFormat, _require(obj, "format", where), f"{where}.format")
+        bits = obj.get("bwp_indicator_bits")
+        if bits is not None and not isinstance(bits, str):
+            raise ParseError(f"{where}.bwp_indicator_bits: expected a 0/1 string, got {bits!r}")
         try:
-            dci = DciEvent(format=fmt, bwp_indicator_bits=obj.get("bwp_indicator_bits"))
+            dci = DciEvent(format=fmt, bwp_indicator_bits=bits)
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from exc
     elif kind is EventKind.RRC_RECONFIG:
-        first_dl = obj.get("first_active_dl")
-        first_ul = obj.get("first_active_ul")
+        first_dl = _opt_int(obj.get("first_active_dl"), f"{where}.first_active_dl")
+        first_ul = _opt_int(obj.get("first_active_ul"), f"{where}.first_active_ul")
     try:
         return SimEvent(
             at_ms=at_ms, cell=cell, kind=kind, dci=dci,
@@ -205,16 +224,14 @@ def event_from_obj(obj: Any, where: str) -> SimEvent:
 
 
 def scenario_from_obj(obj: Any) -> Scenario:
-    if not isinstance(obj, dict):
-        raise ParseError("top level: expected an object")
+    _obj(obj, "top level", "an object")
     version = _require(obj, "version", "top level")
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported document version {version!r}, expected {FORMAT_VERSION!r}")
     cells: dict[str, CellConfig] = {}
-    for i, cell_obj in enumerate(_require(obj, "cells", "top level")):
+    for i, cell_obj in enumerate(_list(_require(obj, "cells", "top level"), "cells")):
         where = f"cells[{i}]"
-        if not isinstance(cell_obj, dict):
-            raise ParseError(f"{where}: expected a cell object")
+        _obj(cell_obj, where, "a cell object")
         cell_id = _require(cell_obj, "cell_id", where)
         if not isinstance(cell_id, str) or not cell_id:
             raise ParseError(f"{where}.cell_id: expected a non-empty string")
@@ -225,7 +242,7 @@ def scenario_from_obj(obj: Any) -> Scenario:
         raise ParseError("top level: at least one cell is required")
     capability = capability_from_obj(_require(obj, "capability", "top level"))
     events = [
-        event_from_obj(e, f"events[{i}]") for i, e in enumerate(obj.get("events", []))
+        event_from_obj(e, f"events[{i}]") for i, e in enumerate(_list(obj.get("events", []), "events"))
     ]
     horizon_obj = obj.get("horizon_ms")
     if horizon_obj is None:

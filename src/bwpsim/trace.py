@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Any, Iterable, TextIO
 
@@ -63,15 +63,20 @@ def parse_ms(value: Any) -> Fraction:
 
     Floats go through their decimal repr so '0.3' means exactly 3/10 and
     can be checked against the tick grid rather than silently rounded.
+    NaN, infinities and non-decimal strings raise ValueError.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a time value: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(Decimal(repr(value)))
-    if isinstance(value, str):
-        return Fraction(Decimal(value))
+    if isinstance(value, (float, str)):
+        try:
+            dec = Decimal(repr(value) if isinstance(value, float) else value)
+        except InvalidOperation:
+            raise ValueError(f"not a decimal time value: {value!r}") from None
+        if not dec.is_finite():
+            raise ValueError(f"not a finite time value: {value!r}")
+        return Fraction(dec)
     if isinstance(value, Fraction):
         return value
     raise ValueError(f"not a time value: {value!r}")

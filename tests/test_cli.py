@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from bwpsim.cli import main
+from test_scenario_io import BAD_FIELDS, adaptation_doc, mutated
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -95,6 +96,37 @@ class TestRun:
         assert rc == 0
         assert trace_out.read_bytes() == (FIXTURES / "tdd_trace.golden.jsonl").read_bytes()
 
+    def test_mixed_scs_trace_matches_golden_bytes(self, tmp_path, capsys):
+        trace_out = tmp_path / "trace.jsonl"
+        metrics_out = tmp_path / "metrics.json"
+        rc = main([
+            "run", str(FIXTURES / "mixed_scs_scenario.json"),
+            "--trace", str(trace_out), "--metrics", str(metrics_out),
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        assert trace_out.read_bytes() == (FIXTURES / "mixed_scs_trace.golden.jsonl").read_bytes()
+        golden_metrics = (FIXTURES / "mixed_scs_metrics.golden.json").read_bytes()
+        assert metrics_out.read_bytes() == golden_metrics
+
+    def test_mixed_scs_golden_covers_every_rejection_path(self):
+        # the golden must keep pinning the paths that share one switch rule
+        lines = (FIXTURES / "mixed_scs_trace.golden.jsonl").read_text().splitlines()
+        rejected = {
+            (r["cell"], r["event_kind"], r["reason"], r["detail"])
+            for r in map(json.loads, lines)
+            if r["record"] == "EventRejected"
+        }
+        unsupported = "no switch delay requirement for 240 kHz"
+        assert {
+            ("fr1fdd", "Dci", "TargetNotConfigured", "DL BWP #2 not configured"),
+            ("fr1fdd", "Dci", "TargetNotConfigured", "UL BWP #2 not configured"),
+            ("fr1tdd", "Dci", "TargetNotConfigured", "BWP pair #2 not configured"),
+            ("fr2tdd", "Dci", "UnsupportedScs", unsupported),
+            ("fr2tdd", "RrcReconfig", "UnsupportedScs", unsupported),
+            ("fr2tdd", "TimerExpiry", "UnsupportedScs", unsupported),
+        } <= rejected
+
     def test_repeat_runs_are_byte_identical(self, tmp_path, capsys):
         out1 = tmp_path / "a.jsonl"
         out2 = tmp_path / "b.jsonl"
@@ -125,6 +157,17 @@ class TestRun:
     def test_parse_failure(self, capsys):
         assert main(["run", "/nonexistent/nowhere.json"]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("path,value", BAD_FIELDS, ids=lambda x: repr(x))
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_bad_documents_exit_2_without_traceback(tmp_path, capsys, command, path, value):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(mutated(adaptation_doc(), path, value)))
+    assert main([command, str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_no_arguments_is_a_usage_error(capsys):

@@ -90,6 +90,59 @@ def test_unknown_event_kind():
         scenario_from_obj(doc)
 
 
+def mutated(doc, path, value):
+    """A copy of doc with the field at path (keys and list indexes) replaced."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# Documents that once escaped as a raw exception or slipped through with a
+# wrong type; each must end in ParseError.
+BAD_FIELDS = [
+    (("cells", 0, "channel_bandwidth_mhz"), "nan"),
+    (("cells", 0, "channel_bandwidth_mhz"), "inf"),
+    (("cells", 0, "channel_bandwidth_mhz"), 1e303),
+    (("cells", 0, "channel_bandwidth_mhz"), -5),
+    (("cells", 0, "dl_bwps", 1, "dedicated"), ["not", "an", "object"]),
+    (("cells", 0, "dl_bwps", 1, "common"), "geometry"),
+    (("cells", 0, "dl_bwps"), 5),
+    (("cells", 0, "first_active_dl"), "1"),
+    (("cells", 0, "default_dl_bwp"), "2"),
+    (("cells", 0, "prach_configured_on"), ["0"]),
+    (("cells",), 5),
+    (("events",), 5),
+    (("events", 0, "at_ms"), "Infinity"),
+    (("events", 0, "at_ms"), "NaN"),
+    (("events", 0, "at_ms"), "soon"),
+    (("events", 0, "cell"), ["pcell"]),
+    (("events", 0, "first_active_dl"), "1"),
+    (("events", 0, "first_active_ul"), 1.0),
+    (("events", 1, "bwp_indicator_bits"), 1),
+    (("events", 1, "bwp_indicator_bits"), ["0", "1"]),
+    (("horizon_ms",), "Infinity"),
+    (("horizon_ms",), "-Infinity"),
+]
+
+
+@pytest.mark.parametrize("path,value", BAD_FIELDS, ids=lambda x: repr(x))
+def test_wrong_types_and_non_finite_numbers_are_parse_errors(path, value):
+    with pytest.raises(ParseError):
+        scenario_from_obj(mutated(adaptation_doc(), path, value))
+
+
+def test_json_nan_and_infinity_literals_are_parse_errors():
+    text = json.dumps(adaptation_doc())
+    for old, new in [('"channel_bandwidth_mhz": 50.0', '"channel_bandwidth_mhz": NaN'),
+                     ('"horizon_ms": 80', '"horizon_ms": Infinity')]:
+        assert old in text
+        with pytest.raises(ParseError):
+            scenario_from_obj(json.loads(text.replace(old, new)))
+
+
 def test_horizon_optional_for_validation_but_not_run():
     doc = adaptation_doc()
     del doc["horizon_ms"]
@@ -129,3 +182,8 @@ class TestTimeSyntax:
     def test_booleans_are_not_times(self):
         with pytest.raises(ValueError):
             b.parse_ms(True)
+
+    @pytest.mark.parametrize("value", ["Infinity", "-inf", "NaN", float("inf"), float("nan"), "1/2", "soon"])
+    def test_non_finite_and_non_decimal_values_are_value_errors(self, value):
+        with pytest.raises(ValueError):
+            b.parse_ms(value)
