@@ -276,12 +276,26 @@ def _dispatch(machine: CellStateMachine, ev: SimEvent) -> list[TraceRecord]:
         return [rejection_record(ev.at_ms, ev.cell, ev.kind.value, rej)]
 
 
+def _payload(rec: TraceRecord, **kinds: type) -> list:
+    """The payload fields of rec named by `kinds`, each exactly of its type."""
+    values = []
+    for name, kind in kinds.items():
+        if name not in rec.fields:
+            raise MalformedTrace(f"{rec.record} missing field {name!r}")
+        value = rec.fields[name]
+        if type(value) is not kind:
+            raise MalformedTrace(f"{rec.record} field {name!r} must be {kind.__name__}, got {value!r}")
+        values.append(value)
+    return values
+
+
 def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
     """Recompute RunMetrics from a trace alone.
 
     Independent of the engine's own bookkeeping: only the records are
     consulted. Raises MalformedTrace on out-of-order timestamps, records
-    for unknown cells, or a missing RunStart/RunEnd bracket.
+    for unknown cells, a missing RunStart/RunEnd bracket, or a RunStart or
+    StateChange payload field of the wrong type.
     """
     tallies: dict[str, _CellTally] = {}
     cells: dict[str, CellMetrics] = {}
@@ -296,12 +310,7 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
         if rec.record == RUN_START:
             if rec.cell in tallies:
                 raise MalformedTrace(f"duplicate RunStart for cell {rec.cell!r}")
-            try:
-                tallies[rec.cell] = _CellTally(
-                    rec.fields["default_dl"], rec.fields["active_dl"], rec.fields["dl_rbs"]
-                )
-            except KeyError as exc:
-                raise MalformedTrace(f"RunStart missing field {exc}") from exc
+            tallies[rec.cell] = _CellTally(*_payload(rec, default_dl=int, active_dl=int, dl_rbs=int))
             continue
         tally = tallies.get(rec.cell)
         if tally is None:
@@ -309,12 +318,7 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
         if rec.cell in cells:
             raise MalformedTrace(f"record for cell {rec.cell!r} after its RunEnd")
         if rec.record == STATE_CHANGE:
-            try:
-                tally.state_change(
-                    rec.at_ms, rec.fields["new_dl"], rec.fields["new_dl_rbs"], rec.fields["cause"]
-                )
-            except KeyError as exc:
-                raise MalformedTrace(f"StateChange missing field {exc}") from exc
+            tally.state_change(rec.at_ms, *_payload(rec, new_dl=int, new_dl_rbs=int, cause=str))
         elif rec.record == EVENT_REJECTED:
             tally.rejected += 1
         elif rec.record == RUN_END:

@@ -9,8 +9,10 @@ and the engine.
 from __future__ import annotations
 
 import json
+from enum import EnumMeta
+from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable
 
 from .config import (
     BwpCommon,
@@ -30,233 +32,205 @@ from .trace import parse_ms
 
 FORMAT_VERSION = "bwpsim/1"
 
+_REQUIRED = object()  # default of a field that must be present
+
+_EXPECTED = {int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
+
 
 class ParseError(ValueError):
     """A scenario document that cannot be understood."""
 
 
-def _require(obj: dict, key: str, where: str) -> Any:
-    if key not in obj:
-        raise ParseError(f"{where}: missing required field {key!r}")
-    return obj[key]
+def _get(obj: Any, key: str, where: str, kind: Any, default: Any = _REQUIRED) -> Any:
+    """Read field `key` of the JSON object at path `where`.
+
+    `kind` is an exact JSON type (int, bool, str or dict; so `true` is not
+    an integer), an Enum class matched by value, or a reader called as
+    kind(value, path). A missing field takes `default`; null does too, but
+    only where the default is None. Anything else is a ParseError naming
+    the field's path.
+    """
+    if type(obj) is not dict:
+        raise ParseError(f"{where or 'top level'}: expected an object, got {obj!r}")
+    value = obj.get(key, _REQUIRED)
+    if type(value) is kind:
+        return value
+    if value is _REQUIRED:
+        if default is _REQUIRED:
+            raise ParseError(f"{where or 'top level'}: missing required field {key!r}")
+        return default
+    if value is None and default is None:
+        return None
+    if type(kind) is EnumMeta:
+        member = kind._value2member_map_.get(value) if type(value) is str else None
+        if member is not None:
+            return member
+        expected = "one of " + ", ".join(repr(e.value) for e in kind)
+    elif type(kind) is type:
+        expected = _EXPECTED[kind]
+    else:
+        return kind(value, f"{where}.{key}".lstrip("."))  # where is "" at the top level
+    raise ParseError(f"{where}.{key}: expected {expected}, got {value!r}".lstrip("."))
 
 
-def _enum(enum_cls, value: Any, where: str):
+def _build(where: str, ctor: Callable, *args: Any, **fields: Any) -> Any:
+    """Call a model constructor; its rejection of a value is a ParseError at `where`."""
     try:
-        return enum_cls(value)
-    except ValueError:
-        options = ", ".join(repr(e.value) for e in enum_cls)
-        raise ParseError(f"{where}: {value!r} is not one of {options}") from None
-
-
-def _int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _opt_int(value: Any, where: str) -> Optional[int]:
-    return None if value is None else _int(value, where)
-
-
-def _obj(value: Any, where: str, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(f"{where}: expected {what}")
-    return value
-
-
-def _list(value: Any, where: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a list, got {type(value).__name__}")
-    return value
-
-
-def numerology_from_obj(obj: Any, where: str = "numerology") -> Numerology:
-    _obj(obj, where, "an object with 'mu'")
-    try:
-        return Numerology(_int(_require(obj, "mu", where), f"{where}.mu"))
-    except ValueError as exc:
+        return ctor(*args, **fields)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def span_from_obj(obj: Any, where: str) -> HzSpan:
-    _obj(obj, where, "an object with low_hz/high_hz")
-    try:
-        return HzSpan(
-            _int(_require(obj, "low_hz", where), f"{where}.low_hz"),
-            _int(_require(obj, "high_hz", where), f"{where}.high_hz"),
-        )
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+def _items(read: Callable[[Any, str], Any]) -> Callable[[Any, str], list]:
+    """A reader for a JSON list whose items are read by read(item, path)."""
+
+    def read_list(value: Any, path: str) -> list:
+        if type(value) is not list:
+            raise ParseError(f"{path}: expected a list, got {value!r}")
+        return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+    return read_list
 
 
-def geometry_from_obj(obj: Any, where: str) -> BwpGeometry:
-    _obj(obj, where, "a geometry object")
-    cp = _enum(CyclicPrefix, obj.get("cyclic_prefix", "normal"), f"{where}.cyclic_prefix")
-    try:
-        return BwpGeometry(
-            start_rb=_int(_require(obj, "start_rb", where), f"{where}.start_rb"),
-            n_rbs=_int(_require(obj, "n_rbs", where), f"{where}.n_rbs"),
-            numerology=numerology_from_obj(_require(obj, "numerology", where), f"{where}.numerology"),
-            cyclic_prefix=cp,
-        )
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+def _bwp_id(value: Any, path: str) -> int:
+    if type(value) is not int:
+        raise ParseError(f"{path}: expected an integer, got {value!r}")
+    return value
 
 
-def bwp_from_obj(obj: Any, where: str) -> BwpConfig:
-    _obj(obj, where, "a BWP object")
-    common_obj = _obj(_require(obj, "common", where), f"{where}.common", "an object")
-    common = BwpCommon(
-        geometry=geometry_from_obj(_require(common_obj, "geometry", f"{where}.common"), f"{where}.common.geometry"),
-        link_params=dict(common_obj.get("link_params", {})),
+def _time(value: Any, path: str) -> Fraction:
+    return _build(path, parse_ms, value)
+
+
+def _float(value: Any, path: str) -> float:
+    if type(value) is not float and type(value) is not int:
+        raise ParseError(f"{path}: expected a number, got {value!r}")
+    return _build(path, float, value)
+
+
+def _numerology(obj: Any, where: str) -> Numerology:
+    return _build(where, Numerology, mu=_get(obj, "mu", where, int))
+
+
+def _span(obj: Any, where: str) -> HzSpan:
+    return _build(
+        where, HzSpan, low_hz=_get(obj, "low_hz", where, int), high_hz=_get(obj, "high_hz", where, int)
     )
-    dedicated = None
-    ded_obj = obj.get("dedicated")
-    if ded_obj is not None:
-        _obj(ded_obj, f"{where}.dedicated", "an object or null")
-        waveform = ded_obj.get("uplink_waveform")
-        dedicated = BwpDedicated(
-            link_params=dict(ded_obj.get("link_params", {})),
-            uplink_waveform=(
-                _enum(UplinkWaveform, waveform, f"{where}.dedicated.uplink_waveform")
-                if waveform is not None
-                else None
-            ),
-        )
+
+
+def _geometry(obj: Any, where: str) -> BwpGeometry:
+    return _build(
+        where,
+        BwpGeometry,
+        start_rb=_get(obj, "start_rb", where, int),
+        n_rbs=_get(obj, "n_rbs", where, int),
+        numerology=_get(obj, "numerology", where, _numerology),
+        cyclic_prefix=_get(obj, "cyclic_prefix", where, CyclicPrefix, CyclicPrefix.NORMAL),
+    )
+
+
+def _common(obj: Any, where: str) -> BwpCommon:
+    return BwpCommon(
+        geometry=_get(obj, "geometry", where, _geometry),
+        link_params=_get(obj, "link_params", where, dict, {}),
+    )
+
+
+def _dedicated(obj: Any, where: str) -> BwpDedicated:
+    return BwpDedicated(
+        link_params=_get(obj, "link_params", where, dict, {}),
+        uplink_waveform=_get(obj, "uplink_waveform", where, UplinkWaveform, None),
+    )
+
+
+def _bwp(obj: Any, where: str) -> BwpConfig:
     return BwpConfig(
-        id=_int(_require(obj, "id", where), f"{where}.id"),
-        common=common,
-        dedicated=dedicated,
+        id=_get(obj, "id", where, int),
+        common=_get(obj, "common", where, _common),
+        dedicated=_get(obj, "dedicated", where, _dedicated, None),
     )
 
 
-def cell_config_from_obj(obj: Any, where: str = "cell") -> CellConfig:
-    _obj(obj, where, "a cell object")
-    try:
-        return CellConfig(
-            cell_role=_enum(CellRole, _require(obj, "cell_role", where), f"{where}.cell_role"),
-            duplex=_enum(Duplex, _require(obj, "duplex", where), f"{where}.duplex"),
-            fr=_enum(FrequencyRange, _require(obj, "fr", where), f"{where}.fr"),
-            point_a_hz=_int(_require(obj, "point_a_hz", where), f"{where}.point_a_hz"),
-            channel_bandwidth_mhz=float(_require(obj, "channel_bandwidth_mhz", where)),
-            coreset0_span=span_from_obj(_require(obj, "coreset0_span", where), f"{where}.coreset0_span"),
-            ssb_span=span_from_obj(_require(obj, "ssb_span", where), f"{where}.ssb_span"),
-            dl_bwps=tuple(
-                bwp_from_obj(b, f"{where}.dl_bwps[{i}]")
-                for i, b in enumerate(_list(_require(obj, "dl_bwps", where), f"{where}.dl_bwps"))
-            ),
-            ul_bwps=tuple(
-                bwp_from_obj(b, f"{where}.ul_bwps[{i}]")
-                for i, b in enumerate(_list(obj.get("ul_bwps", []), f"{where}.ul_bwps"))
-            ),
-            first_active_dl=_opt_int(obj.get("first_active_dl"), f"{where}.first_active_dl"),
-            first_active_ul=_opt_int(obj.get("first_active_ul"), f"{where}.first_active_ul"),
-            default_dl_bwp=_opt_int(obj.get("default_dl_bwp"), f"{where}.default_dl_bwp"),
-            inactivity_timer_ms=_opt_int(obj.get("inactivity_timer_ms"), f"{where}.inactivity_timer_ms"),
-            rrc_processing_delay_ms=_int(
-                obj.get("rrc_processing_delay_ms", 10), f"{where}.rrc_processing_delay_ms"
-            ),
-            prach_configured_on=frozenset(
-                _int(x, f"{where}.prach_configured_on[{i}]")
-                for i, x in enumerate(
-                    _list(obj.get("prach_configured_on", [0]), f"{where}.prach_configured_on")
-                )
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"{where}: {exc}") from exc
+def _cell(obj: Any, where: str) -> tuple[str, CellConfig]:
+    cell_id = _get(obj, "cell_id", where, str)
+    if not cell_id:
+        raise ParseError(f"{where}.cell_id: expected a non-empty string")
+    return cell_id, _build(
+        where,
+        CellConfig,
+        cell_role=_get(obj, "cell_role", where, CellRole),
+        duplex=_get(obj, "duplex", where, Duplex),
+        fr=_get(obj, "fr", where, FrequencyRange),
+        point_a_hz=_get(obj, "point_a_hz", where, int),
+        channel_bandwidth_mhz=_get(obj, "channel_bandwidth_mhz", where, _float),
+        coreset0_span=_get(obj, "coreset0_span", where, _span),
+        ssb_span=_get(obj, "ssb_span", where, _span),
+        dl_bwps=_get(obj, "dl_bwps", where, _BWPS),
+        ul_bwps=_get(obj, "ul_bwps", where, _BWPS, ()),
+        first_active_dl=_get(obj, "first_active_dl", where, int, None),
+        first_active_ul=_get(obj, "first_active_ul", where, int, None),
+        default_dl_bwp=_get(obj, "default_dl_bwp", where, int, None),
+        inactivity_timer_ms=_get(obj, "inactivity_timer_ms", where, int, None),
+        rrc_processing_delay_ms=_get(obj, "rrc_processing_delay_ms", where, int, 10),
+        prach_configured_on=_get(obj, "prach_configured_on", where, _BWP_IDS, (0,)),
+    )
 
 
-def capability_from_obj(obj: Any, where: str = "capability") -> UeCapability:
-    _obj(obj, where, "a capability object")
-    try:
-        return UeCapability(
-            max_rrc_bwps=_int(_require(obj, "max_rrc_bwps", where), f"{where}.max_rrc_bwps"),
-            mixed_numerology_bwps=bool(obj.get("mixed_numerology_bwps", False)),
-            supports_no_bandwidth_restriction=bool(
-                obj.get("supports_no_bandwidth_restriction", False)
-            ),
-            switch_delay_type=_enum(
-                DelayType, obj.get("switch_delay_type", "type1"), f"{where}.switch_delay_type"
-            ),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"{where}: {exc}") from exc
+def _capability(obj: Any, where: str) -> UeCapability:
+    return _build(
+        where,
+        UeCapability,
+        max_rrc_bwps=_get(obj, "max_rrc_bwps", where, int),
+        mixed_numerology_bwps=_get(obj, "mixed_numerology_bwps", where, bool, False),
+        supports_no_bandwidth_restriction=_get(obj, "supports_no_bandwidth_restriction", where, bool, False),
+        switch_delay_type=_get(obj, "switch_delay_type", where, DelayType, DelayType.TYPE1),
+    )
 
 
-def event_from_obj(obj: Any, where: str) -> SimEvent:
-    _obj(obj, where, "an event object")
-    kind = _enum(EventKind, _require(obj, "kind", where), f"{where}.kind")
-    try:
-        at_ms = parse_ms(_require(obj, "at_ms", where))
-    except ValueError as exc:
-        raise ParseError(f"{where}.at_ms: {exc}") from exc
-    cell = _require(obj, "cell", where)
-    if not isinstance(cell, str):
-        raise ParseError(f"{where}.cell: expected a cell id string, got {cell!r}")
-    dci = None
-    first_dl = None
-    first_ul = None
+def _event(obj: Any, where: str) -> SimEvent:
+    kind = _get(obj, "kind", where, EventKind)
+    at_ms = _get(obj, "at_ms", where, _time)
+    cell = _get(obj, "cell", where, str)
+    dci = first_dl = first_ul = None
     if kind is EventKind.DCI:
-        fmt = _enum(DciFormat, _require(obj, "format", where), f"{where}.format")
-        bits = obj.get("bwp_indicator_bits")
-        if bits is not None and not isinstance(bits, str):
-            raise ParseError(f"{where}.bwp_indicator_bits: expected a 0/1 string, got {bits!r}")
-        try:
-            dci = DciEvent(format=fmt, bwp_indicator_bits=bits)
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-    elif kind is EventKind.RRC_RECONFIG:
-        first_dl = _opt_int(obj.get("first_active_dl"), f"{where}.first_active_dl")
-        first_ul = _opt_int(obj.get("first_active_ul"), f"{where}.first_active_ul")
-    try:
-        return SimEvent(
-            at_ms=at_ms, cell=cell, kind=kind, dci=dci,
-            first_active_dl=first_dl, first_active_ul=first_ul,
+        dci = _build(
+            where,
+            DciEvent,
+            format=_get(obj, "format", where, DciFormat),
+            bwp_indicator_bits=_get(obj, "bwp_indicator_bits", where, str, None),
         )
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    elif kind is EventKind.RRC_RECONFIG:
+        first_dl = _get(obj, "first_active_dl", where, int, None)
+        first_ul = _get(obj, "first_active_ul", where, int, None)
+    return SimEvent(
+        at_ms=at_ms, cell=cell, kind=kind, dci=dci, first_active_dl=first_dl, first_active_ul=first_ul
+    )
+
+
+_BWPS = _items(_bwp)
+_BWP_IDS = _items(_bwp_id)
+_CELLS = _items(_cell)
+_EVENTS = _items(_event)
 
 
 def scenario_from_obj(obj: Any) -> Scenario:
-    _obj(obj, "top level", "an object")
-    version = _require(obj, "version", "top level")
+    """Build a Scenario from a decoded bwpsim/1 document; raises ParseError."""
+    version = _get(obj, "version", "", str)
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported document version {version!r}, expected {FORMAT_VERSION!r}")
     cells: dict[str, CellConfig] = {}
-    for i, cell_obj in enumerate(_list(_require(obj, "cells", "top level"), "cells")):
-        where = f"cells[{i}]"
-        _obj(cell_obj, where, "a cell object")
-        cell_id = _require(cell_obj, "cell_id", where)
-        if not isinstance(cell_id, str) or not cell_id:
-            raise ParseError(f"{where}.cell_id: expected a non-empty string")
+    for i, (cell_id, cell) in enumerate(_get(obj, "cells", "", _CELLS)):
         if cell_id in cells:
-            raise ParseError(f"{where}: duplicate cell_id {cell_id!r}")
-        cells[cell_id] = cell_config_from_obj(cell_obj, where)
+            raise ParseError(f"cells[{i}]: duplicate cell_id {cell_id!r}")
+        cells[cell_id] = cell
     if not cells:
         raise ParseError("top level: at least one cell is required")
-    capability = capability_from_obj(_require(obj, "capability", "top level"))
-    events = [
-        event_from_obj(e, f"events[{i}]") for i, e in enumerate(_list(obj.get("events", []), "events"))
-    ]
-    horizon_obj = obj.get("horizon_ms")
-    if horizon_obj is None:
-        horizon = None
-    else:
-        try:
-            horizon = parse_ms(horizon_obj)
-        except ValueError as exc:
-            raise ParseError(f"horizon_ms: {exc}") from exc
     return Scenario(
         cells=cells,
-        capability=capability,
-        events=events,
-        horizon_ms=horizon,  # run() requires it; validate-only documents may omit it
+        capability=_get(obj, "capability", "", _capability),
+        events=_get(obj, "events", "", _EVENTS, []),
+        # run() requires a horizon; validate-only documents may omit it
+        horizon_ms=_get(obj, "horizon_ms", "", _time, None),
     )
 
 

@@ -28,6 +28,12 @@ EVENT_REJECTED = "EventRejected"
 DATA_SERVED = "DataServed"
 
 
+# Bound on a decimal time's exponent in scientific notation (d.ddd * 10**e).
+# An exact Fraction of 10**e takes time and memory in the size of e;
+# +-400 still admits every finite float (5e-324 .. 1.8e308).
+MAX_EXPONENT = 400
+
+
 class MalformedTrace(Exception):
     """A trace that violates ordering or is missing structural records."""
 
@@ -63,7 +69,8 @@ def parse_ms(value: Any) -> Fraction:
 
     Floats go through their decimal repr so '0.3' means exactly 3/10 and
     can be checked against the tick grid rather than silently rounded.
-    NaN, infinities and non-decimal strings raise ValueError.
+    NaN, infinities, non-decimal strings and decimals whose exponent lies
+    outside +-MAX_EXPONENT raise ValueError.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a time value: {value!r}")
@@ -76,6 +83,8 @@ def parse_ms(value: Any) -> Fraction:
             raise ValueError(f"not a decimal time value: {value!r}") from None
         if not dec.is_finite():
             raise ValueError(f"not a finite time value: {value!r}")
+        if abs(dec.adjusted()) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent outside +-{MAX_EXPONENT}: {value!r}")
         return Fraction(dec)
     if isinstance(value, Fraction):
         return value
@@ -98,13 +107,16 @@ class TraceRecord:
         return json.dumps(self.to_obj(), sort_keys=True, separators=(", ", ": "))
 
     @classmethod
-    def from_obj(cls, obj: dict[str, Any]) -> "TraceRecord":
+    def from_obj(cls, obj: Any) -> "TraceRecord":
+        if not isinstance(obj, dict):
+            raise MalformedTrace("expected an object")
+        cell, record = obj.get("cell"), obj.get("record")
+        if type(cell) is not str or type(record) is not str:
+            raise MalformedTrace(f"bad trace record {obj!r}: cell and record must be strings")
         try:
-            at_ms = parse_ms(obj["at_ms"])
-            cell = obj["cell"]
-            record = obj["record"]
-        except (KeyError, ValueError) as exc:
-            raise MalformedTrace(f"bad trace record {obj!r}: {exc}") from exc
+            at_ms = parse_ms(obj.get("at_ms"))
+        except ValueError as exc:
+            raise MalformedTrace(f"bad trace record {obj!r}: at_ms: {exc}") from exc
         fields = {k: v for k, v in obj.items() if k not in ("at_ms", "cell", "record")}
         return cls(at_ms, cell, record, fields)
 
@@ -122,10 +134,9 @@ def read_trace(lines: Iterable[str]) -> list[TraceRecord]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            records.append(TraceRecord.from_obj(json.loads(line)))
         except json.JSONDecodeError as exc:
             raise MalformedTrace(f"line {lineno}: not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise MalformedTrace(f"line {lineno}: expected an object")
-        records.append(TraceRecord.from_obj(obj))
+        except MalformedTrace as exc:
+            raise MalformedTrace(f"line {lineno}: {exc}") from exc
     return records

@@ -1,6 +1,9 @@
 """CLI surface: subcommands, exit codes, stream separation."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,3 +176,14 @@ def test_bad_documents_exit_2_without_traceback(tmp_path, capsys, command, path,
 def test_no_arguments_is_a_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bwpsim.cli", "validate", str(FIXTURES / "invalid" / "bad_timer.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "TIMER-RANGE" in proc.stderr

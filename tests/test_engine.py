@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -226,6 +227,55 @@ class TestReplayRejectsMalformedTraces:
     def test_empty_trace(self):
         with pytest.raises(b.MalformedTrace):
             b.replay_metrics([])
+
+    @pytest.mark.parametrize(
+        "record,name,value",
+        [
+            (RUN_START, "default_dl", "0"),
+            (RUN_START, "active_dl", None),
+            (RUN_START, "dl_rbs", 24.0),
+            (STATE_CHANGE, "new_dl", True),
+            (STATE_CHANGE, "new_dl_rbs", "x"),
+            (STATE_CHANGE, "cause", ["Dci"]),
+        ],
+    )
+    def test_payload_field_of_wrong_type(self, record, name, value):
+        trace = self._base()
+        rec = next(r for r in trace if r.record == record)
+        rec.fields[name] = value
+        with pytest.raises(b.MalformedTrace, match=name):
+            b.replay_metrics(trace)
+
+
+class TestReadTrace:
+    def _lines(self):
+        trace, _ = b.run(adaptation_scenario())
+        return [r.to_json() for r in trace]
+
+    def test_missing_at_ms_names_its_line(self):
+        lines = self._lines()
+        lines[1] = lines[1].replace('"at_ms"', '"at"')
+        with pytest.raises(b.MalformedTrace, match=r"^line 2: .*at_ms"):
+            b.read_trace(lines)
+
+    def test_non_decimal_time_names_its_line(self):
+        lines = self._lines()
+        lines[2] = lines[2].replace('"at_ms": "', '"at_ms": "1e999999999', 1)
+        with pytest.raises(b.MalformedTrace, match=r"^line 3: "):
+            b.read_trace(lines)
+
+    @pytest.mark.parametrize("key", ["cell", "record"])
+    def test_cell_and_record_must_be_strings(self, key):
+        lines = self._lines()
+        obj = json.loads(lines[0])
+        obj[key] = 7
+        lines[0] = json.dumps(obj)
+        with pytest.raises(b.MalformedTrace, match=r"^line 1: "):
+            b.read_trace(lines)
+
+    def test_non_object_line(self):
+        with pytest.raises(b.MalformedTrace, match=r"^line 1: expected an object"):
+            b.read_trace(["[1, 2]"])
 
 
 def test_window_close_time_equals_open_plus_delay():

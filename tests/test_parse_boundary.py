@@ -1,0 +1,95 @@
+"""Mutated scenario documents: every one parses or is a ParseError, what
+parses validates without raising, and the CLI exits 0, 1 or 2 without a
+traceback.
+
+Mutated documents are never run: the engine's cost grows with the horizon,
+and a mutation can set it to anything.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bwpsim as b
+from bwpsim.cli import main
+from bwpsim.scenario import ParseError, scenario_from_obj
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+DOC_FILES = sorted(FIXTURES.glob("*_scenario.json")) + sorted((FIXTURES / "invalid").glob("*.json"))
+DOCS = [json.loads(p.read_text()) for p in DOC_FILES]
+
+# strings the format gives a meaning to, so mutations also land on valid
+# enum values, times and indicator bits
+MEANINGFUL = [
+    "", "FDD", "TDD", "FR1", "FR2", "Unassigned", "PCell", "SCell", "normal", "extended",
+    "type2", "CP-OFDM", "Dci", "RrcReconfig", "RachStart", "1_0", "1_1", "0", "01", "11",
+    "2.5", "0.5", "-1", "1e999999999", "1e-999999999", "nan", "Infinity", "bwpsim/1",
+]
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 300)
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(MEANINGFUL)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(MEANINGFUL), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def paths(node, prefix=()):
+    """Every key and index path inside a JSON value, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fixture document with one path set to a JSON value or deleted, as JSON text."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(DOCS))))
+    path = draw(st.sampled_from(list(paths(doc))))
+    delete = bool(path) and draw(st.booleans())
+    value = None if delete else draw(JSON_VALUES)
+    if not path:
+        return json.dumps(value)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if delete:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def doc_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "doc.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_documents())
+def test_mutated_documents_parse_or_fail_cleanly(doc_file, text):
+    try:
+        scenario = scenario_from_obj(json.loads(text))
+    except ParseError:
+        scenario = None
+    if scenario is not None:
+        for cfg in scenario.cells.values():
+            b.validate(cfg, scenario.capability)  # never raises
+    doc_file.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["validate", str(doc_file)])
+    assert code == 2 if scenario is None else code in (0, 1)
+    assert "Traceback" not in err.getvalue()

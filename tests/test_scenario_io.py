@@ -125,6 +125,24 @@ BAD_FIELDS = [
     (("events", 1, "bwp_indicator_bits"), ["0", "1"]),
     (("horizon_ms",), "Infinity"),
     (("horizon_ms",), "-Infinity"),
+    # wrong JSON types that a coercion would turn into a plausible value
+    *[(("capability", flag), value)
+      for flag in ("mixed_numerology_bwps", "supports_no_bandwidth_restriction")
+      for value in ("no", 1, None)],
+    (("cells", 0, "channel_bandwidth_mhz"), True),
+    (("cells", 0, "channel_bandwidth_mhz"), "100"),
+    pytest.param(
+        ("cells", 0, "channel_bandwidth_mhz"), 10**400, id="('cells', 0, 'channel_bandwidth_mhz')-10**400"
+    ),
+    (("cells", 0, "dl_bwps", 1, "common", "link_params"), ["ab"]),
+    (("cells", 0, "dl_bwps", 1, "common", "link_params"), []),
+    (("cells", 0, "dl_bwps", 1, "common", "link_params"), ""),
+    (("cells", 0, "dl_bwps", 1, "dedicated", "link_params"), ["ab"]),
+    # exponents whose exact Fraction never finishes building
+    (("events", 0, "at_ms"), "1e999999999"),
+    (("events", 0, "at_ms"), "1e-999999999"),
+    (("horizon_ms",), "1e999999999"),
+    (("horizon_ms",), "1e-999999999"),
 ]
 
 
@@ -183,7 +201,18 @@ class TestTimeSyntax:
         with pytest.raises(ValueError):
             b.parse_ms(True)
 
-    @pytest.mark.parametrize("value", ["Infinity", "-inf", "NaN", float("inf"), float("nan"), "1/2", "soon"])
+    @pytest.mark.parametrize(
+        "value",
+        ["Infinity", "-inf", "NaN", float("inf"), float("nan"), "1/2", "soon", "1e999999999", "1e-999999999"],
+    )
     def test_non_finite_and_non_decimal_values_are_value_errors(self, value):
         with pytest.raises(ValueError):
             b.parse_ms(value)
+
+    def test_exponent_bound_keeps_every_finite_float(self):
+        assert b.parse_ms(5e-324) == F(5, 10**324)
+        assert b.parse_ms(1.7976931348623157e308) == F(17976931348623157 * 10**292)
+        assert b.parse_ms("1e400") == F(10**400)
+        assert b.parse_ms("-9.99e-400") == F(-999, 10**402)
+        with pytest.raises(ValueError):
+            b.parse_ms("1e401")
