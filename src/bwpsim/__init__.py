@@ -56,7 +56,6 @@ from .fsm import (
     SwitchDelaySpec,
     SwitchWindow,
     UnsupportedScs,
-    switch_delay,
     switch_delay_khz,
 )
 from .grid import (

@@ -246,7 +246,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
             emit(_dispatch(machines[ev.cell], ev))
 
     for cid in cell_order:
-        emit(machines[cid].flush_windows(horizon))
+        emit(machines[cid].on_tick(horizon))  # windows ending after the last tick
 
     cell_metrics = {}
     for cid in cell_order:

@@ -16,12 +16,13 @@ Timing semantics:
   so a 2.25 ms window commits at exactly 2.25 ms after it opened).
 * While a window is open the UE neither transmits nor receives on the
   cell: every arriving event is rejected and traced, never queued.
-* The inactivity timer decrements at subframe ends (1 ms) on FR1 and
-  half-subframe ends (0.5 ms) on FR2, counting only whole periods since
-  it was armed. It never runs on the default DL BWP or during random
-  access; random access clears it and completion re-arms it. If it hits
-  zero while a window is open, the switch to the default BWP is deferred
-  to the window commit.
+* The inactivity timer counts whole subframes (1 ms) on FR1 and whole
+  half-subframes (0.5 ms) on FR2 from the first tick a full tick after
+  arming, so it is kept as one expiry time on the tick grid: armed at t
+  with value v, ceil((t+tick)/tick)*tick + v - tick. It never runs on the
+  default DL BWP or during random access; random access clears it and
+  completion re-arms it. If it expires while a window is open, the switch
+  to the default BWP is deferred to the window commit.
 * 240 kHz BWPs take part in frequency math but have no switch-delay
   requirement, so any switch involving one is rejected.
 
@@ -98,8 +99,6 @@ SWITCH_DELAY_SLOTS: dict[int, dict[DelayType, int]] = {
     120: {DelayType.TYPE1: 6, DelayType.TYPE2: 18},
 }
 
-_MU_BY_SCS = {15: 0, 30: 1, 60: 2, 120: 3}
-
 
 @dataclass(frozen=True)
 class SwitchDelaySpec:
@@ -114,23 +113,16 @@ def _delay_for_scs(scs_khz_values: tuple[int, ...], delay_type: DelayType) -> Sw
             raise UnsupportedScs(f"no switch delay requirement for {scs} kHz")
     governing = min(scs_khz_values)
     slots = SWITCH_DELAY_SLOTS[governing][delay_type]
-    slot_ms = Fraction(1, 2 ** _MU_BY_SCS[governing])
-    return SwitchDelaySpec(delay_type, slots, slots * slot_ms)
+    # a slot of the governing SCS lasts 15/scs ms
+    return SwitchDelaySpec(delay_type, slots, Fraction(15 * slots, governing))
 
 
-def switch_delay(from_g: BwpGeometry, to_g: BwpGeometry, delay_type: DelayType) -> SwitchDelaySpec:
-    """Delay budget for switching between two geometries.
+def switch_delay_khz(from_scs_khz: int, to_scs_khz: int, delay_type: DelayType) -> SwitchDelaySpec:
+    """Delay budget for switching between two subcarrier spacings.
 
     The requirement of the smaller SCS governs when the two differ.
     Raises UnsupportedScs when either side is 240 kHz.
     """
-    return _delay_for_scs(
-        (from_g.numerology.scs_khz, to_g.numerology.scs_khz), delay_type
-    )
-
-
-def switch_delay_khz(from_scs_khz: int, to_scs_khz: int, delay_type: DelayType) -> SwitchDelaySpec:
-    """switch_delay on bare SCS values, for tooling."""
     return _delay_for_scs((from_scs_khz, to_scs_khz), delay_type)
 
 
@@ -147,7 +139,7 @@ class SwitchWindow:
 class BwpState:
     active_dl: int
     active_ul: Optional[int]
-    timer_remaining_ms: Optional[Fraction] = None
+    timer_expires_at: Optional[Fraction] = None
     switch_window: Optional[SwitchWindow] = None
     rach_in_progress: bool = False
 
@@ -165,7 +157,6 @@ class CellStateMachine:
         self.cap = cap
         self.state = BwpState(active_dl=0, active_ul=0 if cfg.has_uplink else None)
         self._expiry_pending = False
-        self._timer_next_decrement: Optional[Fraction] = None
 
     # ------------------------------------------------------------------
     # event handlers
@@ -271,26 +262,21 @@ class CellStateMachine:
         return records
 
     def on_tick(self, now: Fraction) -> list[TraceRecord]:
-        """Advance to a tick boundary: commit due windows, run the timer."""
+        """Commit the windows due by `now`, then fire the timer if it is due.
+
+        `now` may lie on the tick grid or off it; the engine calls this at
+        every tick boundary and once more at the horizon.
+        """
         records: list[TraceRecord] = []
         self._close_due_windows(now, records)
         st = self.state
-        if (
-            st.timer_remaining_ms is not None
-            and not st.rach_in_progress
-            and self._timer_next_decrement is not None
-            and now >= self._timer_next_decrement
-        ):
-            st.timer_remaining_ms -= self.cfg.tick_ms
-            self._timer_next_decrement += self.cfg.tick_ms
-            if st.timer_remaining_ms <= 0:
-                st.timer_remaining_ms = None
-                self._timer_next_decrement = None
-                records.append(self._rec(now, TIMER_EXPIRY))
-                if st.switch_window is not None:
-                    self._expiry_pending = True
-                else:
-                    self._open_expiry_window(now, records)
+        if st.timer_expires_at is not None and now >= st.timer_expires_at:
+            st.timer_expires_at = None
+            records.append(self._rec(now, TIMER_EXPIRY))
+            if st.switch_window is not None:
+                self._expiry_pending = True
+            else:
+                self._open_expiry_window(now, records)
         return records
 
     def on_rach_start(self, now: Fraction) -> list[TraceRecord]:
@@ -324,8 +310,7 @@ class CellStateMachine:
 
         records: list[TraceRecord] = []
         st.rach_in_progress = True
-        st.timer_remaining_ms = None
-        self._timer_next_decrement = None
+        st.timer_expires_at = None
         self._expiry_pending = False
         if spec is not None:
             self._open_window(
@@ -359,12 +344,6 @@ class CellStateMachine:
             n_rbs = self._dl_geom(st.active_dl).n_rbs
             tag = "dl"
         return [self._rec(now, DATA_SERVED, direction=tag, n_rbs=n_rbs)]
-
-    def flush_windows(self, now: Fraction) -> list[TraceRecord]:
-        """Commit any window whose end time has been reached by `now`."""
-        records: list[TraceRecord] = []
-        self._close_due_windows(now, records)
-        return records
 
     # ------------------------------------------------------------------
     # internals
@@ -446,25 +425,17 @@ class CellStateMachine:
                         new_dl_rbs=self._dl_geom(st.active_dl).n_rbs,
                     )
                 )
-            default = effective_default_dl(self.cfg)
-            if st.active_dl == default:
+            if st.active_dl == effective_default_dl(self.cfg):
                 # the default BWP carries no inactivity tracking
-                st.timer_remaining_ms = None
-                self._timer_next_decrement = None
+                st.timer_expires_at = None
                 self._expiry_pending = False
-                continue
-            if self._expiry_pending:
+            elif self._expiry_pending:
                 self._expiry_pending = False
                 self._open_expiry_window(t, records)
-                continue
-            if self.cfg.inactivity_timer_ms is None or st.rach_in_progress:
-                continue
-            if st.timer_remaining_ms is None:
-                self._arm_timer(t, records)
-            elif w.cause is not SwitchCause.DCI:
+            elif st.timer_expires_at is None or w.cause is not SwitchCause.DCI:
                 # activation of a non-default BWP restarts the timer; for a
                 # DCI-driven switch the restart at reception already governs
-                self._arm_timer(t, records)
+                self._try_arm_timer(t, records)
 
     def _open_expiry_window(self, now: Fraction, records: list[TraceRecord]) -> None:
         default = effective_default_dl(self.cfg)
@@ -484,22 +455,15 @@ class CellStateMachine:
         self._try_arm_timer(now, records)
 
     def _try_arm_timer(self, now: Fraction, records: list[TraceRecord]) -> None:
-        if self.cfg.inactivity_timer_ms is None:
-            return
-        if self.state.rach_in_progress:
-            return
-        if self.state.active_dl == effective_default_dl(self.cfg):
-            return
-        self._arm_timer(now, records)
-
-    def _arm_timer(self, now: Fraction, records: list[TraceRecord]) -> None:
-        was_running = self.state.timer_remaining_ms is not None
+        st = self.state
         value = self.cfg.inactivity_timer_ms
-        assert value is not None
-        self.state.timer_remaining_ms = Fraction(value)
+        if value is None or st.rach_in_progress or st.active_dl == effective_default_dl(self.cfg):
+            return
+        was_running = st.timer_expires_at is not None
         tick = self.cfg.tick_ms
-        # first decrement at the first tick boundary a whole period after arming
-        self._timer_next_decrement = math.ceil((now + tick) / tick) * tick
+        # the first whole period ends at the first tick boundary a full tick
+        # after arming; the last of value/tick periods ends value - tick later
+        st.timer_expires_at = math.ceil((now + tick) / tick) * tick + value - tick
         records.append(
             self._rec(now, TIMER_RESTART if was_running else TIMER_START, value_ms=value)
         )

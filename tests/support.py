@@ -111,8 +111,12 @@ def centered_cell(
     )
 
 
-def assert_machine_invariants(m) -> None:
-    """Structural invariants that must hold in every reachable state."""
+def assert_machine_invariants(m, now) -> None:
+    """Structural invariants that must hold in every reachable state.
+
+    `now` is the time of the last handled tick or event; a running timer
+    is never overdue there.
+    """
     from bwpsim.config import effective_default_dl
 
     st = m.state
@@ -121,9 +125,9 @@ def assert_machine_invariants(m) -> None:
     if st.active_ul is not None:
         assert m.cfg.has_ul_bwp(st.active_ul)
     if st.rach_in_progress:
-        assert st.timer_remaining_ms is None
-    if st.timer_remaining_ms is not None:
-        assert st.timer_remaining_ms > 0
+        assert st.timer_expires_at is None
+    if st.timer_expires_at is not None:
+        assert st.timer_expires_at > now
         assert m.cfg.inactivity_timer_ms is not None
         assert st.active_dl != effective_default_dl(m.cfg)
     if m.cfg.duplex is b.Duplex.TDD and m.cfg.has_uplink and st.switch_window is None:

@@ -202,7 +202,7 @@ def _walk_machine(rng: random.Random, steps: int = 25):
         except EventRejection:
             recs = []
         records.extend(recs)
-        assert_machine_invariants(m)
+        assert_machine_invariants(m, now)
     return m, records
 
 

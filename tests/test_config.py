@@ -167,6 +167,48 @@ class TestValidate:
         free_cap = b.UeCapability(max_rrc_bwps=4, supports_no_bandwidth_restriction=True)
         assert "BW-RESTRICTION" not in report_codes(cfg, free_cap)
 
+    def _rb_span(self, cfg, start, end):
+        rb = b.Numerology(0).rb_width_hz
+        return b.HzSpan(cfg.point_a_hz + start * rb, cfg.point_a_hz + end * rb)
+
+    def _restriction_findings(self, cfg):
+        return [(f.location, f.message) for f in b.validate(cfg, CAP4).findings
+                if f.rule_code == "BW-RESTRICTION"]
+
+    def test_bandwidth_restriction_needs_the_ssb(self):
+        # the SSB at RBs 30..40 lies outside the initial BWP (0..24), which
+        # still contains CORESET #0 (0..24); #1 and #2 contain both
+        cfg = adaptation_cell()
+        cfg = dataclasses.replace(cfg, ssb_span=self._rb_span(cfg, 30, 40))
+        assert self._restriction_findings(cfg) == [
+            ("dl_bwps[0]", "DL BWP #0 does not contain SSB and the UE requires the bandwidth restriction")
+        ]
+
+    @pytest.mark.parametrize("role", [b.CellRole.PCELL, b.CellRole.SCELL])
+    def test_bandwidth_restriction_needs_coreset0_on_the_spcell(self, role):
+        # #2 at RBs 2..54 contains the SSB (4..20) but not CORESET #0 (0..24)
+        cfg = adaptation_cell()
+        cfg = dataclasses.replace(
+            cfg, cell_role=role, ssb_span=self._rb_span(cfg, 4, 20),
+            dl_bwps=(*cfg.dl_bwps[:2], make_bwp(2, 2, 52)),
+        )
+        expected = [("dl_bwps[2]", "DL BWP #2 does not contain CORESET #0 and the UE requires the bandwidth restriction")]
+        assert self._restriction_findings(cfg) == (expected if role.is_spcell else [])
+
+    @pytest.mark.parametrize("max_bwps", [1, 2])
+    def test_bwp_count_follows_the_capability_class(self, max_bwps):
+        # Option 1: #0 has no dedicated part, so #1..#n are the configured ones
+        cfg = adaptation_cell()
+        cap = b.UeCapability(max_rrc_bwps=max_bwps)
+        for n, over in ((max_bwps, False), (max_bwps + 1, True)):
+            bwps = (cfg.dl_bwps[0], *(make_bwp(i, 0, 52) for i in range(1, n + 1)))
+            cell = dataclasses.replace(cfg, dl_bwps=bwps, ul_bwps=bwps, default_dl_bwp=None)
+            findings = [f.message for f in b.validate(cell, cap).findings if f.rule_code == "BWP-COUNT"]
+            assert findings == ([
+                f"{n} RRC-configured BWPs in dl_bwps exceeds the limit of {max_bwps}",
+                f"{n} RRC-configured BWPs in ul_bwps exceeds the limit of {max_bwps}",
+            ] if over else [])
+
     def test_scell_requires_first_active(self):
         cfg = dataclasses.replace(adaptation_cell(), cell_role=b.CellRole.SCELL, first_active_dl=None)
         assert "SCELL-FIRST-ACTIVE" in report_codes(cfg, CAP4)

@@ -224,6 +224,14 @@ class TestReplayRejectsMalformedTraces:
         with pytest.raises(b.MalformedTrace):
             b.replay_metrics(trace + [extra])
 
+    def test_cells_ending_at_different_horizons(self):
+        trace = self._base()
+        start, end = trace[0], trace[-1]
+        other = [b.TraceRecord(F(0), "scell", RUN_START, dict(start.fields)),
+                 b.TraceRecord(end.at_ms + 1, "scell", RUN_END, {})]
+        with pytest.raises(b.MalformedTrace, match="cells end at different horizons"):
+            b.replay_metrics([start, other[0], *trace[1:], other[1]])
+
     def test_empty_trace(self):
         with pytest.raises(b.MalformedTrace):
             b.replay_metrics([])
@@ -276,6 +284,34 @@ class TestReadTrace:
     def test_non_object_line(self):
         with pytest.raises(b.MalformedTrace, match=r"^line 1: expected an object"):
             b.read_trace(["[1, 2]"])
+
+
+def test_rrc_goes_before_rach_at_one_timestamp():
+    """Same-time ties deliver RRC before RACH, whatever the input order."""
+    scn = b.Scenario(
+        cells={"c": centered_cell()}, capability=CAP4,
+        events=[b.SimEvent(F(5), "c", b.EventKind.RACH_START),
+                b.SimEvent(F(5), "c", b.EventKind.RRC_RECONFIG, first_active_dl=1, first_active_ul=1)],
+        horizon_ms=F(30),
+    )
+    trace, _ = b.run(scn)
+    at_5 = [(r.record, r.fields.get("cause") or r.fields.get("event_kind")) for r in trace if r.at_ms == 5]
+    assert at_5 == [("WindowOpen", "RrcReconfig"), ("EventRejected", "RachStart")]
+
+
+def test_window_ending_after_the_last_tick_commits_at_the_horizon():
+    # 60 kHz type 1: the window opened at 10 ends at 10.75, after the last
+    # 1 ms tick (10) and before the horizon (10.9)
+    scn = b.Scenario(
+        cells={"c": centered_cell(mu=2)}, capability=CAP4,
+        events=[b.SimEvent(F(10), "c", b.EventKind.DCI, dci=b.DciEvent(b.DciFormat.FMT_1_1, "01"))],
+        horizon_ms=F(109, 10),
+    )
+    trace, metrics = b.run(scn)
+    assert [(r.record, r.at_ms) for r in trace if r.at_ms > 10] == [
+        ("WindowClose", F(43, 4)), ("StateChange", F(43, 4)), ("RunEnd", F(109, 10)),
+    ]
+    assert metrics.cells["c"].switch_count_by_cause["Dci"] == 1
 
 
 def test_window_close_time_equals_open_plus_delay():

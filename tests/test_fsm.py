@@ -72,12 +72,6 @@ class TestSwitchDelayTable:
         with pytest.raises(b.UnsupportedScs):
             _delay_for_scs((15, 240), T2)
 
-    def test_geometry_interface(self):
-        g15 = b.BwpGeometry(0, 20, b.Numerology(0))
-        g30 = b.BwpGeometry(0, 20, b.Numerology(1))
-        spec = b.switch_delay(g15, g30, T2)
-        assert (spec.slots, spec.duration_ms) == (3, F(3))
-
 
 class TestRrcSwitch:
     def test_first_active_switch_with_processing_delay(self):
@@ -105,6 +99,13 @@ class TestRrcSwitch:
         assert recs[0].fields["target_dl"] == 2
         tick_until(m, F(4), F(15))
         assert m.state.active_dl == 2
+
+    def test_tdd_first_active_ids_must_pair_up(self):
+        m = machine(centered_cell(duplex=b.Duplex.TDD))
+        with pytest.raises(EventRejection) as exc:
+            m.on_rrc_reconfig(F(5), 1, 2)
+        assert (exc.value.reason, exc.value.detail) == ("InvalidTarget", "TDD first-active ids must pair up")
+        assert m.state.switch_window is None and (m.state.active_dl, m.state.active_ul) == (0, 0)
 
     def test_unconfigured_target_rejected(self):
         m = machine(adaptation_cell())
@@ -144,7 +145,7 @@ class TestDciSwitch:
     def test_fallback_ul_grant_no_restart_on_fdd(self):
         m = machine(centered_cell())
         assert m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_0_0)) == []
-        assert m.state.timer_remaining_ms is None
+        assert m.state.timer_expires_at is None
 
     def test_fallback_ul_grant_restarts_on_tdd(self):
         m = machine(centered_cell(duplex=b.Duplex.TDD))
@@ -190,61 +191,84 @@ class TestDciSwitch:
         assert exc.value.reason == "TargetNotConfigured"
 
 
+# arming times on the tick grid and 1/8 ... 7/8 ms off it
+ARM_OFFSETS = [F(k, 8) for k in range(8)]
+
+
+def countdown_expiry(armed_at: F, value_ms: int, tick: F) -> F:
+    """The tick at which a timer armed at `armed_at` reaches zero, counted
+    down by one tick at each tick boundary a whole tick or more after arming."""
+    remaining = F(value_ms)
+    t = armed_at // tick * tick
+    while remaining > 0:
+        t += tick
+        if t - armed_at >= tick:
+            remaining -= tick
+    return t
+
+
 class TestTimer:
-    def test_fr1_two_ms_expires_after_two_ticks(self):
+    @pytest.mark.parametrize("offset", ARM_OFFSETS, ids=str)
+    def test_fr1_two_ms_expires_after_two_ticks(self, offset):
         m = machine(centered_cell(timer_ms=2))
-        m.on_dci(F(5), b.DciEvent(b.DciFormat.FMT_1_0))  # arms the timer at 5
-        assert m.state.timer_remaining_ms == 2
-        recs = tick_until(m, F(5), F(7))
-        assert [r.record for r in recs] == ["TimerExpiry", "WindowOpen"]
-        assert recs[0].at_ms == F(7)
+        armed_at = 5 + offset
+        m.on_dci(armed_at, b.DciEvent(b.DciFormat.FMT_1_0))  # arms the timer
+        expected = countdown_expiry(armed_at, 2, F(1))
+        assert expected == (7 if offset == 0 else 8)
+        assert m.state.timer_expires_at == expected
+        recs = tick_until(m, armed_at, expected)
+        assert [(r.record, r.at_ms) for r in recs] == [("TimerExpiry", expected), ("WindowOpen", expected)]
         assert recs[1].fields["target_dl"] == 2
 
-    def test_fr2_two_ms_expires_after_four_half_ticks(self):
+    @pytest.mark.parametrize("offset", ARM_OFFSETS, ids=str)
+    def test_fr2_two_ms_expires_after_four_half_ticks(self, offset):
         m = machine(centered_cell(fr=b.FrequencyRange.FR2, mu=3, timer_ms=2))
-        m.on_dci(F(5), b.DciEvent(b.DciFormat.FMT_1_0))
-        recs = tick_until(m, F(5), F(7))
+        armed_at = 5 + offset
+        m.on_dci(armed_at, b.DciEvent(b.DciFormat.FMT_1_0))
+        expected = countdown_expiry(armed_at, 2, F(1, 2))
+        assert offset != 0 or expected == 7
+        assert m.state.timer_expires_at == expected
+        recs = tick_until(m, armed_at, expected + 2)
         expiries = [r for r in recs if r.record == "TimerExpiry"]
-        assert len(expiries) == 1 and expiries[0].at_ms == F(7)  # 4 ticks of 0.5 ms
+        assert len(expiries) == 1 and expiries[0].at_ms == expected  # 4 ticks of 0.5 ms
 
     def test_expiry_commits_to_default(self):
         m = machine(centered_cell(timer_ms=2))
         m.on_dci(F(5), b.DciEvent(b.DciFormat.FMT_1_0))
         tick_until(m, F(5), F(10))
         assert m.state.active_dl == 2
-        assert m.state.timer_remaining_ms is None  # never runs on the default
+        assert m.state.timer_expires_at is None  # never runs on the default
 
     def test_timer_never_runs_on_default(self):
         m = machine(centered_cell(timer_ms=20, default_dl=0))
         recs = m.on_dci(F(5), b.DciEvent(b.DciFormat.FMT_1_0))
-        assert recs == [] and m.state.timer_remaining_ms is None
+        assert recs == [] and m.state.timer_expires_at is None
 
     def test_switch_to_default_clears_timer(self):
         m = machine(centered_cell(timer_ms=20))
         m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))  # to #1, timer armed
         tick_until(m, F(2), F(3))
-        assert m.state.timer_remaining_ms is not None
+        assert m.state.timer_expires_at is not None
         m.on_dci(F(5), b.DciEvent(b.DciFormat.FMT_1_1, "10"))  # to default #2
         tick_until(m, F(5), F(6))
         assert m.state.active_dl == 2
-        assert m.state.timer_remaining_ms is None
+        assert m.state.timer_expires_at is None
 
     def test_partial_first_period_does_not_decrement(self):
         # commit at 20.75 arms the timer; the tick at 21 covers only a
-        # quarter subframe, so the first decrement is at 22
+        # quarter subframe, so the whole periods end at 22 and 23 (22 would
+        # mean the quarter period was counted)
         m = machine(centered_cell(mu=2, timer_ms=2, rrc_delay_ms=10))
         m.on_rrc_reconfig(F(10), 1, 1)
         recs = tick_until(m, F(10), F(21))
         starts = [r for r in recs if r.record == "TimerStart"]
         assert starts[0].at_ms == F(83, 4)  # 10 + 10 + 0.75
-        assert m.state.timer_remaining_ms == 2
-        recs = tick_until(m, F(21), F(22))
-        assert m.state.timer_remaining_ms == 1
+        assert m.state.timer_expires_at == 23
 
     def test_expiry_during_window_is_deferred_to_commit(self):
         m = machine(centered_cell(mu=1, timer_ms=2), delay_type=T2)  # 5 slots = 2.5 ms
         m.on_dci(F(10), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
-        assert m.state.timer_remaining_ms == 2  # armed at reception
+        assert m.state.timer_expires_at == 12  # armed at reception
         recs = tick_until(m, F(10), F(13))
         labels = [(r.record, r.at_ms) for r in recs]
         assert ("TimerExpiry", F(12)) in labels
@@ -301,10 +325,10 @@ class TestRach:
     def test_prach_on_active_ul_means_no_switch(self):
         m = machine(centered_cell(prach_on=frozenset({0, 1, 2})))
         self._at(m, 2, 2)
-        m.state.timer_remaining_ms = F(9)
+        m.state.timer_expires_at = F(13)
         recs = m.on_rach_start(F(4))
         assert recs == []
-        assert m.state.timer_remaining_ms is None  # cleared regardless
+        assert m.state.timer_expires_at is None  # cleared regardless
         assert m.state.rach_in_progress
 
     def test_spcell_aligns_even_without_ul_switch(self):
@@ -320,7 +344,7 @@ class TestRach:
         m.on_rach_start(F(4))
         recs = tick_until(m, F(4), F(30))
         assert all(r.record != "TimerExpiry" for r in recs)
-        assert m.state.timer_remaining_ms is None
+        assert m.state.timer_expires_at is None
 
     def test_complete_rearms_timer_off_default(self):
         m = machine(centered_cell(timer_ms=20, prach_on=frozenset({0, 1, 2})))
@@ -328,13 +352,13 @@ class TestRach:
         m.on_rach_start(F(4))
         recs = m.on_rach_complete(F(8))
         assert kinds(recs) == ["TimerStart"]
-        assert m.state.timer_remaining_ms == 20
+        assert m.state.timer_expires_at == 28
 
     def test_complete_on_default_leaves_timer_absent(self):
         m = machine(centered_cell(timer_ms=20, prach_on=frozenset({0, 1, 2}), default_dl=0))
         m.on_rach_start(F(4))
         assert m.on_rach_complete(F(8)) == []
-        assert m.state.timer_remaining_ms is None
+        assert m.state.timer_expires_at is None
 
     def test_complete_without_start_rejected(self):
         m = machine(centered_cell())
@@ -424,4 +448,4 @@ def test_random_op_sequences_hold_invariants(duplex, fr_mu, timer_ms, default_dl
                 m.on_data(now, op[1])
         except EventRejection:
             pass
-        assert_machine_invariants(m)
+        assert_machine_invariants(m, now)
