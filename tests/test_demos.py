@@ -11,8 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_all_six_demos_are_collected():
-    assert len(DEMOS) == 6
+def test_demos_are_collected():
+    assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

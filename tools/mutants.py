@@ -2,8 +2,7 @@
 
 Run from anywhere, with pytest and hypothesis installed:
 
-    python tools/mutants.py              # every mutant
-    python tools/mutants.py ID [ID ...]  # only the named ones
+    python tools/mutants.py
 
 Each mutant names a file under src/, an exact `old` text that must occur
 there once, the `new` text that replaces it, and why the change is not
@@ -11,8 +10,10 @@ equivalent. The runner copies the tier-1 tree (src/, tests/, fixtures/,
 demos/ and pyproject.toml) to a temporary directory, first checks that
 the unmutated copy passes, then applies one mutant at a time to a fresh
 copy of src/ and runs the tier-1 command with -x. A mutant the suite
-passes on is a survivor. Exit status 1 on any survivor, on an `old` text
-that no longer matches, or on a failing baseline; 0 otherwise.
+passes on is a survivor; a mutant run that takes longer than TIMEOUT_FACTOR
+times the baseline's wall time is stopped and counts as an error. Exit
+status 1 on any survivor or error, on an `old` text that no longer
+matches, or on a failing baseline; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ TREE = ("src", "tests", "fixtures", "demos", "pyproject.toml")
 IGNORE = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
+TIMEOUT_FACTOR = 5
 
 
 def _copy_tree(dest: Path) -> None:
@@ -43,28 +45,28 @@ def _copy_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def _tier1(work: Path) -> int:
+def _tier1(work: Path, timeout: float | None = None) -> int | None:
+    """Tier-1's exit status on `work`, or None if it ran past `timeout` seconds."""
     env = {**os.environ, "PYTHONPATH": str(work / "src")}
-    return subprocess.run(TIER1, cwd=work, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(TIER1, cwd=work, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     mutants = json.loads(MUTANTS.read_text(encoding="utf-8"))
-    if argv:
-        unknown = set(argv) - {m["id"] for m in mutants}
-        if unknown:
-            print(f"unknown mutant ids: {', '.join(sorted(unknown))}", file=sys.stderr)
-            return 1
-        mutants = [m for m in mutants if m["id"] in argv]
     with tempfile.TemporaryDirectory(prefix="bwpsim-mutants-") as tmp:
         work = Path(tmp)
         _copy_tree(work)
         pristine = work / "src.orig"
         shutil.copytree(work / "src", pristine)
+        start = time.monotonic()
         if _tier1(work) != 0:
             print("baseline: tier-1 fails on the unmutated tree", file=sys.stderr)
             return 1
+        timeout = TIMEOUT_FACTOR * (time.monotonic() - start)
         bad = []
         for m in mutants:
             shutil.rmtree(work / "src")
@@ -77,8 +79,10 @@ def main(argv: list[str]) -> int:
                 continue
             target.write_text(text.replace(m["old"], m["new"]), encoding="utf-8")
             start = time.monotonic()
-            rc = _tier1(work)
-            verdict = "killed" if rc == 1 else "SURVIVED" if rc == 0 else f"ERROR (pytest exit {rc})"
+            rc = _tier1(work, timeout)
+            verdict = ("killed" if rc == 1 else "SURVIVED" if rc == 0
+                       else f"ERROR (timed out after {timeout:.0f} s)" if rc is None
+                       else f"ERROR (pytest exit {rc})")
             print(f"{m['id']}: {verdict} in {time.monotonic() - start:.1f} s")
             if verdict != "killed":
                 bad.append(m["id"])
@@ -87,4 +91,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
