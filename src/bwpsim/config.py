@@ -97,10 +97,6 @@ class BwpConfig:
     dedicated: Optional[BwpDedicated] = None
 
     @property
-    def is_initial(self) -> bool:
-        return self.id == 0
-
-    @property
     def has_dedicated(self) -> bool:
         return self.dedicated is not None
 
@@ -218,12 +214,8 @@ class ValidationReport:
         return not self.findings
 
     @property
-    def errors(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.severity is Severity.ERROR)
-
-    @property
     def has_errors(self) -> bool:
-        return bool(self.errors)
+        return any(f.severity is Severity.ERROR for f in self.findings)
 
     def codes(self) -> tuple[str, ...]:
         return tuple(f.rule_code for f in self.findings)
@@ -328,9 +320,9 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
     for direction, bwps in (("dl_bwps", cfg.dl_bwps), ("ul_bwps", cfg.ul_bwps)):
         _check_direction(out, cfg, direction, bwps)
 
-    if cfg.ul_bwps and not any(b.id == 0 for b in cfg.ul_bwps):
+    if cfg.ul_bwps and not cfg.has_ul_bwp(0):
         out.error("INITIAL-BWP", "UL direction configured without BWP #0", "ul_bwps")
-    if not any(b.id == 0 for b in cfg.dl_bwps):
+    if not cfg.has_dl_bwp(0):
         out.error("INITIAL-BWP", "DL direction has no BWP #0", "dl_bwps")
 
     if cfg.duplex is Duplex.TDD and cfg.ul_bwps:
@@ -343,7 +335,7 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
                 "ul_bwps",
             )
         for dl in cfg.dl_bwps:
-            if not any(u.id == dl.id for u in cfg.ul_bwps):
+            if not cfg.has_ul_bwp(dl.id):
                 continue
             ul = cfg.ul_bwp(dl.id)
             if not tdd_pair_compatible(cfg.point_a_hz, dl.geometry, ul.geometry):
@@ -381,7 +373,7 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
             "dl_bwps",
         )
 
-    if any(b.id == 0 for b in cfg.dl_bwps):
+    if cfg.has_dl_bwp(0):
         initial_span = cfg.dl_bwp(0).geometry.span(cfg.point_a_hz)
         if not initial_span.contains(cfg.coreset0_span):
             out.error(

@@ -2,10 +2,14 @@
 
 The engine owns the clock. It visits every subframe (FR1) or half-subframe
 (FR2) boundary of every cell up to the horizon, delivers the scripted
-events, and collects the trace. Ties at one timestamp resolve in a fixed
-total order: tick commits first, then RRC events, then RACH events, then
-DCI, then data; within one class, input order. Running the same scenario
-twice produces byte-identical traces.
+events, and collects the trace. At one timestamp the cells due a tick
+tick in document order, then events run: RRC, then RACH, then DCI, then
+data; within one class, input order. An event at the horizon is
+delivered. A window ending between ticks commits at its cell's next tick
+(or the horizon) with its exact end time, and the stable time sort keeps
+same-time records in the order produced: an FR2 cell's 2.25 ms commit
+(handled at 2.5) precedes an FR1 cell's (handled at 3). Running the same
+scenario twice produces byte-identical traces.
 
 Metrics are computed twice on purpose: once online while the run emits
 records, and once by `replay_metrics` walking a finished trace. The two

@@ -48,7 +48,6 @@ from .config import (
     effective_default_dl,
 )
 from .dci import DciEvent, Direction, IndicatorContext, IndicatorError, decode_indicator
-from .grid import BwpGeometry
 from .trace import (
     DATA_SERVED,
     EVENT_REJECTED,
@@ -102,19 +101,8 @@ SWITCH_DELAY_SLOTS: dict[int, dict[DelayType, int]] = {
 
 @dataclass(frozen=True)
 class SwitchDelaySpec:
-    delay_type: DelayType
     slots: int
     duration_ms: Fraction
-
-
-def _delay_for_scs(scs_khz_values: tuple[int, ...], delay_type: DelayType) -> SwitchDelaySpec:
-    for scs in scs_khz_values:
-        if scs not in SWITCH_DELAY_SLOTS:
-            raise UnsupportedScs(f"no switch delay requirement for {scs} kHz")
-    governing = min(scs_khz_values)
-    slots = SWITCH_DELAY_SLOTS[governing][delay_type]
-    # a slot of the governing SCS lasts 15/scs ms
-    return SwitchDelaySpec(delay_type, slots, Fraction(15 * slots, governing))
 
 
 def switch_delay_khz(from_scs_khz: int, to_scs_khz: int, delay_type: DelayType) -> SwitchDelaySpec:
@@ -123,12 +111,17 @@ def switch_delay_khz(from_scs_khz: int, to_scs_khz: int, delay_type: DelayType) 
     The requirement of the smaller SCS governs when the two differ.
     Raises UnsupportedScs when either side is 240 kHz.
     """
-    return _delay_for_scs((from_scs_khz, to_scs_khz), delay_type)
+    for scs in (from_scs_khz, to_scs_khz):
+        if scs not in SWITCH_DELAY_SLOTS:
+            raise UnsupportedScs(f"no switch delay requirement for {scs} kHz")
+    governing = min(from_scs_khz, to_scs_khz)
+    slots = SWITCH_DELAY_SLOTS[governing][delay_type]
+    # a slot of the governing SCS lasts 15/scs ms
+    return SwitchDelaySpec(slots, Fraction(15 * slots, governing))
 
 
 @dataclass
 class SwitchWindow:
-    start_ms: Fraction
     end_ms: Fraction
     target_dl: Optional[int]
     target_ul: Optional[int]
@@ -338,23 +331,15 @@ class CellStateMachine:
         if direction is Direction.UL_GRANT:
             if not self.cfg.has_uplink:
                 raise EventRejection("NoUplinkConfigured", "UL data on a DL-only cell")
-            n_rbs = self._ul_geom(st.active_ul).n_rbs
+            n_rbs = self.cfg.ul_bwp(st.active_ul).geometry.n_rbs
             tag = "ul"
         else:
-            n_rbs = self._dl_geom(st.active_dl).n_rbs
+            n_rbs = self.cfg.dl_bwp(st.active_dl).geometry.n_rbs
             tag = "dl"
         return [self._rec(now, DATA_SERVED, direction=tag, n_rbs=n_rbs)]
 
     # ------------------------------------------------------------------
     # internals
-
-    def _dl_geom(self, bwp_id: int) -> BwpGeometry:
-        return self.cfg.dl_bwp(bwp_id).geometry
-
-    def _ul_geom(self, bwp_id: Optional[int]) -> BwpGeometry:
-        if bwp_id is None:
-            raise EventRejection("NoUplinkConfigured", "no active UL BWP")
-        return self.cfg.ul_bwp(bwp_id).geometry
 
     def _rec(self, at_ms: Fraction, kind: str, **fields) -> TraceRecord:
         return TraceRecord(at_ms, self.cell, kind, fields)
@@ -366,16 +351,18 @@ class CellStateMachine:
         and target BWPs of the moving directions governs, and a 240 kHz
         BWP among them rejects the switch.
         """
-        st = self.state
+        st, cfg = self.state, self.cfg
         scs: list[int] = []
         if target_dl is not None:
-            scs += [self._dl_geom(st.active_dl).numerology.scs_khz,
-                    self._dl_geom(target_dl).numerology.scs_khz]
+            scs += [cfg.dl_bwp(st.active_dl).geometry.numerology.scs_khz,
+                    cfg.dl_bwp(target_dl).geometry.numerology.scs_khz]
         if target_ul is not None:
-            scs += [self._ul_geom(st.active_ul).numerology.scs_khz,
-                    self._ul_geom(target_ul).numerology.scs_khz]
+            scs += [cfg.ul_bwp(st.active_ul).geometry.numerology.scs_khz,
+                    cfg.ul_bwp(target_ul).geometry.numerology.scs_khz]
         try:
-            return _delay_for_scs(tuple(scs), self.cap.switch_delay_type)
+            # every SCS is 15*2**mu kHz with mu <= 4, so 240 kHz, the only one
+            # without a requirement, is always the largest
+            return switch_delay_khz(min(scs), max(scs), self.cap.switch_delay_type)
         except UnsupportedScs as exc:
             raise EventRejection("UnsupportedScs", str(exc)) from exc
 
@@ -388,7 +375,7 @@ class CellStateMachine:
         cause: SwitchCause,
         records: list[TraceRecord],
     ) -> None:
-        self.state.switch_window = SwitchWindow(start, end, target_dl, target_ul, cause)
+        self.state.switch_window = SwitchWindow(end, target_dl, target_ul, cause)
         records.append(
             self._rec(
                 start,
@@ -422,7 +409,7 @@ class CellStateMachine:
                         new_dl=st.active_dl,
                         new_ul=st.active_ul,
                         cause=w.cause.value,
-                        new_dl_rbs=self._dl_geom(st.active_dl).n_rbs,
+                        new_dl_rbs=self.cfg.dl_bwp(st.active_dl).geometry.n_rbs,
                     )
                 )
             if st.active_dl == effective_default_dl(self.cfg):

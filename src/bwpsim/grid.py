@@ -94,10 +94,6 @@ class HzSpan:
     def contains(self, inner: "HzSpan") -> bool:
         return self.low_hz <= inner.low_hz and inner.high_hz <= self.high_hz
 
-    @property
-    def midpoint_hz(self) -> Fraction:
-        return Fraction(self.low_hz + self.high_hz, 2)
-
 
 @dataclass(frozen=True)
 class BwpGeometry:
@@ -128,7 +124,8 @@ class BwpGeometry:
         return HzSpan(low, low + self.n_rbs * self.numerology.rb_width_hz)
 
     def center_hz(self, point_a_hz: int) -> Fraction:
-        return self.span(point_a_hz).midpoint_hz
+        span = self.span(point_a_hz)
+        return Fraction(span.low_hz + span.high_hz, 2)
 
 
 def tdd_pair_compatible(point_a_hz: int, dl: BwpGeometry, ul: BwpGeometry) -> bool:

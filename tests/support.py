@@ -134,6 +134,19 @@ def assert_machine_invariants(m, now) -> None:
         assert st.active_dl == st.active_ul
 
 
+def random_event(rng: random.Random, at: Fraction, cell: str, cfg: b.CellConfig) -> b.SimEvent:
+    """One event of a random kind on `cell`; RRC targets any DL BWP id or none."""
+    kind = rng.choice(list(b.EventKind))
+    if kind is b.EventKind.DCI:
+        fmt = rng.choice(list(b.DciFormat))
+        bits = None if fmt.is_fallback else rng.choice(["", "0", "1", "00", "01", "10", "11"])
+        return b.SimEvent(at, cell, kind, dci=b.DciEvent(fmt, bits or None))
+    if kind is b.EventKind.RRC_RECONFIG:
+        target = rng.choice([None, *(bwp.id for bwp in cfg.dl_bwps)])
+        return b.SimEvent(at, cell, kind, first_active_dl=target, first_active_ul=target)
+    return b.SimEvent(at, cell, kind)
+
+
 def random_scenario(rng: random.Random, *, horizon_ms: int = 50) -> b.Scenario:
     """One random valid cell plus a random event script.
 
@@ -163,21 +176,10 @@ def random_scenario(rng: random.Random, *, horizon_ms: int = 50) -> b.Scenario:
     )
     tick = cfg.tick_ms
     max_k = int(Fraction(horizon_ms) / tick)
-    events: list[b.SimEvent] = []
-    for _ in range(rng.randint(0, 10)):
-        at = tick * rng.randint(0, max_k)
-        kind = rng.choice(list(b.EventKind))
-        ev: b.SimEvent
-        if kind is b.EventKind.DCI:
-            fmt = rng.choice(list(b.DciFormat))
-            bits = None if fmt.is_fallback else rng.choice(["", "0", "1", "00", "01", "10", "11"])
-            ev = b.SimEvent(at, "cell", kind, dci=b.DciEvent(fmt, bits or None))
-        elif kind is b.EventKind.RRC_RECONFIG:
-            target = rng.choice([None, 0, 1, 2])
-            ev = b.SimEvent(at, "cell", kind, first_active_dl=target, first_active_ul=target)
-        else:
-            ev = b.SimEvent(at, "cell", kind)
-        events.append(ev)
+    events = [
+        random_event(rng, tick * rng.randint(0, max_k), "cell", cfg)
+        for _ in range(rng.randint(0, 10))
+    ]
     capability = b.UeCapability(
         max_rrc_bwps=4, switch_delay_type=rng.choice(list(b.DelayType))
     )
@@ -187,3 +189,112 @@ def random_scenario(rng: random.Random, *, horizon_ms: int = 50) -> b.Scenario:
         events=events,
         horizon_ms=Fraction(horizon_ms),
     )
+
+
+# Per frequency range: the numerologies a BWP may take (240 kHz only on FR2)
+# and the channel bandwidth that fits every BWP `spread_cell` builds.
+SPREAD_MUS = {b.FrequencyRange.FR1: (0, 1, 2), b.FrequencyRange.FR2: (2, 3, 4)}
+SPREAD_CHANNEL_MHZ = {b.FrequencyRange.FR1: 100.0, b.FrequencyRange.FR2: 400.0}
+
+
+def spread_cell(
+    *,
+    fr: b.FrequencyRange,
+    mus: tuple[int, ...],
+    widths: tuple[int, ...],
+    duplex: b.Duplex,
+    role: b.CellRole,
+    default_dl: int | None,
+    timer_ms: int | None,
+    prach_on: frozenset[int],
+    first_active: int | None,
+    rrc_delay_ms: int,
+    initial_dedicated: bool,
+) -> b.CellConfig:
+    """Cell whose BWP i has numerology mus[i] and widths[i] times the SSB block.
+
+    All BWPs and the SSB/CORESET #0 block share one center 70 RBs of the
+    largest SCS of `fr` above Point A. The block is 40 RBs of the
+    smallest numerology wide, so a BWP of k blocks has k * 40 RBs at that
+    numerology, halving per step of mu; the widths stay even, so every
+    start RB is whole.
+    """
+    low_mu, high_mu = SPREAD_MUS[fr][0], SPREAD_MUS[fr][-1]
+    point_a = POINT_A[fr]
+    center = 70 * b.Numerology(high_mu).rb_width_hz
+    half_block = 20 * b.Numerology(low_mu).rb_width_hz
+    bwps = []
+    for i, (mu, k) in enumerate(zip(mus, widths)):
+        n = k * 40 >> (mu - low_mu)
+        start = center // b.Numerology(mu).rb_width_hz - n // 2
+        bwps.append(make_bwp(i, start, n, mu=mu, dedicated=(i != 0 or initial_dedicated)))
+    block = b.HzSpan(point_a + center - half_block, point_a + center + half_block)
+    return b.CellConfig(
+        cell_role=role,
+        duplex=duplex,
+        fr=fr,
+        point_a_hz=point_a,
+        channel_bandwidth_mhz=SPREAD_CHANNEL_MHZ[fr],
+        coreset0_span=block,
+        ssb_span=block,
+        dl_bwps=tuple(bwps),
+        ul_bwps=tuple(bwps),
+        first_active_dl=first_active,
+        first_active_ul=first_active,
+        default_dl_bwp=default_dl,
+        inactivity_timer_ms=timer_ms,
+        rrc_processing_delay_ms=rrc_delay_ms,
+        prach_configured_on=prach_on,
+    )
+
+
+def random_multicell_scenario(rng: random.Random) -> b.Scenario:
+    """A PCell plus up to three SCells with a random, valid event script.
+
+    FR1 and FR2 cells mix, so the 1 ms and 0.5 ms tick grids interleave;
+    about half the cells mix numerologies across their BWPs, 240 kHz
+    included on FR2; four horizons in five lie off the tick grid; and
+    about half the events share a whole-ms time with other events, on any
+    cell. Cell ids are not in sorted order, so document order shows.
+    """
+    names = [f"c{k}" for k in rng.sample(range(10), rng.randint(1, 4))]
+    cells: dict[str, b.CellConfig] = {}
+    mixed_any = False
+    for pos, name in enumerate(names):
+        fr = rng.choice(list(SPREAD_MUS))
+        n_bwps = rng.randint(2, 4)
+        if rng.random() < 0.5:
+            mus = tuple(rng.choice(SPREAD_MUS[fr]) for _ in range(n_bwps))
+        else:
+            mus = (rng.choice(SPREAD_MUS[fr][:2]),) * n_bwps
+        mixed_any |= len(set(mus)) > 1
+        ids = list(range(n_bwps))
+        role = b.CellRole.PCELL if pos == 0 else b.CellRole.SCELL
+        cells[name] = spread_cell(
+            fr=fr,
+            mus=mus,
+            widths=tuple(rng.choice((1, 2, 3, 6)) for _ in ids),
+            duplex=rng.choice([b.Duplex.FDD, b.Duplex.TDD]),
+            role=role,
+            default_dl=rng.choice([None, *ids]),
+            timer_ms=rng.choice([None, 2, 5, 20]),
+            prach_on=rng.choice([frozenset({0}), frozenset(ids)]),
+            first_active=rng.choice(ids[1:] if role is b.CellRole.SCELL else [None, *ids]),
+            rrc_delay_ms=rng.choice([5, 10]),
+            initial_dedicated=rng.random() < 0.5,
+        )
+    base = rng.choice([10, 30, 60])
+    horizon = base + rng.choice([Fraction(k, 40) for k in (0, 5, 10, 12, 24)])
+    shared = [Fraction(rng.randint(0, base)) for _ in range(3)]
+    events: list[b.SimEvent] = []
+    for _ in range(rng.randint(0, 16)):
+        cell = rng.choice(names)
+        tick = cells[cell].tick_ms
+        at = rng.choice(shared) if rng.random() < 0.5 else tick * rng.randint(0, int(base / tick))
+        events.append(random_event(rng, at, cell, cells[cell]))
+    capability = b.UeCapability(
+        max_rrc_bwps=4,
+        mixed_numerology_bwps=mixed_any,
+        switch_delay_type=rng.choice(list(b.DelayType)),
+    )
+    return b.Scenario(cells=cells, capability=capability, events=events, horizon_ms=horizon)

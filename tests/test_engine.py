@@ -3,12 +3,13 @@
 import dataclasses
 import io
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import bwpsim as b
-from support import centered_cell, adaptation_cell, adaptation_scenario
+from support import centered_cell, adaptation_cell, adaptation_scenario, random_multicell_scenario
 from bwpsim.trace import RUN_END, RUN_START, STATE_CHANGE
 
 CAP4 = b.UeCapability(max_rrc_bwps=4)
@@ -332,3 +333,66 @@ def test_window_close_time_equals_open_plus_delay():
         opens = [r for r in trace if r.record == "WindowOpen"]
         closes = [r for r in trace if r.record == "WindowClose"]
         assert closes[0].at_ms - opens[0].at_ms == expected
+
+
+def _fallback_dl_dci(at, cell):
+    return b.SimEvent(at, cell, b.EventKind.DCI, dci=b.DciEvent(b.DciFormat.FMT_1_0))
+
+
+def test_last_tick_before_an_off_grid_horizon_is_visited():
+    # a fallback DL assignment at 10 arms the 20 ms timer off the default
+    # BWP; it expires at the tick 30, the last one before the horizon 30.5
+    scn = b.Scenario(cells={"c": centered_cell()}, capability=CAP4,
+                     events=[_fallback_dl_dci(F(10), "c")], horizon_ms=F(61, 2))
+    trace, _ = b.run(scn)
+    assert [r.at_ms for r in trace if r.record == "TimerExpiry"] == [F(30)]
+
+
+def test_cells_tick_in_document_order():
+    """At one time, cells tick in the order the scenario lists them."""
+    scn = b.Scenario(cells={"z": centered_cell(), "a": centered_cell()}, capability=CAP4,
+                     events=[_fallback_dl_dci(F(10), "a"), _fallback_dl_dci(F(10), "z")],
+                     horizon_ms=F(40))
+    trace, _ = b.run(scn)
+    expiries = [(r.at_ms, r.cell) for r in trace if r.record == "TimerExpiry"]
+    assert expiries == [(F(30), "z"), (F(30), "a")]
+
+
+def test_event_at_the_horizon_is_delivered():
+    scn = b.Scenario(cells={"c": centered_cell()}, capability=CAP4,
+                     events=[b.SimEvent(F(20), "c", b.EventKind.DATA_DL_ASSIGNMENT)],
+                     horizon_ms=F(20))
+    trace, _ = b.run(scn)
+    assert [r.record for r in trace if r.at_ms == 20] == ["DataServed", RUN_END]
+
+
+def test_same_time_commits_keep_handling_order():
+    # both type 2 windows end at 2.25: the FR2 cell handles its commit at
+    # the tick 2.5, the FR1 cell, listed first, at the tick 3
+    dci = [b.SimEvent(F(0), c, b.EventKind.DCI, dci=b.DciEvent(b.DciFormat.FMT_1_1, "01")) for c in "ab"]
+    scn = b.Scenario(cells={"a": centered_cell(mu=2), "b": centered_cell(fr=b.FrequencyRange.FR2, mu=3)},
+                     capability=b.UeCapability(max_rrc_bwps=4, switch_delay_type=b.DelayType.TYPE2),
+                     events=dci, horizon_ms=F(5))
+    trace, _ = b.run(scn)
+    assert [(r.cell, r.record) for r in trace if r.at_ms == F(9, 4)] == [
+        ("b", "WindowClose"), ("b", STATE_CHANGE), ("a", "WindowClose"), ("a", STATE_CHANGE),
+    ]
+
+
+def test_multicell_runs_are_deterministic_and_replay():
+    """Mixed FR1/FR2 cells, mixed numerology, off-grid horizons, same-time events."""
+    def written(trace):
+        buf = io.StringIO()
+        b.write_trace(trace, buf)
+        return buf.getvalue()
+
+    for seed in range(200):
+        scn = random_multicell_scenario(random.Random(seed))
+        trace, metrics = b.run(scn)
+        rerun, remetrics = b.run(scn)
+        text = written(trace)
+        assert written(rerun) == text, seed
+        assert json.dumps(remetrics.to_obj()) == json.dumps(metrics.to_obj()), seed
+        times = [r.at_ms for r in trace]
+        assert times == sorted(times), seed
+        assert b.replay_metrics(b.read_trace(text.splitlines())) == metrics, seed

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bwpsim as b
-from bwpsim.fsm import CellStateMachine, EventRejection, _delay_for_scs
+from bwpsim.fsm import CellStateMachine, EventRejection
 from support import adaptation_cell, assert_machine_invariants, centered_cell, make_bwp
 
 T1 = b.DelayType.TYPE1
@@ -70,7 +70,7 @@ class TestSwitchDelayTable:
         with pytest.raises(b.UnsupportedScs):
             b.switch_delay_khz(240, 15, T1)
         with pytest.raises(b.UnsupportedScs):
-            _delay_for_scs((15, 240), T2)
+            b.switch_delay_khz(15, 240, T2)
 
 
 class TestRrcSwitch:
