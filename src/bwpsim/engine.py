@@ -1,10 +1,11 @@
 """Deterministic tick-driven driver for scripted BWP scenarios.
 
-The engine owns the clock. It visits every subframe (FR1) or half-subframe
-(FR2) boundary of every cell up to the horizon, delivers the scripted
-events, and collects the trace. At one timestamp the cells due a tick
-tick in document order, then events run: RRC, then RACH, then DCI, then
-data; within one class, input order. An event at the horizon is
+The engine owns the clock. It steps the finest tick grid among its cells
+(0.5 ms when any cell is FR2, else 1 ms), which holds every subframe (FR1)
+and half-subframe (FR2) boundary, up to the horizon, delivers the scripted
+events, and collects the trace. At each step the cells whose own grid
+holds it tick in document order, then events run: RRC, then RACH, then
+DCI, then data; within one class, input order. An event at the horizon is
 delivered. A window ending between ticks commits at its cell's next tick
 (or the horizon) with its exact end time, and the stable time sort keeps
 same-time records in the order produced: an FR2 cell's 2.25 ms commit
@@ -122,17 +123,15 @@ class RunMetrics:
 
 
 class _CellTally:
-    """Streaming integrator for one cell's metrics.
+    """Streaming integrator for one cell's metrics, started from its RunStart.
 
     The proxy integrates the active DL BWP width over time (RB * ms); a
     switch takes effect at the commit timestamp carried by the record,
     which can sit between tick boundaries.
     """
 
-    def __init__(self, default_dl: int, active_dl: int, dl_rbs: int):
-        self.default_dl = default_dl
-        self.active_dl = active_dl
-        self.dl_rbs = dl_rbs
+    def __init__(self, start: TraceRecord):
+        self.default_dl, self.active_dl, self.dl_rbs = _payload(start, default_dl=int, active_dl=int, dl_rbs=int)
         self.last_t = Fraction(0)
         self.proxy = Fraction(0)
         self.on_default = Fraction(0)
@@ -148,11 +147,15 @@ class _CellTally:
             self.on_default += dt
         self.last_t = t
 
-    def state_change(self, t: Fraction, new_dl: int, new_dl_rbs: int, cause: str) -> None:
-        self.integrate_to(t)
-        self.active_dl = new_dl
-        self.dl_rbs = new_dl_rbs
-        self.switches[cause] = self.switches.get(cause, 0) + 1
+    def add(self, rec: TraceRecord) -> None:
+        """Fold one record in: the only place that decides which records move the metrics."""
+        if rec.record == STATE_CHANGE:
+            new_dl, new_dl_rbs, cause = _payload(rec, new_dl=int, new_dl_rbs=int, cause=str)
+            self.integrate_to(rec.at_ms)
+            self.active_dl, self.dl_rbs = new_dl, new_dl_rbs
+            self.switches[cause] = self.switches.get(cause, 0) + 1
+        elif rec.record == EVENT_REJECTED:
+            self.rejected += 1
 
     def finish(self, t: Fraction) -> CellMetrics:
         self.integrate_to(t)
@@ -219,34 +222,26 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
                 },
             )
         )
-        tallies[cid] = _CellTally(default, m.state.active_dl, dl_rbs)
+        tallies[cid] = _CellTally(trace[-1])
 
     def emit(records: Iterable[TraceRecord]) -> None:
         for rec in records:
             trace.append(rec)
-            tally = tallies[rec.cell]
-            if rec.record == STATE_CHANGE:
-                tally.state_change(
-                    rec.at_ms, rec.fields["new_dl"], rec.fields["new_dl_rbs"], rec.fields["cause"]
-                )
-            elif rec.record == EVENT_REJECTED:
-                tally.rejected += 1
+            tallies[rec.cell].add(rec)
 
-    events_at: dict[Fraction, list[tuple[int, int, SimEvent]]] = {}
-    for seq, ev in enumerate(scenario.events):
-        events_at.setdefault(ev.at_ms, []).append((_PHASE[ev.kind], seq, ev))
+    # every tick grid, and so every aligned event time, lies on the finest one
+    step = min((scenario.cells[cid].tick_ms for cid in cell_order), default=Fraction(1))
+    strides = [(cid, int(scenario.cells[cid].tick_ms / step)) for cid in cell_order]
+    events_at: dict[int, list[SimEvent]] = {}  # by step index
+    for ev in sorted(scenario.events, key=lambda ev: _PHASE[ev.kind]):  # stable: input order
+        events_at.setdefault(int(ev.at_ms / step), []).append(ev)
 
-    tick_times: set[Fraction] = set()
-    for cid in cell_order:
-        tick = scenario.cells[cid].tick_ms
-        n = int(horizon / tick)
-        tick_times.update(tick * k for k in range(1, n + 1))
-
-    for t in sorted(tick_times | set(events_at)):
-        for cid in cell_order:
-            if t > 0 and t % scenario.cells[cid].tick_ms == 0:
+    for k in range(int(horizon / step) + 1):
+        t = step * k
+        for cid, stride in strides:
+            if k and k % stride == 0:
                 emit(machines[cid].on_tick(t))
-        for _phase, _seq, ev in sorted(events_at.get(t, ()), key=lambda x: (x[0], x[1])):
+        for ev in events_at.get(k, ()):
             emit(_dispatch(machines[ev.cell], ev))
 
     for cid in cell_order:
@@ -314,18 +309,15 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
         if rec.record == RUN_START:
             if rec.cell in tallies:
                 raise MalformedTrace(f"duplicate RunStart for cell {rec.cell!r}")
-            tallies[rec.cell] = _CellTally(*_payload(rec, default_dl=int, active_dl=int, dl_rbs=int))
+            tallies[rec.cell] = _CellTally(rec)
             continue
         tally = tallies.get(rec.cell)
         if tally is None:
             raise MalformedTrace(f"record for cell {rec.cell!r} before its RunStart")
         if rec.cell in cells:
             raise MalformedTrace(f"record for cell {rec.cell!r} after its RunEnd")
-        if rec.record == STATE_CHANGE:
-            tally.state_change(rec.at_ms, *_payload(rec, new_dl=int, new_dl_rbs=int, cause=str))
-        elif rec.record == EVENT_REJECTED:
-            tally.rejected += 1
-        elif rec.record == RUN_END:
+        tally.add(rec)
+        if rec.record == RUN_END:
             cells[rec.cell] = tally.finish(rec.at_ms)
             if horizon is None:
                 horizon = rec.at_ms

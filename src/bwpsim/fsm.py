@@ -126,6 +126,7 @@ class SwitchWindow:
     target_dl: Optional[int]
     target_ul: Optional[int]
     cause: SwitchCause
+    expiry_pending: bool = False  # the timer fired while this window was open
 
 
 @dataclass
@@ -149,7 +150,6 @@ class CellStateMachine:
         self.cfg = cfg
         self.cap = cap
         self.state = BwpState(active_dl=0, active_ul=0 if cfg.has_uplink else None)
-        self._expiry_pending = False
 
     # ------------------------------------------------------------------
     # event handlers
@@ -267,7 +267,7 @@ class CellStateMachine:
             st.timer_expires_at = None
             records.append(self._rec(now, TIMER_EXPIRY))
             if st.switch_window is not None:
-                self._expiry_pending = True
+                st.switch_window.expiry_pending = True
             else:
                 self._open_expiry_window(now, records)
         return records
@@ -304,7 +304,6 @@ class CellStateMachine:
         records: list[TraceRecord] = []
         st.rach_in_progress = True
         st.timer_expires_at = None
-        self._expiry_pending = False
         if spec is not None:
             self._open_window(
                 now, now + spec.duration_ms, target_dl, target_ul, SwitchCause.RACH_INITIATED, records
@@ -415,9 +414,7 @@ class CellStateMachine:
             if st.active_dl == effective_default_dl(self.cfg):
                 # the default BWP carries no inactivity tracking
                 st.timer_expires_at = None
-                self._expiry_pending = False
-            elif self._expiry_pending:
-                self._expiry_pending = False
+            elif w.expiry_pending:
                 self._open_expiry_window(t, records)
             elif st.timer_expires_at is None or w.cause is not SwitchCause.DCI:
                 # activation of a non-default BWP restarts the timer; for a

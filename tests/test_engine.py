@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -377,6 +378,25 @@ def test_same_time_commits_keep_handling_order():
     assert [(r.cell, r.record) for r in trace if r.at_ms == F(9, 4)] == [
         ("b", "WindowClose"), ("b", STATE_CHANGE), ("a", "WindowClose"), ("a", STATE_CHANGE),
     ]
+
+
+def test_run_memory_does_not_grow_with_the_horizon():
+    # an FR1 and an FR2 cell over 2 s: 2,000 + 4,000 cell ticks, 21 records.
+    # Measured peaks: about 0.01 MB for a step loop, about 0.62 MB for an
+    # engine that first builds the set of every tick time.
+    dci = [b.SimEvent(at, c, b.EventKind.DCI, dci=b.DciEvent(b.DciFormat.FMT_1_1, "01"))
+           for at, c in ((F(10), "a"), (F(21, 2), "b"))]
+    scn = b.Scenario(cells={"a": centered_cell(), "b": centered_cell(fr=b.FrequencyRange.FR2, mu=3)},
+                     capability=CAP4, horizon_ms=F(2000),
+                     events=dci + [b.SimEvent(F(500), "a", b.EventKind.DATA_DL_ASSIGNMENT)])
+    tracemalloc.start()
+    try:
+        trace, _ = b.run(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 21
+    assert peak < 100_000, peak
 
 
 def test_multicell_runs_are_deterministic_and_replay():
