@@ -1,16 +1,20 @@
-"""Deterministic tick-driven driver for scripted BWP scenarios.
+"""Deterministic deadline-driven driver for scripted BWP scenarios.
 
-The engine owns the clock. It steps the finest tick grid among its cells
-(0.5 ms when any cell is FR2, else 1 ms), which holds every subframe (FR1)
-and half-subframe (FR2) boundary, up to the horizon, delivers the scripted
-events, and collects the trace. At each step the cells whose own grid
-holds it tick in document order, then events run: RRC, then RACH, then
-DCI, then data; within one class, input order. An event at the horizon is
-delivered. A window ending between ticks commits at its cell's next tick
-(or the horizon) with its exact end time, and the stable time sort keeps
-same-time records in the order produced: an FR2 cell's 2.25 ms commit
-(handled at 2.5) precedes an FR1 cell's (handled at 3). Running the same
-scenario twice produces byte-identical traces.
+The engine owns the clock. Up to the horizon it visits only the scripted
+event times merged with each cell's `next_deadline()`: the tick of the
+cell's own grid (1 ms FR1, 0.5 ms FR2) at which its switch window
+commits or its inactivity timer fires. A tick before that would change
+nothing, so the cost follows the records, not the horizon. At each
+visited time the cells whose deadline it is tick in document order, then
+events run: RRC, then RACH, then DCI, then data; within one class, input
+order. Only a cell just ticked or sent an event refreshes its deadline,
+which must lie after that time. An event at the horizon is delivered,
+and every cell ticks once more at the horizon. A window ending between
+ticks commits at its cell's next tick (or the horizon) with its exact
+end time, and the stable time sort keeps same-time records in the order
+produced: an FR2 cell's 2.25 ms commit (handled at 2.5) precedes an FR1
+cell's (handled at 3). Running the same scenario twice produces
+byte-identical traces.
 
 Metrics are computed twice on purpose: once online while the run emits
 records, and once by `replay_metrics` walking a finished trace. The two
@@ -229,20 +233,36 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
             trace.append(rec)
             tallies[rec.cell].add(rec)
 
-    # every tick grid, and so every aligned event time, lies on the finest one
+    # every tick grid, and so every aligned event time and every deadline,
+    # lies on the finest one; the loop counts in its steps
     step = min((scenario.cells[cid].tick_ms for cid in cell_order), default=Fraction(1))
-    strides = [(cid, int(scenario.cells[cid].tick_ms / step)) for cid in cell_order]
+    last = int(horizon / step)  # the last step at or before the horizon
     events_at: dict[int, list[SimEvent]] = {}  # by step index
     for ev in sorted(scenario.events, key=lambda ev: _PHASE[ev.kind]):  # stable: input order
         events_at.setdefault(int(ev.at_ms / step), []).append(ev)
+    event_steps = sorted(events_at, reverse=True)  # the next one is last
+    never = last + 1
+    due = dict.fromkeys(cell_order, never)  # each cell's deadline step
 
-    for k in range(int(horizon / step) + 1):
-        t = step * k
-        for cid, stride in strides:
-            if k and k % stride == 0:
-                emit(machines[cid].on_tick(t))
-        for ev in events_at.get(k, ()):
-            emit(_dispatch(machines[ev.cell], ev))
+    def refresh(cid: str, k: int) -> None:
+        d = machines[cid].next_deadline()
+        n = never if d is None else d.numerator * step.denominator // (d.denominator * step.numerator)
+        if n <= k:  # ticking at n again would spin: the deadline is wrong
+            raise RuntimeError(f"cell {cid!r}: deadline {d} ms is not after {step * k} ms")
+        due[cid] = n
+
+    while True:
+        k = min([*due.values(), event_steps[-1] if event_steps else never])
+        if k > last:
+            break
+        for cid in cell_order:
+            if due[cid] == k:
+                emit(machines[cid].on_tick(step * k))
+                refresh(cid, k)
+        if event_steps and event_steps[-1] == k:
+            for ev in events_at[event_steps.pop()]:
+                emit(_dispatch(machines[ev.cell], ev))
+                refresh(ev.cell, k)
 
     for cid in cell_order:
         emit(machines[cid].on_tick(horizon))  # windows ending after the last tick

@@ -123,6 +123,7 @@ def switch_delay_khz(from_scs_khz: int, to_scs_khz: int, delay_type: DelayType) 
 @dataclass
 class SwitchWindow:
     end_ms: Fraction
+    commit_at: Fraction  # the first tick of the cell's grid at or after end_ms
     target_dl: Optional[int]
     target_ul: Optional[int]
     cause: SwitchCause
@@ -258,7 +259,7 @@ class CellStateMachine:
         """Commit the windows due by `now`, then fire the timer if it is due.
 
         `now` may lie on the tick grid or off it; the engine calls this at
-        every tick boundary and once more at the horizon.
+        each `next_deadline()` it reaches and once more at the horizon.
         """
         records: list[TraceRecord] = []
         self._close_due_windows(now, records)
@@ -271,6 +272,19 @@ class CellStateMachine:
             else:
                 self._open_expiry_window(now, records)
         return records
+
+    def next_deadline(self) -> Optional[Fraction]:
+        """The earliest tick of the cell's grid at which on_tick acts, or None.
+
+        That is the open window's commit tick or the timer's expiry time,
+        whichever comes first; an on_tick at any earlier tick of the grid
+        emits nothing and changes nothing.
+        """
+        st = self.state
+        due = [st.switch_window.commit_at] if st.switch_window is not None else []
+        if st.timer_expires_at is not None:
+            due.append(st.timer_expires_at)
+        return min(due, default=None)
 
     def on_rach_start(self, now: Fraction) -> list[TraceRecord]:
         """Begin random access: clear the timer, move to a PRACH-capable UL.
@@ -374,7 +388,8 @@ class CellStateMachine:
         cause: SwitchCause,
         records: list[TraceRecord],
     ) -> None:
-        self.state.switch_window = SwitchWindow(end, target_dl, target_ul, cause)
+        tick = self.cfg.tick_ms
+        self.state.switch_window = SwitchWindow(end, math.ceil(end / tick) * tick, target_dl, target_ul, cause)
         records.append(
             self._rec(
                 start,

@@ -6,14 +6,31 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import bwpsim as b
-from support import centered_cell, adaptation_cell, adaptation_scenario, random_multicell_scenario
+from support import (
+    adaptation_cell,
+    adaptation_scenario,
+    centered_cell,
+    random_multicell_scenario,
+    random_scenario,
+)
+from tick_oracle import tick_run
+from bwpsim.fsm import CellStateMachine
+from bwpsim.scenario import scenario_from_obj
 from bwpsim.trace import RUN_END, RUN_START, STATE_CHANGE
 
 CAP4 = b.UeCapability(max_rrc_bwps=4)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def written(trace):
+    buf = io.StringIO()
+    b.write_trace(trace, buf)
+    return buf.getvalue()
 
 
 def state_changes(trace):
@@ -401,11 +418,6 @@ def test_run_memory_does_not_grow_with_the_horizon():
 
 def test_multicell_runs_are_deterministic_and_replay():
     """Mixed FR1/FR2 cells, mixed numerology, off-grid horizons, same-time events."""
-    def written(trace):
-        buf = io.StringIO()
-        b.write_trace(trace, buf)
-        return buf.getvalue()
-
     for seed in range(200):
         scn = random_multicell_scenario(random.Random(seed))
         trace, metrics = b.run(scn)
@@ -416,3 +428,46 @@ def test_multicell_runs_are_deterministic_and_replay():
         times = [r.at_ms for r in trace]
         assert times == sorted(times), seed
         assert b.replay_metrics(b.read_trace(text.splitlines())) == metrics, seed
+
+
+def count_ticks(monkeypatch, limit=None):
+    """Count CellStateMachine.on_tick calls; past `limit` of them, raise."""
+    calls = [0]
+    on_tick = CellStateMachine.on_tick
+
+    def counted(self, now):
+        calls[0] += 1
+        if limit is not None and calls[0] > limit:
+            raise AssertionError(f"on_tick called over {limit} times, now at {now} ms")
+        return on_tick(self, now)
+
+    monkeypatch.setattr(CellStateMachine, "on_tick", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [random_multicell_scenario, random_scenario])
+def test_run_matches_the_tick_oracle(make, monkeypatch):
+    """The deadline-driven run() writes the step loop's trace, byte for byte,
+    and ticks a cell only at its deadlines and once at the horizon."""
+    for seed in range(200):
+        scn = make(random.Random(seed))
+        calls = count_ticks(monkeypatch)
+        trace, metrics = b.run(scn)
+        monkeypatch.undo()
+        oracle, reached = tick_run(scn)
+        assert written(trace) == written(oracle), seed
+        assert b.replay_metrics(oracle) == metrics, seed
+        assert calls[0] == reached + len(scn.cells), seed
+
+
+def test_run_cost_follows_the_records_not_the_horizon(monkeypatch):
+    """The TDD fixture over 1e9 ms: its 17 records and few ticks, not 1e9 of them."""
+    count_ticks(monkeypatch, limit=1000)
+    doc = json.loads((FIXTURES / "tdd_scenario.json").read_text())
+    doc["horizon_ms"] = "1e9"
+    trace, metrics = b.run(scenario_from_obj(doc))
+    golden = (FIXTURES / "tdd_trace.golden.jsonl").read_text().splitlines()
+    assert len(golden) - 1 == 17
+    assert [r.to_json() for r in trace[:-1]] == golden[:-1]
+    assert trace[-1].record == RUN_END
+    assert metrics.total_time_ms == 10**9

@@ -1,18 +1,14 @@
 """Mutated scenario documents: every one parses or is a ParseError, what
 parses validates without raising, and the CLI exits 0, 1 or 2 without a
-traceback. What parses with a horizon of at most 1,000 ms also runs: it
-raises ScenarioInvalid or gives a trace whose written and read-back form
+traceback. What parses with a horizon also runs, whatever the horizon (a
+mutation can set it to anything up to 1e400 ms): it raises
+ScenarioInvalid or gives a trace whose written and read-back form
 replays to the run's metrics.
-
-Longer horizons are not run only because the engine's run time still
-grows with the horizon, and a mutation can set it to anything. That is a
-known cost, not a known wrong result.
 """
 
 import contextlib
 import io
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +19,6 @@ import bwpsim as b
 from bwpsim.cli import main
 from bwpsim.scenario import ParseError, scenario_from_obj
 
-MAX_RUN_HORIZON_MS = Fraction(1000)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DOC_FILES = sorted(FIXTURES.glob("*_scenario.json")) + sorted((FIXTURES / "invalid").glob("*.json"))
 DOCS = [json.loads(p.read_text()) for p in DOC_FILES]
@@ -92,7 +87,7 @@ def test_mutated_documents_parse_or_fail_cleanly(doc_file, text):
     if scenario is not None:
         for cfg in scenario.cells.values():
             b.validate(cfg, scenario.capability)  # never raises
-        if scenario.horizon_ms is not None and scenario.horizon_ms <= MAX_RUN_HORIZON_MS:
+        if scenario.horizon_ms is not None:
             try:
                 trace, metrics = b.run(scenario)
             except b.ScenarioInvalid:
