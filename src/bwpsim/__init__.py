@@ -1,9 +1,9 @@
 """Deterministic library + CLI simulator of NR bandwidth-part behavior.
 
 Frequency-domain arithmetic, configuration validation, the DCI BWP
-indicator codec, the UE switching state machine, and a tick-driven
-discrete-event engine that turns scripted scenarios into verifiable
-traces.
+indicator codec, the UE switching state machine, and a deadline-driven
+discrete-event engine on an integer clock that turns scripted scenarios
+into verifiable traces.
 """
 
 from .config import (

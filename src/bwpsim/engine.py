@@ -16,6 +16,12 @@ produced: an FR2 cell's 2.25 ms commit (handled at 2.5) precedes an FR1
 cell's (handled at 3). Running the same scenario twice produces
 byte-identical traces.
 
+The clock counts whole units of 1/per_ms ms, per_ms = lcm(8, the
+horizon's denominator): ticks, switch delays and timer values are
+multiples of 1/8 ms, so every time of a run is an int. Each event time
+is converted once; the cells' state machines run on the same clock, and
+a time becomes exact `Fraction` ms only in a trace record or the metrics.
+
 Metrics are computed twice on purpose: once online while the run emits
 records, and once by `replay_metrics` walking a finished trace. The two
 must agree, which pins the trace as a complete account of the run.
@@ -23,6 +29,7 @@ must agree, which pins the trace as a complete account of the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -30,7 +37,7 @@ from typing import Callable, Iterable, Optional
 
 from .config import CellConfig, UeCapability, effective_default_dl, validate
 from .dci import DciEvent, Direction
-from .fsm import CellStateMachine, EventRejection, SwitchCause, rejection_record
+from .fsm import CellStateMachine, ClockTime, CountClock, EventRejection, SwitchCause, rejection_record
 from .trace import (
     EVENT_REJECTED,
     RUN_END,
@@ -189,22 +196,29 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     horizon = Fraction(scenario.horizon_ms)
     if horizon < 0:
         raise ScenarioInvalid("horizon must be >= 0 ms")
+    # the clock counts 1/per_ms ms: ticks, switch delays and timer values
+    # are multiples of 1/8 ms, and the horizon is a whole count too
+    clock = CountClock(math.lcm(8, horizon.denominator))
+    end = clock.count(horizon)
+    cell_order = list(scenario.cells)
+    machines = {
+        cid: CellStateMachine(cid, scenario.cells[cid], scenario.capability, clock)
+        for cid in cell_order
+    }
+    events_at: dict[int, list[SimEvent]] = {}  # by time on the clock
     for ev in scenario.events:
         if ev.cell not in scenario.cells:
             raise ScenarioInvalid(f"event references unknown cell {ev.cell!r}")
-        if ev.at_ms < 0 or ev.at_ms > horizon:
+        at, rest = divmod(ev.at_ms.numerator * clock.per_ms, ev.at_ms.denominator)
+        if at < 0 or at + (rest > 0) > end:
             raise ScenarioInvalid(f"event at {ev.at_ms} ms outside [0, {horizon}] ms")
-        tick = scenario.cells[ev.cell].tick_ms
-        if ev.at_ms % tick != 0:
+        if rest or at % machines[ev.cell].tick:
             raise EventMisaligned(
-                f"event at {ev.at_ms} ms is off the {tick} ms grid of cell {ev.cell!r}"
+                f"event at {ev.at_ms} ms is off the {scenario.cells[ev.cell].tick_ms} ms grid of cell {ev.cell!r}"
             )
-
-    cell_order = list(scenario.cells)
-    machines = {
-        cid: CellStateMachine(cid, scenario.cells[cid], scenario.capability)
-        for cid in cell_order
-    }
+        events_at.setdefault(at, []).append(ev)
+    for same_time in events_at.values():
+        same_time.sort(key=lambda ev: _PHASE[ev.kind])  # stable: input order
 
     trace: list[TraceRecord] = []
     tallies: dict[str, _CellTally] = {}
@@ -233,64 +247,62 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
             trace.append(rec)
             tallies[rec.cell].add(rec)
 
-    # every tick grid, and so every aligned event time and every deadline,
-    # lies on the finest one; the loop counts in its steps
-    step = min((scenario.cells[cid].tick_ms for cid in cell_order), default=Fraction(1))
-    last = int(horizon / step)  # the last step at or before the horizon
-    events_at: dict[int, list[SimEvent]] = {}  # by step index
-    for ev in sorted(scenario.events, key=lambda ev: _PHASE[ev.kind]):  # stable: input order
-        events_at.setdefault(int(ev.at_ms / step), []).append(ev)
-    event_steps = sorted(events_at, reverse=True)  # the next one is last
-    never = last + 1
-    due = dict.fromkeys(cell_order, never)  # each cell's deadline step
+    event_times = sorted(events_at, reverse=True)  # the next one is last
+    never = end + 1
+    due = dict.fromkeys(cell_order, never)  # each cell's deadline
 
-    def refresh(cid: str, k: int) -> None:
+    def refresh(cid: str, now: int) -> None:
         d = machines[cid].next_deadline()
-        n = never if d is None else d.numerator * step.denominator // (d.denominator * step.numerator)
-        if n <= k:  # ticking at n again would spin: the deadline is wrong
-            raise RuntimeError(f"cell {cid!r}: deadline {d} ms is not after {step * k} ms")
-        due[cid] = n
+        if d is not None and d <= now:  # ticking at d again would spin: the deadline is wrong
+            raise RuntimeError(
+                f"cell {cid!r}: deadline {clock.ms(d)} ms is not after {clock.ms(now)} ms"
+            )
+        due[cid] = never if d is None else d
 
     while True:
-        k = min([*due.values(), event_steps[-1] if event_steps else never])
-        if k > last:
+        now = min([*due.values(), event_times[-1] if event_times else never])
+        if now > end:
             break
         for cid in cell_order:
-            if due[cid] == k:
-                emit(machines[cid].on_tick(step * k))
-                refresh(cid, k)
-        if event_steps and event_steps[-1] == k:
-            for ev in events_at[event_steps.pop()]:
-                emit(_dispatch(machines[ev.cell], ev))
-                refresh(ev.cell, k)
+            if due[cid] == now:
+                emit(machines[cid].on_tick(now))
+                refresh(cid, now)
+        if event_times and event_times[-1] == now:
+            for ev in events_at[event_times.pop()]:
+                clock.share(now, ev.at_ms)
+                emit(_dispatch(machines[ev.cell], ev, now))
+                refresh(ev.cell, now)
 
     for cid in cell_order:
-        emit(machines[cid].on_tick(horizon))  # windows ending after the last tick
+        emit(machines[cid].on_tick(end))  # windows ending after the last tick
 
     cell_metrics = {}
     for cid in cell_order:
         cell_metrics[cid] = tallies[cid].finish(horizon)
         trace.append(TraceRecord(horizon, cid, RUN_END, {}))
 
-    trace.sort(key=lambda rec: rec.at_ms)  # stable: same-time order is preserved
+    # stable: same-time order is preserved; every record time is a whole count on the clock
+    trace.sort(key=lambda rec: clock.count(rec.at_ms))
     metrics = RunMetrics(total_time_ms=horizon, cells=cell_metrics)
     return trace, metrics
 
 
-_HANDLERS: dict[EventKind, Callable[[CellStateMachine, SimEvent], list[TraceRecord]]] = {
-    EventKind.RRC_RECONFIG: lambda m, ev: m.on_rrc_reconfig(ev.at_ms, ev.first_active_dl, ev.first_active_ul),
-    EventKind.SCELL_ACTIVATE: lambda m, ev: m.on_rrc_reconfig(ev.at_ms, scell_activation=True),
-    EventKind.DCI: lambda m, ev: m.on_dci(ev.at_ms, ev.dci),
-    EventKind.RACH_START: lambda m, ev: m.on_rach_start(ev.at_ms),
-    EventKind.RACH_COMPLETE: lambda m, ev: m.on_rach_complete(ev.at_ms),
-    EventKind.DATA_DL_ASSIGNMENT: lambda m, ev: m.on_data(ev.at_ms, Direction.DL_ASSIGNMENT),
-    EventKind.DATA_UL_GRANT: lambda m, ev: m.on_data(ev.at_ms, Direction.UL_GRANT),
+_HANDLERS: dict[EventKind, Callable[[CellStateMachine, SimEvent, ClockTime], list[TraceRecord]]] = {
+    EventKind.RRC_RECONFIG: lambda m, ev, now: m.on_rrc_reconfig(now, ev.first_active_dl, ev.first_active_ul),
+    EventKind.SCELL_ACTIVATE: lambda m, ev, now: m.on_rrc_reconfig(now, scell_activation=True),
+    EventKind.DCI: lambda m, ev, now: m.on_dci(now, ev.dci),
+    EventKind.RACH_START: lambda m, ev, now: m.on_rach_start(now),
+    EventKind.RACH_COMPLETE: lambda m, ev, now: m.on_rach_complete(now),
+    EventKind.DATA_DL_ASSIGNMENT: lambda m, ev, now: m.on_data(now, Direction.DL_ASSIGNMENT),
+    EventKind.DATA_UL_GRANT: lambda m, ev, now: m.on_data(now, Direction.UL_GRANT),
 }
 
 
-def _dispatch(machine: CellStateMachine, ev: SimEvent) -> list[TraceRecord]:
+def _dispatch(machine: CellStateMachine, ev: SimEvent, now: Optional[ClockTime] = None) -> list[TraceRecord]:
+    """Deliver ev to its cell's machine at `now`, ev's time on the machine's
+    clock; it can be left out for a machine on the default `Fraction` ms clock."""
     try:
-        return _HANDLERS[ev.kind](machine, ev)
+        return _HANDLERS[ev.kind](machine, ev, ev.at_ms if now is None else now)
     except EventRejection as rej:
         return [rejection_record(ev.at_ms, ev.cell, ev.kind.value, rej)]
 

@@ -12,8 +12,8 @@ Timing semantics:
   taken at the smaller of the two subcarrier spacings involved; RRC adds
   the configured RRC processing delay on top. The new ids commit when the
   window ends, and the commit records carry the exact end time even when
-  the driving tick lands later (the clock is exact rational milliseconds,
-  so a 2.25 ms window commits at exactly 2.25 ms after it opened).
+  the driving tick lands later (a 2.25 ms window commits at exactly
+  2.25 ms after it opened).
 * While a window is open the UE neither transmits nor receives on the
   cell: every arriving event is rejected and traced, never queued.
 * The inactivity timer counts whole subframes (1 ms) on FR1 and whole
@@ -26,6 +26,13 @@ Timing semantics:
 * 240 kHz BWPs take part in frequency math but have no switch-delay
   requirement, so any switch involving one is rejected.
 
+The clock: on a `CountClock(per_ms)` a machine counts time in whole units
+of 1/per_ms ms, a multiple of 1/8 ms, so every tick, switch delay and
+timer value is an int and so is every time it handles, stores or returns;
+only the records carry exact rational ms (`Fraction`). Built without a
+clock, as direct callers do, the machine takes and reports times as
+`Fraction` ms. The engine picks `per_ms` per run from the horizon.
+
 Ties at one timestamp resolve in a fixed order (tick commits, then RRC,
 then RACH, then DCI, then data), which the engine enforces; every method
 here is synchronous and the whole machine is single-owner mutable state.
@@ -33,7 +40,6 @@ here is synchronous and the whole machine is single-owner mutable state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -120,10 +126,71 @@ def switch_delay_khz(from_scs_khz: int, to_scs_khz: int, delay_type: DelayType) 
     return SwitchDelaySpec(slots, Fraction(15 * slots, governing))
 
 
+# A time or duration on a machine's clock: Fraction ms, or a count of 1/per_ms ms.
+ClockTime = Fraction | int
+
+
+class MsClock:
+    """Time as exact rational ms: the clock of a machine built without one."""
+
+    def count(self, ms: Fraction | int) -> ClockTime:
+        """A duration or time in ms on this clock."""
+        return Fraction(ms)
+
+    def ms(self, t: ClockTime) -> Fraction | int:
+        """A time on this clock in ms, as the records carry it."""
+        return t
+
+    def ms_str(self, t: ClockTime) -> str:
+        """A time on this clock as a record field renders it."""
+        return ms_str(t)
+
+
+class CountClock(MsClock):
+    """Time as whole counts of 1/per_ms ms, per_ms a multiple of 8.
+
+    Every tick, switch delay and timer value is a multiple of 1/8 ms, so
+    each is a whole count. The records of one time share one Fraction.
+    """
+
+    def __init__(self, per_ms: int):
+        if per_ms <= 0 or per_ms % 8:
+            raise ValueError(f"per_ms must be a positive multiple of 8, got {per_ms}")
+        self.per_ms = per_ms
+        self._last: tuple[Optional[int], Optional[Fraction]] = (None, None)
+
+    def count(self, ms: Fraction | int) -> int:
+        """Exact for a multiple of 1/per_ms ms."""
+        return ms.numerator * self.per_ms // ms.denominator
+
+    def ms(self, t: int) -> Fraction:
+        if t != self._last[0]:
+            self._last = (t, Fraction(t, self.per_ms))
+        return self._last[1]
+
+    def ms_str(self, t: int) -> str:
+        return ms_str(Fraction(t, self.per_ms))  # leaves the records' Fraction alone
+
+    def share(self, t: int, ms: Fraction) -> None:
+        """Stamp the records of time t with `ms`, an equal Fraction that
+        exists already, such as an event's own time."""
+        self._last = (t, ms)
+
+
+MS_CLOCK = MsClock()
+
+
+def _ceil_to(t: ClockTime, tick: ClockTime) -> ClockTime:
+    """The first multiple of `tick` at or after `t`."""
+    return -(-t // tick) * tick
+
+
 @dataclass
 class SwitchWindow:
-    end_ms: Fraction
-    commit_at: Fraction  # the first tick of the cell's grid at or after end_ms
+    """An open switch window; its times are on the owning machine's clock."""
+
+    end_ms: ClockTime
+    commit_at: ClockTime  # the first tick of the cell's grid at or after end_ms
     target_dl: Optional[int]
     target_ul: Optional[int]
     cause: SwitchCause
@@ -134,7 +201,7 @@ class SwitchWindow:
 class BwpState:
     active_dl: int
     active_ul: Optional[int]
-    timer_expires_at: Optional[Fraction] = None
+    timer_expires_at: Optional[ClockTime] = None
     switch_window: Optional[SwitchWindow] = None
     rach_in_progress: bool = False
 
@@ -144,12 +211,15 @@ class CellStateMachine:
 
     Every handler returns the trace records it produced. Handlers that
     reject their event raise EventRejection before touching any state.
+    Times in and out are on the machine's clock: `Fraction` ms by default.
     """
 
-    def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability):
+    def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability, clock: MsClock = MS_CLOCK):
         self.cell = cell
         self.cfg = cfg
         self.cap = cap
+        self.clock = clock
+        self.tick = clock.count(cfg.tick_ms)
         self.state = BwpState(active_dl=0, active_ul=0 if cfg.has_uplink else None)
 
     # ------------------------------------------------------------------
@@ -157,7 +227,7 @@ class CellStateMachine:
 
     def on_rrc_reconfig(
         self,
-        now: Fraction,
+        now: ClockTime,
         first_active_dl: Optional[int] = None,
         first_active_ul: Optional[int] = None,
         *,
@@ -192,8 +262,8 @@ class CellStateMachine:
         if first_active_ul is not None and not self.cfg.has_ul_bwp(first_active_ul):
             raise EventRejection("InvalidTarget", f"first-active UL BWP #{first_active_ul} not configured")
 
-        spec = self._switch_spec(first_active_dl, first_active_ul)
-        end = now + Fraction(self.cfg.rrc_processing_delay_ms) + spec.duration_ms
+        delay = self._switch_delay(first_active_dl, first_active_ul)
+        end = now + self.clock.count(self.cfg.rrc_processing_delay_ms) + delay
         cause = (
             SwitchCause.FIRST_ACTIVE_ON_SCELL_ACTIVATION
             if scell_activation
@@ -203,7 +273,7 @@ class CellStateMachine:
         self._open_window(now, end, first_active_dl, first_active_ul, cause, records)
         return records
 
-    def on_dci(self, now: Fraction, dci: DciEvent) -> list[TraceRecord]:
+    def on_dci(self, now: ClockTime, dci: DciEvent) -> list[TraceRecord]:
         """Process one DCI: possibly a switch, possibly a timer restart.
 
         Fallback formats never switch. A non-fallback DCI whose indicator
@@ -250,12 +320,12 @@ class CellStateMachine:
             target_ul is not None and not self.cfg.has_ul_bwp(target_ul)
         ):
             raise EventRejection("TargetNotConfigured", f"{what} #{target} not configured")
-        spec = self._switch_spec(target_dl, target_ul)
-        self._open_window(now, now + spec.duration_ms, target_dl, target_ul, SwitchCause.DCI, records)
+        delay = self._switch_delay(target_dl, target_ul)
+        self._open_window(now, now + delay, target_dl, target_ul, SwitchCause.DCI, records)
         self._try_arm_timer(now, records)
         return records
 
-    def on_tick(self, now: Fraction) -> list[TraceRecord]:
+    def on_tick(self, now: ClockTime) -> list[TraceRecord]:
         """Commit the windows due by `now`, then fire the timer if it is due.
 
         `now` may lie on the tick grid or off it; the engine calls this at
@@ -273,7 +343,7 @@ class CellStateMachine:
                 self._open_expiry_window(now, records)
         return records
 
-    def next_deadline(self) -> Optional[Fraction]:
+    def next_deadline(self) -> Optional[ClockTime]:
         """The earliest tick of the cell's grid at which on_tick acts, or None.
 
         That is the open window's commit tick or the timer's expiry time,
@@ -286,7 +356,7 @@ class CellStateMachine:
             due.append(st.timer_expires_at)
         return min(due, default=None)
 
-    def on_rach_start(self, now: Fraction) -> list[TraceRecord]:
+    def on_rach_start(self, now: ClockTime) -> list[TraceRecord]:
         """Begin random access: clear the timer, move to a PRACH-capable UL.
 
         The UL BWP falls back to #0 unless the active one has PRACH
@@ -313,18 +383,18 @@ class CellStateMachine:
         if target_dl is not None and not self.cfg.has_dl_bwp(target_dl):
             raise EventRejection("InvalidTarget", f"no DL BWP #{target_dl} to align with the UL BWP")
         moves = target_dl is not None or target_ul is not None
-        spec = self._switch_spec(target_dl, target_ul) if moves else None
+        delay = self._switch_delay(target_dl, target_ul) if moves else None
 
         records: list[TraceRecord] = []
         st.rach_in_progress = True
         st.timer_expires_at = None
-        if spec is not None:
+        if delay is not None:
             self._open_window(
-                now, now + spec.duration_ms, target_dl, target_ul, SwitchCause.RACH_INITIATED, records
+                now, now + delay, target_dl, target_ul, SwitchCause.RACH_INITIATED, records
             )
         return records
 
-    def on_rach_complete(self, now: Fraction) -> list[TraceRecord]:
+    def on_rach_complete(self, now: ClockTime) -> list[TraceRecord]:
         """Finish random access; re-arm the timer if off the default BWP."""
         st = self.state
         if st.switch_window is not None:
@@ -336,7 +406,7 @@ class CellStateMachine:
         self._try_arm_timer(now, records)
         return records
 
-    def on_data(self, now: Fraction, direction: Direction) -> list[TraceRecord]:
+    def on_data(self, now: ClockTime, direction: Direction) -> list[TraceRecord]:
         """Serve a scheduled data burst on the active BWP of that direction."""
         st = self.state
         if st.switch_window is not None:
@@ -354,11 +424,11 @@ class CellStateMachine:
     # ------------------------------------------------------------------
     # internals
 
-    def _rec(self, at_ms: Fraction, kind: str, **fields) -> TraceRecord:
-        return TraceRecord(at_ms, self.cell, kind, fields)
+    def _rec(self, t: ClockTime, kind: str, **fields) -> TraceRecord:
+        return TraceRecord(self.clock.ms(t), self.cell, kind, fields)
 
-    def _switch_spec(self, target_dl: Optional[int], target_ul: Optional[int]) -> SwitchDelaySpec:
-        """Delay budget for moving to the targets; None leaves a direction alone.
+    def _switch_delay(self, target_dl: Optional[int], target_ul: Optional[int]) -> ClockTime:
+        """Delay budget on the clock for moving to the targets; None leaves a direction alone.
 
         Every trigger goes through here: the smallest SCS among the current
         and target BWPs of the moving directions governs, and a 240 kHz
@@ -375,33 +445,33 @@ class CellStateMachine:
         try:
             # every SCS is 15*2**mu kHz with mu <= 4, so 240 kHz, the only one
             # without a requirement, is always the largest
-            return switch_delay_khz(min(scs), max(scs), self.cap.switch_delay_type)
+            spec = switch_delay_khz(min(scs), max(scs), self.cap.switch_delay_type)
         except UnsupportedScs as exc:
             raise EventRejection("UnsupportedScs", str(exc)) from exc
+        return self.clock.count(spec.duration_ms)
 
     def _open_window(
         self,
-        start: Fraction,
-        end: Fraction,
+        start: ClockTime,
+        end: ClockTime,
         target_dl: Optional[int],
         target_ul: Optional[int],
         cause: SwitchCause,
         records: list[TraceRecord],
     ) -> None:
-        tick = self.cfg.tick_ms
-        self.state.switch_window = SwitchWindow(end, math.ceil(end / tick) * tick, target_dl, target_ul, cause)
+        self.state.switch_window = SwitchWindow(end, _ceil_to(end, self.tick), target_dl, target_ul, cause)
         records.append(
             self._rec(
                 start,
                 WINDOW_OPEN,
-                end_ms=ms_str(end),
+                end_ms=self.clock.ms_str(end),
                 target_dl=target_dl,
                 target_ul=target_ul,
                 cause=cause.value,
             )
         )
 
-    def _close_due_windows(self, now: Fraction, records: list[TraceRecord]) -> None:
+    def _close_due_windows(self, now: ClockTime, records: list[TraceRecord]) -> None:
         st = self.state
         while st.switch_window is not None and st.switch_window.end_ms <= now:
             w = st.switch_window
@@ -436,33 +506,33 @@ class CellStateMachine:
                 # DCI-driven switch the restart at reception already governs
                 self._try_arm_timer(t, records)
 
-    def _open_expiry_window(self, now: Fraction, records: list[TraceRecord]) -> None:
+    def _open_expiry_window(self, now: ClockTime, records: list[TraceRecord]) -> None:
         default = effective_default_dl(self.cfg)
         target_ul = default if (self.cfg.duplex is Duplex.TDD and self.cfg.has_uplink) else None
         try:
-            spec = self._switch_spec(default, target_ul)
+            delay = self._switch_delay(default, target_ul)
         except EventRejection as rej:
             # a 240 kHz BWP cannot be switched; record the stuck expiry
-            records.append(rejection_record(now, self.cell, TIMER_EXPIRY, rej))
+            records.append(rejection_record(self.clock.ms(now), self.cell, TIMER_EXPIRY, rej))
             return
-        self._open_window(now, now + spec.duration_ms, default, target_ul,
+        self._open_window(now, now + delay, default, target_ul,
                           SwitchCause.TIMER_EXPIRY, records)
 
-    def _timer_on_scheduling(self, now: Fraction, direction: Direction, records: list[TraceRecord]) -> None:
+    def _timer_on_scheduling(self, now: ClockTime, direction: Direction, records: list[TraceRecord]) -> None:
         if self.cfg.duplex is Duplex.FDD and direction is not Direction.DL_ASSIGNMENT:
             return
         self._try_arm_timer(now, records)
 
-    def _try_arm_timer(self, now: Fraction, records: list[TraceRecord]) -> None:
+    def _try_arm_timer(self, now: ClockTime, records: list[TraceRecord]) -> None:
         st = self.state
         value = self.cfg.inactivity_timer_ms
         if value is None or st.rach_in_progress or st.active_dl == effective_default_dl(self.cfg):
             return
         was_running = st.timer_expires_at is not None
-        tick = self.cfg.tick_ms
+        tick = self.tick
         # the first whole period ends at the first tick boundary a full tick
         # after arming; the last of value/tick periods ends value - tick later
-        st.timer_expires_at = math.ceil((now + tick) / tick) * tick + value - tick
+        st.timer_expires_at = _ceil_to(now + tick, tick) + self.clock.count(value) - tick
         records.append(
             self._rec(now, TIMER_RESTART if was_running else TIMER_START, value_ms=value)
         )

@@ -24,6 +24,11 @@ class CyclicPrefix(Enum):
     EXTENDED = "extended"
 
 
+# Timer granularity per frequency range: one subframe (FR1), half a subframe (FR2).
+_SUBFRAME_MS = Fraction(1)
+_HALF_SUBFRAME_MS = Fraction(1, 2)
+
+
 class FrequencyRange(Enum):
     """NR frequency ranges. UNASSIGNED covers spectrum outside FR1/FR2."""
 
@@ -43,9 +48,9 @@ class FrequencyRange(Enum):
     def tick_ms(self) -> Fraction:
         """Timer granularity: one subframe for FR1, half a subframe for FR2."""
         if self is FrequencyRange.FR1:
-            return Fraction(1)
+            return _SUBFRAME_MS
         if self is FrequencyRange.FR2:
-            return Fraction(1, 2)
+            return _HALF_SUBFRAME_MS
         raise ValueError("unassigned spectrum has no timer granularity")
 
 

@@ -2,9 +2,10 @@
 
 One record per line when serialized (JSON objects with sorted keys), so
 golden traces can be diffed byte-for-byte. Timestamps are exact rationals
-rendered as minimal decimal strings; every time on the simulation clock
-has a power-of-two denominator, so the rendering is always finite and
-round-trips exactly.
+rendered as minimal decimal strings. Every time of a run is a multiple of
+1/lcm(8, d) ms, where d is the denominator of the horizon: a decimal
+horizon makes d a product of 2s and 5s, so the rendering is always finite
+and round-trips exactly.
 """
 
 from __future__ import annotations
@@ -40,28 +41,30 @@ class MalformedTrace(Exception):
 
 def ms_str(value: Fraction | int) -> str:
     """Render a millisecond value as a minimal exact decimal string."""
-    frac = Fraction(value)
-    num, den = frac.numerator, frac.denominator
-    digits = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        digits += 1
-    fives = 0
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
-        raise ValueError(f"{frac} has no finite decimal representation")
-    digits = max(digits, fives)
-    if digits == 0:
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)  # a float or Decimal
+    num, den = value.numerator, value.denominator
+    if den == 1:
         return str(num)
-    scaled = num * 10**digits // den
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
+    if den & (den - 1) == 0:  # den = 2**k, and num / 2**k = num * 5**k / 10**k
+        digits = den.bit_length() - 1
+        scaled = abs(num) * 5**digits
+    else:
+        twos = fives = 0
+        d = den
+        while d % 2 == 0:
+            d //= 2
+            twos += 1
+        while d % 5 == 0:
+            d //= 5
+            fives += 1
+        if d != 1:
+            raise ValueError(f"{value} has no finite decimal representation")
+        digits = max(twos, fives)
+        scaled = abs(num) * 10**digits // den
+    # num and den are coprime, so the last digit is not 0
     whole, part = divmod(scaled, 10**digits)
-    text = f"{sign}{whole}.{str(part).zfill(digits)}".rstrip("0").rstrip(".")
-    return text if text not in ("", "-") else "0"
+    return f"{'-' if num < 0 else ''}{whole}.{part:0{digits}d}"
 
 
 def parse_ms(value: Any) -> Fraction:

@@ -166,6 +166,26 @@ class TestScenarioErrors:
         with pytest.raises(b.ScenarioInvalid):
             b.run(scn)
 
+    @pytest.mark.parametrize(
+        "horizon, at, error",
+        [
+            (F(603, 10), F(6031, 100), b.ScenarioInvalid),
+            (F(603, 10), F(603, 10), b.EventMisaligned),
+            (F(10**302 + 1, 10**300), F(10**302 + 1, 10**300), b.EventMisaligned),
+        ],
+        ids=["just-after-60.3", "at-60.3", "at-denominator-1e300"],
+    )
+    def test_event_near_an_off_grid_horizon(self, horizon, at, error):
+        # the horizon is a whole count of the run's clock: an event at it is
+        # inside the run and off every tick grid, one between it and the next
+        # count is outside the run
+        scn = adaptation_scenario()
+        scn.horizon_ms = horizon
+        scn.events = [b.SimEvent(at, "pcell", b.EventKind.RACH_START)]
+        with pytest.raises(b.ScenarioInvalid) as exc:
+            b.run(scn)
+        assert type(exc.value) is error
+
     def test_missing_horizon(self):
         scn = adaptation_scenario()
         scn.horizon_ms = None
@@ -471,3 +491,51 @@ def test_run_cost_follows_the_records_not_the_horizon(monkeypatch):
     assert [r.to_json() for r in trace[:-1]] == golden[:-1]
     assert trace[-1].record == RUN_END
     assert metrics.total_time_ms == 10**9
+
+
+@pytest.mark.parametrize("horizon", ["60.3", "100." + "0" * 299 + "1", "50.5"],
+                         ids=["off-grid", "denominator-1e300", "inside-open-window"])
+def test_awkward_horizons_run_on_their_own_scale(horizon, monkeypatch):
+    """The TDD fixture at an off-grid horizon, at one whose denominator is
+    10**300, and at one inside the expiry window open from 50 to 51 ms: each
+    run writes the step loop's trace, replays to its metrics, and ticks its
+    cells a few dozen times, not once per count of its fine clock."""
+    doc = json.loads((FIXTURES / "tdd_scenario.json").read_text())
+    doc["horizon_ms"] = horizon
+    scn = scenario_from_obj(doc)
+    count_ticks(monkeypatch, limit=100)
+    trace, metrics = b.run(scn)
+    monkeypatch.undo()
+    text = written(trace)
+    assert text == written(tick_run(scn)[0])
+    assert b.replay_metrics(b.read_trace(text.splitlines())) == metrics
+    assert trace[-1].record == RUN_END and trace[-1].to_obj()["at_ms"] == horizon
+    assert metrics.total_time_ms == b.parse_ms(horizon)
+    if horizon == "50.5":
+        assert [r.record for r in trace[-3:]] == ["TimerExpiry", "WindowOpen", RUN_END]
+
+
+def test_run_drives_the_machines_on_an_integer_clock(monkeypatch):
+    """Every on_tick time, deadline, window end and timer expiry that run()
+    hands a machine or gets back is an int; records still carry Fractions."""
+    seen = []
+    on_tick, next_deadline = CellStateMachine.on_tick, CellStateMachine.next_deadline
+
+    def ticked(self, now):
+        st = self.state
+        seen.extend([now, st.timer_expires_at, *(
+            (st.switch_window.end_ms, st.switch_window.commit_at) if st.switch_window else ())])
+        return on_tick(self, now)
+
+    def deadline(self):
+        d = next_deadline(self)
+        seen.append(d)
+        return d
+
+    monkeypatch.setattr(CellStateMachine, "on_tick", ticked)
+    monkeypatch.setattr(CellStateMachine, "next_deadline", deadline)
+    for seed in range(50):
+        trace, _ = b.run(random_multicell_scenario(random.Random(seed)))
+        assert {type(r.at_ms) for r in trace} == {F}, seed
+    assert seen and {type(t) for t in seen} <= {int, type(None)}
+    assert int in {type(t) for t in seen}

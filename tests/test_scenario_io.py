@@ -1,6 +1,7 @@
 """Scenario document parsing and the exact-decimal time syntax."""
 
 import json
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -192,6 +193,24 @@ class TestTimeSyntax:
     def test_float_means_its_decimal_literal(self):
         assert b.parse_ms(0.3) == F(3, 10)
         assert b.parse_ms(0.5) == F(1, 2)
+
+    @pytest.mark.parametrize("per_ms", [1, 2, 4, 8, 40, 80, 1000, 2**10 * 5**3])
+    def test_ms_str_matches_a_decimal_reference(self, per_ms):
+        """k/per_ms as a Fraction, and k as an int, render as Decimal does, so
+        the paths for denominators 1, 2**k and the rest cannot drift apart."""
+
+        def reference(num, den):
+            with localcontext() as ctx:
+                ctx.prec = 100
+                return format((Decimal(num) / Decimal(den)).normalize(), "f")
+
+        for k in [*range(-300, 301), 10**30 + 1, -(10**30) - 7]:
+            assert b.ms_str(F(k, per_ms)) == reference(k, per_ms), (k, per_ms)
+            assert b.ms_str(k) == reference(k, 1), k
+
+    def test_ms_str_takes_floats_and_decimals(self):
+        assert b.ms_str(0.5) == "0.5"
+        assert b.ms_str(Decimal("-2.250")) == "-2.25"
 
     def test_non_decimal_fraction_has_no_string(self):
         with pytest.raises(ValueError):
