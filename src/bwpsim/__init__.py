@@ -51,6 +51,7 @@ from .engine import (
 from .fsm import (
     BwpState,
     CellStateMachine,
+    CountClock,
     EventRejection,
     SwitchCause,
     SwitchDelaySpec,

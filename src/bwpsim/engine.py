@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional
 
 from .config import CellConfig, UeCapability, effective_default_dl, validate
 from .dci import DciEvent, Direction
-from .fsm import CellStateMachine, ClockTime, CountClock, EventRejection, SwitchCause, rejection_record
+from .fsm import CellStateMachine, CountClock, EventRejection, SwitchCause, rejection_record
 from .trace import (
     EVENT_REJECTED,
     RUN_END,
@@ -181,9 +181,11 @@ class _CellTally:
 def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     """Execute a scenario; returns the full trace and its metrics.
 
-    Raises ScenarioInvalid when any cell fails validation with errors, an
-    event references an unknown cell, or the horizon does not cover all
-    events; EventMisaligned when an event is off its cell's tick grid.
+    Raises ScenarioInvalid when any cell fails validation with errors, the
+    horizon is negative or has no finite decimal form (its trace and
+    metrics could not be written), an event references an unknown cell,
+    or the horizon does not cover all events; EventMisaligned when an
+    event is off its cell's tick grid.
     """
     if scenario.horizon_ms is None:
         raise ScenarioInvalid("scenario has no horizon_ms and cannot run")
@@ -196,6 +198,10 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     horizon = Fraction(scenario.horizon_ms)
     if horizon < 0:
         raise ScenarioInvalid("horizon must be >= 0 ms")
+    try:
+        ms_str(horizon)  # every time of the run is decimal if the horizon is
+    except ValueError:
+        raise ScenarioInvalid(f"horizon {horizon} ms has no finite decimal form") from None
     # the clock counts 1/per_ms ms: ticks, switch delays and timer values
     # are multiples of 1/8 ms, and the horizon is a whole count too
     clock = CountClock(math.lcm(8, horizon.denominator))
@@ -269,7 +275,6 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
                 refresh(cid, now)
         if event_times and event_times[-1] == now:
             for ev in events_at[event_times.pop()]:
-                clock.share(now, ev.at_ms)
                 emit(_dispatch(machines[ev.cell], ev, now))
                 refresh(ev.cell, now)
 
@@ -287,7 +292,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     return trace, metrics
 
 
-_HANDLERS: dict[EventKind, Callable[[CellStateMachine, SimEvent, ClockTime], list[TraceRecord]]] = {
+_HANDLERS: dict[EventKind, Callable[[CellStateMachine, SimEvent, int], list[TraceRecord]]] = {
     EventKind.RRC_RECONFIG: lambda m, ev, now: m.on_rrc_reconfig(now, ev.first_active_dl, ev.first_active_ul),
     EventKind.SCELL_ACTIVATE: lambda m, ev, now: m.on_rrc_reconfig(now, scell_activation=True),
     EventKind.DCI: lambda m, ev, now: m.on_dci(now, ev.dci),
@@ -298,11 +303,11 @@ _HANDLERS: dict[EventKind, Callable[[CellStateMachine, SimEvent, ClockTime], lis
 }
 
 
-def _dispatch(machine: CellStateMachine, ev: SimEvent, now: Optional[ClockTime] = None) -> list[TraceRecord]:
-    """Deliver ev to its cell's machine at `now`, ev's time on the machine's
-    clock; it can be left out for a machine on the default `Fraction` ms clock."""
+def _dispatch(machine: CellStateMachine, ev: SimEvent, now: int) -> list[TraceRecord]:
+    """Deliver ev to its cell's machine at `now`, ev's time as a count on the
+    machine's clock; a rejection is traced at ev's own `at_ms`."""
     try:
-        return _HANDLERS[ev.kind](machine, ev, ev.at_ms if now is None else now)
+        return _HANDLERS[ev.kind](machine, ev, now)
     except EventRejection as rej:
         return [rejection_record(ev.at_ms, ev.cell, ev.kind.value, rej)]
 

@@ -29,9 +29,8 @@ Timing semantics:
 The clock: on a `CountClock(per_ms)` a machine counts time in whole units
 of 1/per_ms ms, a multiple of 1/8 ms, so every tick, switch delay and
 timer value is an int and so is every time it handles, stores or returns;
-only the records carry exact rational ms (`Fraction`). Built without a
-clock, as direct callers do, the machine takes and reports times as
-`Fraction` ms. The engine picks `per_ms` per run from the horizon.
+only the records carry exact rational ms (`Fraction`). The engine picks
+`per_ms` per run from the horizon.
 
 Ties at one timestamp resolve in a fixed order (tick commits, then RRC,
 then RACH, then DCI, then data), which the engine enforces; every method
@@ -126,31 +125,11 @@ def switch_delay_khz(from_scs_khz: int, to_scs_khz: int, delay_type: DelayType) 
     return SwitchDelaySpec(slots, Fraction(15 * slots, governing))
 
 
-# A time or duration on a machine's clock: Fraction ms, or a count of 1/per_ms ms.
-ClockTime = Fraction | int
-
-
-class MsClock:
-    """Time as exact rational ms: the clock of a machine built without one."""
-
-    def count(self, ms: Fraction | int) -> ClockTime:
-        """A duration or time in ms on this clock."""
-        return Fraction(ms)
-
-    def ms(self, t: ClockTime) -> Fraction | int:
-        """A time on this clock in ms, as the records carry it."""
-        return t
-
-    def ms_str(self, t: ClockTime) -> str:
-        """A time on this clock as a record field renders it."""
-        return ms_str(t)
-
-
-class CountClock(MsClock):
+class CountClock:
     """Time as whole counts of 1/per_ms ms, per_ms a multiple of 8.
 
     Every tick, switch delay and timer value is a multiple of 1/8 ms, so
-    each is a whole count. The records of one time share one Fraction.
+    each is a whole count. The records of one time reuse one Fraction.
     """
 
     def __init__(self, per_ms: int):
@@ -160,27 +139,21 @@ class CountClock(MsClock):
         self._last: tuple[Optional[int], Optional[Fraction]] = (None, None)
 
     def count(self, ms: Fraction | int) -> int:
-        """Exact for a multiple of 1/per_ms ms."""
+        """A time or duration in ms as a count; exact for a multiple of 1/per_ms ms."""
         return ms.numerator * self.per_ms // ms.denominator
 
     def ms(self, t: int) -> Fraction:
+        """A count in ms, as the records carry it."""
         if t != self._last[0]:
             self._last = (t, Fraction(t, self.per_ms))
         return self._last[1]
 
     def ms_str(self, t: int) -> str:
+        """A count as a record field renders it."""
         return ms_str(Fraction(t, self.per_ms))  # leaves the records' Fraction alone
 
-    def share(self, t: int, ms: Fraction) -> None:
-        """Stamp the records of time t with `ms`, an equal Fraction that
-        exists already, such as an event's own time."""
-        self._last = (t, ms)
 
-
-MS_CLOCK = MsClock()
-
-
-def _ceil_to(t: ClockTime, tick: ClockTime) -> ClockTime:
+def _ceil_to(t: int, tick: int) -> int:
     """The first multiple of `tick` at or after `t`."""
     return -(-t // tick) * tick
 
@@ -189,8 +162,8 @@ def _ceil_to(t: ClockTime, tick: ClockTime) -> ClockTime:
 class SwitchWindow:
     """An open switch window; its times are on the owning machine's clock."""
 
-    end_ms: ClockTime
-    commit_at: ClockTime  # the first tick of the cell's grid at or after end_ms
+    end_ms: int
+    commit_at: int  # the first tick of the cell's grid at or after end_ms
     target_dl: Optional[int]
     target_ul: Optional[int]
     cause: SwitchCause
@@ -201,7 +174,7 @@ class SwitchWindow:
 class BwpState:
     active_dl: int
     active_ul: Optional[int]
-    timer_expires_at: Optional[ClockTime] = None
+    timer_expires_at: Optional[int] = None
     switch_window: Optional[SwitchWindow] = None
     rach_in_progress: bool = False
 
@@ -211,10 +184,12 @@ class CellStateMachine:
 
     Every handler returns the trace records it produced. Handlers that
     reject their event raise EventRejection before touching any state.
-    Times in and out are on the machine's clock: `Fraction` ms by default.
+    Times in and out are whole counts on `clock`; the records carry ms.
+    A direct caller builds a clock, say `clock = CountClock(8)`, passes
+    each time as `clock.count(ms)`, and reads the records' `at_ms`.
     """
 
-    def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability, clock: MsClock = MS_CLOCK):
+    def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability, clock: CountClock):
         self.cell = cell
         self.cfg = cfg
         self.cap = cap
@@ -227,7 +202,7 @@ class CellStateMachine:
 
     def on_rrc_reconfig(
         self,
-        now: ClockTime,
+        now: int,
         first_active_dl: Optional[int] = None,
         first_active_ul: Optional[int] = None,
         *,
@@ -273,7 +248,7 @@ class CellStateMachine:
         self._open_window(now, end, first_active_dl, first_active_ul, cause, records)
         return records
 
-    def on_dci(self, now: ClockTime, dci: DciEvent) -> list[TraceRecord]:
+    def on_dci(self, now: int, dci: DciEvent) -> list[TraceRecord]:
         """Process one DCI: possibly a switch, possibly a timer restart.
 
         Fallback formats never switch. A non-fallback DCI whose indicator
@@ -325,7 +300,7 @@ class CellStateMachine:
         self._try_arm_timer(now, records)
         return records
 
-    def on_tick(self, now: ClockTime) -> list[TraceRecord]:
+    def on_tick(self, now: int) -> list[TraceRecord]:
         """Commit the windows due by `now`, then fire the timer if it is due.
 
         `now` may lie on the tick grid or off it; the engine calls this at
@@ -343,7 +318,7 @@ class CellStateMachine:
                 self._open_expiry_window(now, records)
         return records
 
-    def next_deadline(self) -> Optional[ClockTime]:
+    def next_deadline(self) -> Optional[int]:
         """The earliest tick of the cell's grid at which on_tick acts, or None.
 
         That is the open window's commit tick or the timer's expiry time,
@@ -356,7 +331,7 @@ class CellStateMachine:
             due.append(st.timer_expires_at)
         return min(due, default=None)
 
-    def on_rach_start(self, now: ClockTime) -> list[TraceRecord]:
+    def on_rach_start(self, now: int) -> list[TraceRecord]:
         """Begin random access: clear the timer, move to a PRACH-capable UL.
 
         The UL BWP falls back to #0 unless the active one has PRACH
@@ -394,7 +369,7 @@ class CellStateMachine:
             )
         return records
 
-    def on_rach_complete(self, now: ClockTime) -> list[TraceRecord]:
+    def on_rach_complete(self, now: int) -> list[TraceRecord]:
         """Finish random access; re-arm the timer if off the default BWP."""
         st = self.state
         if st.switch_window is not None:
@@ -406,7 +381,7 @@ class CellStateMachine:
         self._try_arm_timer(now, records)
         return records
 
-    def on_data(self, now: ClockTime, direction: Direction) -> list[TraceRecord]:
+    def on_data(self, now: int, direction: Direction) -> list[TraceRecord]:
         """Serve a scheduled data burst on the active BWP of that direction."""
         st = self.state
         if st.switch_window is not None:
@@ -424,10 +399,10 @@ class CellStateMachine:
     # ------------------------------------------------------------------
     # internals
 
-    def _rec(self, t: ClockTime, kind: str, **fields) -> TraceRecord:
+    def _rec(self, t: int, kind: str, **fields) -> TraceRecord:
         return TraceRecord(self.clock.ms(t), self.cell, kind, fields)
 
-    def _switch_delay(self, target_dl: Optional[int], target_ul: Optional[int]) -> ClockTime:
+    def _switch_delay(self, target_dl: Optional[int], target_ul: Optional[int]) -> int:
         """Delay budget on the clock for moving to the targets; None leaves a direction alone.
 
         Every trigger goes through here: the smallest SCS among the current
@@ -452,8 +427,8 @@ class CellStateMachine:
 
     def _open_window(
         self,
-        start: ClockTime,
-        end: ClockTime,
+        start: int,
+        end: int,
         target_dl: Optional[int],
         target_ul: Optional[int],
         cause: SwitchCause,
@@ -471,7 +446,7 @@ class CellStateMachine:
             )
         )
 
-    def _close_due_windows(self, now: ClockTime, records: list[TraceRecord]) -> None:
+    def _close_due_windows(self, now: int, records: list[TraceRecord]) -> None:
         st = self.state
         while st.switch_window is not None and st.switch_window.end_ms <= now:
             w = st.switch_window
@@ -506,7 +481,7 @@ class CellStateMachine:
                 # DCI-driven switch the restart at reception already governs
                 self._try_arm_timer(t, records)
 
-    def _open_expiry_window(self, now: ClockTime, records: list[TraceRecord]) -> None:
+    def _open_expiry_window(self, now: int, records: list[TraceRecord]) -> None:
         default = effective_default_dl(self.cfg)
         target_ul = default if (self.cfg.duplex is Duplex.TDD and self.cfg.has_uplink) else None
         try:
@@ -518,12 +493,12 @@ class CellStateMachine:
         self._open_window(now, now + delay, default, target_ul,
                           SwitchCause.TIMER_EXPIRY, records)
 
-    def _timer_on_scheduling(self, now: ClockTime, direction: Direction, records: list[TraceRecord]) -> None:
+    def _timer_on_scheduling(self, now: int, direction: Direction, records: list[TraceRecord]) -> None:
         if self.cfg.duplex is Duplex.FDD and direction is not Direction.DL_ASSIGNMENT:
             return
         self._try_arm_timer(now, records)
 
-    def _try_arm_timer(self, now: ClockTime, records: list[TraceRecord]) -> None:
+    def _try_arm_timer(self, now: int, records: list[TraceRecord]) -> None:
         st = self.state
         value = self.cfg.inactivity_timer_ms
         if value is None or st.rach_in_progress or st.active_dl == effective_default_dl(self.cfg):

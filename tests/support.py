@@ -7,6 +7,17 @@ from fractions import Fraction
 
 import bwpsim as b
 
+# The clock of the tests that drive a machine directly. Its scale is not
+# the 8 units per ms that run() picks for a whole-ms horizon, so a machine
+# whose arithmetic assumes one scale fails them.
+CLOCK = b.CountClock(40)
+
+
+def at(ms: Fraction | int) -> int:
+    """A time or duration in ms as a count on CLOCK."""
+    return CLOCK.count(Fraction(ms))
+
+
 # Channel bandwidth that comfortably fits a 100-RB grid per numerology.
 MU_CHANNEL_MHZ = {0: 20.0, 1: 40.0, 2: 100.0, 3: 200.0}
 POINT_A = {b.FrequencyRange.FR1: 3_400_000_000, b.FrequencyRange.FR2: 27_000_000_000}

@@ -18,8 +18,10 @@ from bwpsim.config import effective_default_dl
 from bwpsim.dci import InvalidCodepoint, Unaddressable
 from bwpsim.fsm import CellStateMachine, EventRejection
 from support import (
+    CLOCK,
     adaptation_scenario,
     assert_machine_invariants,
+    at,
     centered_cell,
     random_scenario,
 )
@@ -170,13 +172,13 @@ def _random_machine(rng: random.Random) -> CellStateMachine:
         first_active=rng.choice([None, 1, 2]),
     )
     cap = b.UeCapability(max_rrc_bwps=4, switch_delay_type=rng.choice(list(b.DelayType)))
-    return CellStateMachine("c", cfg, cap)
+    return CellStateMachine("c", cfg, cap, CLOCK)
 
 
 def _walk_machine(rng: random.Random, steps: int = 25):
     m = _random_machine(rng)
-    now = F(0)
-    tick = m.cfg.tick_ms
+    now = 0
+    tick = m.tick
     records = []
     for _ in range(steps):
         roll = rng.random()
@@ -227,13 +229,13 @@ def test_criterion_06_timer_properties():
 
     # FR2 decrements half-subframes: a 2 ms timer expires after exactly 4 ticks
     m = CellStateMachine(
-        "c", centered_cell(fr=b.FrequencyRange.FR2, mu=3, timer_ms=2), CAP4
+        "c", centered_cell(fr=b.FrequencyRange.FR2, mu=3, timer_ms=2), CAP4, CLOCK
     )
-    m.on_dci(F(5), b.DciEvent(b.DciFormat.FMT_1_0))  # arms at 5
+    m.on_dci(at(5), b.DciEvent(b.DciFormat.FMT_1_0))  # arms at 5
     expiry_times = []
-    now = F(5)
+    now = at(5)
     for _ in range(8):
-        now += F(1, 2)
+        now += at(F(1, 2))
         expiry_times += [r.at_ms for r in m.on_tick(now) if r.record == "TimerExpiry"]
     assert expiry_times == [F(7)]  # 5 + 4 * 0.5
 

@@ -186,6 +186,21 @@ class TestScenarioErrors:
             b.run(scn)
         assert type(exc.value) is error
 
+    def test_horizon_must_be_decimal(self, monkeypatch):
+        # a trace or metrics at 121/3 ms could not be written, so the run is
+        # refused before any tick; a decimal horizon off the ms grid runs
+        scn = adaptation_scenario()
+        scn.horizon_ms = F(121, 3)
+        count_ticks(monkeypatch, limit=0)
+        with pytest.raises(b.ScenarioInvalid, match="121/3"):
+            b.run(scn)
+        monkeypatch.undo()
+        scn.horizon_ms = F(161, 2)
+        trace, metrics = b.run(scn)
+        text = written(trace)
+        assert b.replay_metrics(b.read_trace(text.splitlines())) == metrics
+        assert trace[-1].to_obj()["at_ms"] == metrics.to_obj()["total_time_ms"] == "80.5"
+
     def test_missing_horizon(self):
         scn = adaptation_scenario()
         scn.horizon_ms = None

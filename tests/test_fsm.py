@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import bwpsim as b
 from bwpsim.fsm import CellStateMachine, EventRejection
-from support import adaptation_cell, assert_machine_invariants, centered_cell, make_bwp
+from support import CLOCK, adaptation_cell, assert_machine_invariants, at, centered_cell, make_bwp
 
 T1 = b.DelayType.TYPE1
 T2 = b.DelayType.TYPE2
@@ -26,12 +26,12 @@ DELAY_TABLE = {
 def machine(cfg, delay_type=T1) -> CellStateMachine:
     cap = b.UeCapability(max_rrc_bwps=4, switch_delay_type=delay_type)
     assert not b.validate(cfg, cap).has_errors
-    return CellStateMachine("cell", cfg, cap)
+    return CellStateMachine("cell", cfg, cap, CLOCK)
 
 
-def tick_until(m: CellStateMachine, start: F, end: F) -> list[b.TraceRecord]:
+def tick_until(m: CellStateMachine, start: int, end: int) -> list[b.TraceRecord]:
     records = []
-    tick = m.cfg.tick_ms
+    tick = m.tick
     t = (start // tick) * tick + tick
     while t <= end:
         records.extend(m.on_tick(t))
@@ -73,20 +73,42 @@ class TestSwitchDelayTable:
             b.switch_delay_khz(15, 240, T2)
 
 
+class TestCountClock:
+    @pytest.mark.parametrize("per_ms", [0, 12, -8])
+    def test_scale_is_a_positive_multiple_of_8(self, per_ms):
+        with pytest.raises(ValueError):
+            b.CountClock(per_ms)
+
+    @pytest.mark.parametrize("per_ms", [8, 80, 8 * 10**300], ids=["8", "80", "8e300"])
+    def test_counts_round_trip_to_ms(self, per_ms):
+        clock = b.CountClock(per_ms)
+        for k in (0, 1, 3, per_ms - 1, per_ms, per_ms + 1, 7 * per_ms + 5, 10**6):
+            x = F(k, per_ms)
+            assert clock.count(x) == k
+            assert clock.ms(clock.count(x)) == x
+            assert clock.ms(k) is clock.ms(k)  # the records of one time share one Fraction
+            assert clock.ms_str(k) == b.ms_str(F(k, per_ms))
+        assert clock.count(5) == 5 * per_ms
+
+    def test_ms_str_renders_a_count_in_ms(self):
+        assert b.CountClock(80).ms_str(3) == "0.0375"
+        assert b.CountClock(8).ms_str(90) == "11.25"
+
+
 class TestRrcSwitch:
     def test_first_active_switch_with_processing_delay(self):
         m = machine(adaptation_cell())
-        recs = m.on_rrc_reconfig(F(20), 1, 1)
+        recs = m.on_rrc_reconfig(at(20), 1, 1)
         assert kinds(recs) == ["WindowOpen"]
         assert recs[0].fields["end_ms"] == "31"  # 10 ms RRC + 1 slot at 15 kHz
-        recs = tick_until(m, F(20), F(31))
+        recs = tick_until(m, at(20), at(31))
         assert kinds(recs) == ["WindowClose", "StateChange", "TimerStart"]
         assert recs[1].at_ms == F(31)
         assert (m.state.active_dl, m.state.active_ul) == (1, 1)
 
     def test_no_first_active_means_no_switch(self):
         m = machine(adaptation_cell())
-        assert m.on_rrc_reconfig(F(20)) == []
+        assert m.on_rrc_reconfig(at(20)) == []
         assert (m.state.active_dl, m.state.active_ul) == (0, 0)
         assert m.state.switch_window is None
 
@@ -94,49 +116,49 @@ class TestRrcSwitch:
         cfg = dataclasses.replace(adaptation_cell(), cell_role=b.CellRole.SCELL, first_active_dl=2,
                                   first_active_ul=2)
         m = machine(cfg)
-        recs = m.on_rrc_reconfig(F(4), scell_activation=True)
+        recs = m.on_rrc_reconfig(at(4), scell_activation=True)
         assert recs[0].fields["cause"] == "FirstActiveOnScellActivation"
         assert recs[0].fields["target_dl"] == 2
-        tick_until(m, F(4), F(15))
+        tick_until(m, at(4), at(15))
         assert m.state.active_dl == 2
 
     def test_tdd_first_active_ids_must_pair_up(self):
         m = machine(centered_cell(duplex=b.Duplex.TDD))
         with pytest.raises(EventRejection) as exc:
-            m.on_rrc_reconfig(F(5), 1, 2)
+            m.on_rrc_reconfig(at(5), 1, 2)
         assert (exc.value.reason, exc.value.detail) == ("InvalidTarget", "TDD first-active ids must pair up")
         assert m.state.switch_window is None and (m.state.active_dl, m.state.active_ul) == (0, 0)
 
     def test_unconfigured_target_rejected(self):
         m = machine(adaptation_cell())
         with pytest.raises(EventRejection) as exc:
-            m.on_rrc_reconfig(F(5), 4, 4)
+            m.on_rrc_reconfig(at(5), 4, 4)
         assert exc.value.reason == "InvalidTarget"
 
 
 class TestDciSwitch:
     def test_fdd_dl_assignment_switches_dl_only(self):
         m = machine(centered_cell())
-        m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
-        assert m.state.switch_window.end_ms == F(3)
-        tick_until(m, F(2), F(3))
+        m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
+        assert m.state.switch_window.end_ms == at(3)
+        tick_until(m, at(2), at(3))
         assert (m.state.active_dl, m.state.active_ul) == (1, 0)
 
     def test_fdd_ul_grant_switches_ul_only(self):
         m = machine(centered_cell())
-        m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_0_1, "01"))
-        tick_until(m, F(2), F(3))
+        m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_0_1, "01"))
+        tick_until(m, at(2), at(3))
         assert (m.state.active_dl, m.state.active_ul) == (0, 1)
 
     def test_tdd_switches_the_pair(self):
         m = machine(centered_cell(duplex=b.Duplex.TDD))
-        m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_0_1, "10"))
-        tick_until(m, F(2), F(3))
+        m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_0_1, "10"))
+        tick_until(m, at(2), at(3))
         assert (m.state.active_dl, m.state.active_ul) == (2, 2)
 
     def test_fallback_never_switches(self):
         m = machine(centered_cell())
-        recs = m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_1_0))
+        recs = m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_0))
         assert m.state.switch_window is None
         assert (m.state.active_dl, m.state.active_ul) == (0, 0)
         # active #0 is off-default here, so the DL assignment arms the timer
@@ -144,39 +166,39 @@ class TestDciSwitch:
 
     def test_fallback_ul_grant_no_restart_on_fdd(self):
         m = machine(centered_cell())
-        assert m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_0_0)) == []
+        assert m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_0_0)) == []
         assert m.state.timer_expires_at is None
 
     def test_fallback_ul_grant_restarts_on_tdd(self):
         m = machine(centered_cell(duplex=b.Duplex.TDD))
-        recs = m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_0_0))
+        recs = m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_0_0))
         assert kinds(recs) == ["TimerStart"]
 
     def test_dci_inside_window_rejected(self):
         m = machine(centered_cell())
-        m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
+        m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
         with pytest.raises(EventRejection) as exc:
-            m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_1_1, "10"))
+            m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "10"))
         assert exc.value.reason == "DciDuringSwitchWindow"
 
     def test_nonfallback_blocked_on_option1_initial(self):
         m = machine(adaptation_cell())
         with pytest.raises(EventRejection) as exc:
-            m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
+            m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
         assert exc.value.reason == "NonFallbackOnOption1Initial"
 
     def test_codec_errors_surface_as_rejections(self):
         m = machine(centered_cell())
         with pytest.raises(EventRejection) as exc:
-            m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_1_1, "11"))
+            m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "11"))
         assert exc.value.reason == "InvalidCodepoint"
         with pytest.raises(EventRejection) as exc:
-            m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_1_1, "0"))
+            m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "0"))
         assert exc.value.reason == "LengthMismatch"
 
     def test_same_target_is_scheduling_not_switching(self):
         m = machine(centered_cell())
-        recs = m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_1_1, "00"))
+        recs = m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "00"))
         assert m.state.switch_window is None
         assert kinds(recs) == ["TimerStart"]
 
@@ -187,7 +209,7 @@ class TestDciSwitch:
                                   first_active_dl=None, first_active_ul=None)
         m = machine(cfg)
         with pytest.raises(EventRejection) as exc:
-            m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_1_1, "10"))  # decodes to absent #2
+            m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "10"))  # decodes to absent #2
         assert exc.value.reason == "TargetNotConfigured"
 
 
@@ -212,11 +234,11 @@ class TestTimer:
     def test_fr1_two_ms_expires_after_two_ticks(self, offset):
         m = machine(centered_cell(timer_ms=2))
         armed_at = 5 + offset
-        m.on_dci(armed_at, b.DciEvent(b.DciFormat.FMT_1_0))  # arms the timer
+        m.on_dci(at(armed_at), b.DciEvent(b.DciFormat.FMT_1_0))  # arms the timer
         expected = countdown_expiry(armed_at, 2, F(1))
         assert expected == (7 if offset == 0 else 8)
-        assert m.state.timer_expires_at == expected
-        recs = tick_until(m, armed_at, expected)
+        assert m.state.timer_expires_at == at(expected)
+        recs = tick_until(m, at(armed_at), at(expected))
         assert [(r.record, r.at_ms) for r in recs] == [("TimerExpiry", expected), ("WindowOpen", expected)]
         assert recs[1].fields["target_dl"] == 2
 
@@ -224,33 +246,33 @@ class TestTimer:
     def test_fr2_two_ms_expires_after_four_half_ticks(self, offset):
         m = machine(centered_cell(fr=b.FrequencyRange.FR2, mu=3, timer_ms=2))
         armed_at = 5 + offset
-        m.on_dci(armed_at, b.DciEvent(b.DciFormat.FMT_1_0))
+        m.on_dci(at(armed_at), b.DciEvent(b.DciFormat.FMT_1_0))
         expected = countdown_expiry(armed_at, 2, F(1, 2))
         assert offset != 0 or expected == 7
-        assert m.state.timer_expires_at == expected
-        recs = tick_until(m, armed_at, expected + 2)
+        assert m.state.timer_expires_at == at(expected)
+        recs = tick_until(m, at(armed_at), at(expected + 2))
         expiries = [r for r in recs if r.record == "TimerExpiry"]
         assert len(expiries) == 1 and expiries[0].at_ms == expected  # 4 ticks of 0.5 ms
 
     def test_expiry_commits_to_default(self):
         m = machine(centered_cell(timer_ms=2))
-        m.on_dci(F(5), b.DciEvent(b.DciFormat.FMT_1_0))
-        tick_until(m, F(5), F(10))
+        m.on_dci(at(5), b.DciEvent(b.DciFormat.FMT_1_0))
+        tick_until(m, at(5), at(10))
         assert m.state.active_dl == 2
         assert m.state.timer_expires_at is None  # never runs on the default
 
     def test_timer_never_runs_on_default(self):
         m = machine(centered_cell(timer_ms=20, default_dl=0))
-        recs = m.on_dci(F(5), b.DciEvent(b.DciFormat.FMT_1_0))
+        recs = m.on_dci(at(5), b.DciEvent(b.DciFormat.FMT_1_0))
         assert recs == [] and m.state.timer_expires_at is None
 
     def test_switch_to_default_clears_timer(self):
         m = machine(centered_cell(timer_ms=20))
-        m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))  # to #1, timer armed
-        tick_until(m, F(2), F(3))
+        m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))  # to #1, timer armed
+        tick_until(m, at(2), at(3))
         assert m.state.timer_expires_at is not None
-        m.on_dci(F(5), b.DciEvent(b.DciFormat.FMT_1_1, "10"))  # to default #2
-        tick_until(m, F(5), F(6))
+        m.on_dci(at(5), b.DciEvent(b.DciFormat.FMT_1_1, "10"))  # to default #2
+        tick_until(m, at(5), at(6))
         assert m.state.active_dl == 2
         assert m.state.timer_expires_at is None
 
@@ -259,17 +281,17 @@ class TestTimer:
         # quarter subframe, so the whole periods end at 22 and 23 (22 would
         # mean the quarter period was counted)
         m = machine(centered_cell(mu=2, timer_ms=2, rrc_delay_ms=10))
-        m.on_rrc_reconfig(F(10), 1, 1)
-        recs = tick_until(m, F(10), F(21))
+        m.on_rrc_reconfig(at(10), 1, 1)
+        recs = tick_until(m, at(10), at(21))
         starts = [r for r in recs if r.record == "TimerStart"]
         assert starts[0].at_ms == F(83, 4)  # 10 + 10 + 0.75
-        assert m.state.timer_expires_at == 23
+        assert m.state.timer_expires_at == at(23)
 
     def test_expiry_during_window_is_deferred_to_commit(self):
         m = machine(centered_cell(mu=1, timer_ms=2), delay_type=T2)  # 5 slots = 2.5 ms
-        m.on_dci(F(10), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
-        assert m.state.timer_expires_at == 12  # armed at reception
-        recs = tick_until(m, F(10), F(13))
+        m.on_dci(at(10), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
+        assert m.state.timer_expires_at == at(12)  # armed at reception
+        recs = tick_until(m, at(10), at(13))
         labels = [(r.record, r.at_ms) for r in recs]
         assert ("TimerExpiry", F(12)) in labels
         assert ("WindowClose", F(25, 2)) in labels
@@ -277,13 +299,13 @@ class TestTimer:
         opens = [r for r in recs if r.record == "WindowOpen"]
         assert opens[0].at_ms == F(25, 2)
         assert opens[0].fields["cause"] == "TimerExpiry"
-        tick_until(m, F(13), F(16))
+        tick_until(m, at(13), at(16))
         assert m.state.active_dl == 2
 
     def test_sub_tick_commit_is_stamped_exactly(self):
         m = machine(centered_cell(mu=2))  # 60 kHz type 1: 3 slots = 0.75 ms
-        m.on_dci(F(10), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
-        recs = tick_until(m, F(10), F(11))
+        m.on_dci(at(10), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
+        recs = tick_until(m, at(10), at(11))
         closes = [r for r in recs if r.record == "WindowClose"]
         changes = [r for r in recs if r.record == "StateChange"]
         assert closes[0].at_ms == F(43, 4)  # 10.75 exactly
@@ -298,10 +320,10 @@ class TestRach:
     def test_spcell_fdd_aligns_dl_with_ul(self):
         m = machine(centered_cell())
         self._at(m, 2, 2)
-        recs = m.on_rach_start(F(4))
+        recs = m.on_rach_start(at(4))
         assert recs[0].fields == {"end_ms": "5", "target_dl": 0, "target_ul": 0,
                                   "cause": "RachInitiated"}
-        tick_until(m, F(4), F(5))
+        tick_until(m, at(4), at(5))
         assert (m.state.active_dl, m.state.active_ul) == (0, 0)
         assert m.state.rach_in_progress
 
@@ -309,24 +331,24 @@ class TestRach:
         cfg = centered_cell(role=b.CellRole.SCELL)
         m = machine(cfg)
         self._at(m, 2, 2)
-        recs = m.on_rach_start(F(4))
+        recs = m.on_rach_start(at(4))
         assert recs[0].fields["target_dl"] is None
         assert recs[0].fields["target_ul"] == 0
-        tick_until(m, F(4), F(5))
+        tick_until(m, at(4), at(5))
         assert (m.state.active_dl, m.state.active_ul) == (2, 0)
 
     def test_tdd_pair_moves_together(self):
         m = machine(centered_cell(duplex=b.Duplex.TDD))
         self._at(m, 2, 2)
-        m.on_rach_start(F(4))
-        tick_until(m, F(4), F(5))
+        m.on_rach_start(at(4))
+        tick_until(m, at(4), at(5))
         assert (m.state.active_dl, m.state.active_ul) == (0, 0)
 
     def test_prach_on_active_ul_means_no_switch(self):
         m = machine(centered_cell(prach_on=frozenset({0, 1, 2})))
         self._at(m, 2, 2)
-        m.state.timer_expires_at = F(13)
-        recs = m.on_rach_start(F(4))
+        m.state.timer_expires_at = at(13)
+        recs = m.on_rach_start(at(4))
         assert recs == []
         assert m.state.timer_expires_at is None  # cleared regardless
         assert m.state.rach_in_progress
@@ -334,36 +356,36 @@ class TestRach:
     def test_spcell_aligns_even_without_ul_switch(self):
         m = machine(centered_cell(prach_on=frozenset({0, 1, 2})))
         self._at(m, 1, 2)
-        recs = m.on_rach_start(F(4))
+        recs = m.on_rach_start(at(4))
         assert recs[0].fields["target_dl"] == 2
         assert recs[0].fields["target_ul"] is None
 
     def test_timer_frozen_throughout_rach(self):
         m = machine(centered_cell(timer_ms=2))
-        m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_1_0))
-        m.on_rach_start(F(4))
-        recs = tick_until(m, F(4), F(30))
+        m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_0))
+        m.on_rach_start(at(4))
+        recs = tick_until(m, at(4), at(30))
         assert all(r.record != "TimerExpiry" for r in recs)
         assert m.state.timer_expires_at is None
 
     def test_complete_rearms_timer_off_default(self):
         m = machine(centered_cell(timer_ms=20, prach_on=frozenset({0, 1, 2})))
         self._at(m, 1, 1)
-        m.on_rach_start(F(4))
-        recs = m.on_rach_complete(F(8))
+        m.on_rach_start(at(4))
+        recs = m.on_rach_complete(at(8))
         assert kinds(recs) == ["TimerStart"]
-        assert m.state.timer_expires_at == 28
+        assert m.state.timer_expires_at == at(28)
 
     def test_complete_on_default_leaves_timer_absent(self):
         m = machine(centered_cell(timer_ms=20, prach_on=frozenset({0, 1, 2}), default_dl=0))
-        m.on_rach_start(F(4))
-        assert m.on_rach_complete(F(8)) == []
+        m.on_rach_start(at(4))
+        assert m.on_rach_complete(at(8)) == []
         assert m.state.timer_expires_at is None
 
     def test_complete_without_start_rejected(self):
         m = machine(centered_cell())
         with pytest.raises(EventRejection) as exc:
-            m.on_rach_complete(F(8))
+            m.on_rach_complete(at(8))
         assert exc.value.reason == "NotInRach"
 
     def test_no_uplink_no_rach(self):
@@ -372,21 +394,21 @@ class TestRach:
                                   prach_configured_on=frozenset())
         m = machine(cfg)
         with pytest.raises(EventRejection) as exc:
-            m.on_rach_start(F(4))
+            m.on_rach_start(at(4))
         assert exc.value.reason == "NoUplinkConfigured"
 
 
 class TestDataService:
     def test_data_served_carries_active_width(self):
         m = machine(centered_cell())
-        recs = m.on_data(F(2), b.Direction.DL_ASSIGNMENT)
+        recs = m.on_data(at(2), b.Direction.DL_ASSIGNMENT)
         assert recs[0].fields == {"direction": "dl", "n_rbs": 24}
 
     def test_data_rejected_inside_window(self):
         m = machine(centered_cell())
-        m.on_dci(F(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
+        m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
         with pytest.raises(EventRejection) as exc:
-            m.on_data(F(2), b.Direction.DL_ASSIGNMENT)
+            m.on_data(at(2), b.Direction.DL_ASSIGNMENT)
         assert exc.value.reason == "DataDuringSwitchWindow"
 
 
@@ -428,12 +450,12 @@ def test_random_op_sequences_hold_invariants(duplex, fr_mu, timer_ms, default_dl
     cfg = centered_cell(duplex=duplex, fr=fr, mu=mu, timer_ms=timer_ms,
                         default_dl=default_dl, prach_on=prach)
     m = CellStateMachine("c", cfg, b.UeCapability(max_rrc_bwps=4,
-                                                  switch_delay_type=delay_type))
-    now = F(0)
+                                                  switch_delay_type=delay_type), CLOCK)
+    now = 0
     for op in ops:
         try:
             if op[0] == "tick":
-                now += cfg.tick_ms
+                now += m.tick
                 m.on_tick(now)
             elif op[0] == "dci":
                 _, fmt, bits = op

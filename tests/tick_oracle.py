@@ -9,16 +9,22 @@ skip ticks: a tick before a cell's `next_deadline()` emits nothing and
 leaves the state as it was, and no deadline is passed without a tick.
 It also counts the ticks that meet a deadline: `run()` should make
 those and one more per cell at the horizon, and no other.
+
+Its machines run on a `CountClock` of three times `run()`'s scale, so
+the two agree byte for byte only if the machine's arithmetic does not
+depend on the scale: a delay or timer value counted in fixed units, say
+eighths of a ms, shows as a different trace.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from fractions import Fraction
 
 from bwpsim.config import effective_default_dl
 from bwpsim.engine import _PHASE, Scenario, _dispatch
-from bwpsim.fsm import CellStateMachine
+from bwpsim.fsm import CellStateMachine, CountClock
 from bwpsim.trace import RUN_END, RUN_START, TraceRecord
 
 
@@ -26,11 +32,11 @@ def _snapshot(m: CellStateMachine):
     return copy.copy(m.state), copy.copy(m.state.switch_window)
 
 
-def _checked_tick(m: CellStateMachine, t: Fraction) -> tuple[list[TraceRecord], bool]:
+def _checked_tick(m: CellStateMachine, t: int) -> tuple[list[TraceRecord], bool]:
     """m.on_tick(t), and whether t is m's deadline."""
     deadline = m.next_deadline()
     if deadline is not None:
-        assert deadline % m.cfg.tick_ms == 0, f"{m.cell}: deadline {deadline} off the tick grid"
+        assert deadline % m.tick == 0, f"{m.cell}: deadline {deadline} off the tick grid"
         assert deadline >= t, f"{m.cell}: deadline {deadline} passed without a tick (now {t})"
     if deadline == t:
         return m.on_tick(t), True
@@ -45,8 +51,12 @@ def tick_run(scenario: Scenario) -> tuple[list[TraceRecord], int]:
     """The trace of a scenario that `run()` accepts, by the step loop, and
     the number of ticks that met their cell's deadline."""
     horizon = Fraction(scenario.horizon_ms)
+    clock = CountClock(3 * math.lcm(8, horizon.denominator))
+    end = clock.count(horizon)
     cell_order = list(scenario.cells)
-    machines = {cid: CellStateMachine(cid, cfg, scenario.capability) for cid, cfg in scenario.cells.items()}
+    machines = {
+        cid: CellStateMachine(cid, cfg, scenario.capability, clock) for cid, cfg in scenario.cells.items()
+    }
     trace = []
     for cid in cell_order:
         m, cfg = machines[cid], scenario.cells[cid]
@@ -57,14 +67,14 @@ def tick_run(scenario: Scenario) -> tuple[list[TraceRecord], int]:
             "default_dl": effective_default_dl(cfg),
         }))
 
-    step = min((cfg.tick_ms for cfg in scenario.cells.values()), default=Fraction(1))
-    strides = [(cid, int(scenario.cells[cid].tick_ms / step)) for cid in cell_order]
+    step = min((m.tick for m in machines.values()), default=clock.per_ms)
+    strides = [(cid, machines[cid].tick // step) for cid in cell_order]
     events_at: dict[int, list] = {}
     for ev in sorted(scenario.events, key=lambda ev: _PHASE[ev.kind]):  # stable: input order
-        events_at.setdefault(int(ev.at_ms / step), []).append(ev)
+        events_at.setdefault(clock.count(ev.at_ms) // step, []).append(ev)
 
     reached = 0
-    for k in range(int(horizon / step) + 1):
+    for k in range(end // step + 1):
         t = step * k
         for cid, stride in strides:
             if k and k % stride == 0:
@@ -72,14 +82,14 @@ def tick_run(scenario: Scenario) -> tuple[list[TraceRecord], int]:
                 trace += records
                 reached += at_deadline
         for ev in events_at.get(k, ()):
-            trace += _dispatch(machines[ev.cell], ev)
+            trace += _dispatch(machines[ev.cell], ev, t)
             deadline = machines[ev.cell].next_deadline()
             assert deadline is None or deadline > t, f"{ev.cell}: event at {t} set deadline {deadline}"
 
     for cid in cell_order:
         deadline = machines[cid].next_deadline()
-        assert deadline is None or deadline > horizon, f"{cid}: deadline {deadline} passed without a tick"
-        trace += machines[cid].on_tick(horizon)
+        assert deadline is None or deadline > end, f"{cid}: deadline {deadline} passed without a tick"
+        trace += machines[cid].on_tick(end)
     trace += [TraceRecord(horizon, cid, RUN_END, {}) for cid in cell_order]
     trace.sort(key=lambda rec: rec.at_ms)  # stable: same-time order is preserved
     return trace, reached
