@@ -51,7 +51,6 @@ from .engine import (
 from .fsm import (
     BwpState,
     CellStateMachine,
-    CountClock,
     EventRejection,
     SwitchCause,
     SwitchDelaySpec,

@@ -16,11 +16,12 @@ produced: an FR2 cell's 2.25 ms commit (handled at 2.5) precedes an FR1
 cell's (handled at 3). Running the same scenario twice produces
 byte-identical traces.
 
-The clock counts whole units of 1/per_ms ms, per_ms = lcm(8, the
-horizon's denominator): ticks, switch delays and timer values are
-multiples of 1/8 ms, so every time of a run is an int. Each event time
-is converted once; the cells' state machines run on the same clock, and
-a time becomes exact `Fraction` ms only in a trace record or the metrics.
+The clock counts whole eighths of a ms, as the cells' state machines
+do: ticks, switch delays and timer values are whole eighths, so every
+time of a run is an int. Each event time is converted once, and a time
+becomes exact `Fraction` ms only in a trace record or the metrics. The
+horizon only bounds the run: the loop stops at the last eighth at or
+before it, and only `RunEnd` and the metrics carry it exactly.
 
 Metrics are computed twice on purpose: once online while the run emits
 records, and once by `replay_metrics` walking a finished trace. The two
@@ -29,7 +30,6 @@ must agree, which pins the trace as a complete account of the run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional
 
 from .config import CellConfig, UeCapability, effective_default_dl, validate
 from .dci import DciEvent, Direction
-from .fsm import CellStateMachine, CountClock, EventRejection, SwitchCause, rejection_record
+from .fsm import UNITS_PER_MS, CellStateMachine, EventRejection, SwitchCause, rejection_record, to_units
 from .trace import (
     EVENT_REJECTED,
     RUN_END,
@@ -202,21 +202,18 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
         ms_str(horizon)  # every time of the run is decimal if the horizon is
     except ValueError:
         raise ScenarioInvalid(f"horizon {horizon} ms has no finite decimal form") from None
-    # the clock counts 1/per_ms ms: ticks, switch delays and timer values
-    # are multiples of 1/8 ms, and the horizon is a whole count too
-    clock = CountClock(math.lcm(8, horizon.denominator))
-    end = clock.count(horizon)
+    end = to_units(horizon)  # the last eighth at or before the horizon
     cell_order = list(scenario.cells)
     machines = {
-        cid: CellStateMachine(cid, scenario.cells[cid], scenario.capability, clock)
+        cid: CellStateMachine(cid, scenario.cells[cid], scenario.capability)
         for cid in cell_order
     }
-    events_at: dict[int, list[SimEvent]] = {}  # by time on the clock
+    events_at: dict[int, list[SimEvent]] = {}  # by time in eighths
     for ev in scenario.events:
         if ev.cell not in scenario.cells:
             raise ScenarioInvalid(f"event references unknown cell {ev.cell!r}")
-        at, rest = divmod(ev.at_ms.numerator * clock.per_ms, ev.at_ms.denominator)
-        if at < 0 or at + (rest > 0) > end:
+        at, rest = divmod(ev.at_ms.numerator * UNITS_PER_MS, ev.at_ms.denominator)
+        if at < 0 or at >= end and ev.at_ms > horizon:
             raise ScenarioInvalid(f"event at {ev.at_ms} ms outside [0, {horizon}] ms")
         if rest or at % machines[ev.cell].tick:
             raise EventMisaligned(
@@ -260,9 +257,8 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     def refresh(cid: str, now: int) -> None:
         d = machines[cid].next_deadline()
         if d is not None and d <= now:  # ticking at d again would spin: the deadline is wrong
-            raise RuntimeError(
-                f"cell {cid!r}: deadline {clock.ms(d)} ms is not after {clock.ms(now)} ms"
-            )
+            raise RuntimeError(f"cell {cid!r}: deadline {Fraction(d, UNITS_PER_MS)} ms "
+                               f"is not after {Fraction(now, UNITS_PER_MS)} ms")
         due[cid] = never if d is None else d
 
     while True:
@@ -286,8 +282,9 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
         cell_metrics[cid] = tallies[cid].finish(horizon)
         trace.append(TraceRecord(horizon, cid, RUN_END, {}))
 
-    # stable: same-time order is preserved; every record time is a whole count on the clock
-    trace.sort(key=lambda rec: clock.count(rec.at_ms))
+    # stable: same-time order is preserved; every record time but RunEnd's is
+    # a whole eighth, and RunEnd, appended last, stays after the records of `end`
+    trace.sort(key=lambda rec: to_units(rec.at_ms))
     metrics = RunMetrics(total_time_ms=horizon, cells=cell_metrics)
     return trace, metrics
 
@@ -304,8 +301,8 @@ _HANDLERS: dict[EventKind, Callable[[CellStateMachine, SimEvent, int], list[Trac
 
 
 def _dispatch(machine: CellStateMachine, ev: SimEvent, now: int) -> list[TraceRecord]:
-    """Deliver ev to its cell's machine at `now`, ev's time as a count on the
-    machine's clock; a rejection is traced at ev's own `at_ms`."""
+    """Deliver ev to its cell's machine at `now`, ev's time in eighths of a
+    ms; a rejection is traced at ev's own `at_ms`."""
     try:
         return _HANDLERS[ev.kind](machine, ev, now)
     except EventRejection as rej:

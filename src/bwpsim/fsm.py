@@ -26,11 +26,10 @@ Timing semantics:
 * 240 kHz BWPs take part in frequency math but have no switch-delay
   requirement, so any switch involving one is rejected.
 
-The clock: on a `CountClock(per_ms)` a machine counts time in whole units
-of 1/per_ms ms, a multiple of 1/8 ms, so every tick, switch delay and
-timer value is an int and so is every time it handles, stores or returns;
-only the records carry exact rational ms (`Fraction`). The engine picks
-`per_ms` per run from the horizon.
+Time: a machine counts whole eighths of a ms. Every tick, switch delay
+(whole slots of at most 120 kHz) and timer value ((half-)subframes) is a
+whole number of eighths, so every time it handles, stores or returns is
+an int; only the records carry exact rational ms (`Fraction`).
 
 Ties at one timestamp resolve in a fixed order (tick commits, then RRC,
 then RACH, then DCI, then data), which the engine enforces; every method
@@ -125,32 +124,12 @@ def switch_delay_khz(from_scs_khz: int, to_scs_khz: int, delay_type: DelayType) 
     return SwitchDelaySpec(slots, Fraction(15 * slots, governing))
 
 
-class CountClock:
-    """Time as whole counts of 1/per_ms ms, per_ms a multiple of 8.
+UNITS_PER_MS = 8  # a machine time is a whole number of eighths of a ms
 
-    Every tick, switch delay and timer value is a multiple of 1/8 ms, so
-    each is a whole count. The records of one time reuse one Fraction.
-    """
 
-    def __init__(self, per_ms: int):
-        if per_ms <= 0 or per_ms % 8:
-            raise ValueError(f"per_ms must be a positive multiple of 8, got {per_ms}")
-        self.per_ms = per_ms
-        self._last: tuple[Optional[int], Optional[Fraction]] = (None, None)
-
-    def count(self, ms: Fraction | int) -> int:
-        """A time or duration in ms as a count; exact for a multiple of 1/per_ms ms."""
-        return ms.numerator * self.per_ms // ms.denominator
-
-    def ms(self, t: int) -> Fraction:
-        """A count in ms, as the records carry it."""
-        if t != self._last[0]:
-            self._last = (t, Fraction(t, self.per_ms))
-        return self._last[1]
-
-    def ms_str(self, t: int) -> str:
-        """A count as a record field renders it."""
-        return ms_str(Fraction(t, self.per_ms))  # leaves the records' Fraction alone
+def to_units(ms: Fraction | int) -> int:
+    """A time or duration in ms as whole eighths of a ms, rounded down."""
+    return ms.numerator * UNITS_PER_MS // ms.denominator
 
 
 def _ceil_to(t: int, tick: int) -> int:
@@ -160,7 +139,7 @@ def _ceil_to(t: int, tick: int) -> int:
 
 @dataclass
 class SwitchWindow:
-    """An open switch window; its times are on the owning machine's clock."""
+    """An open switch window; its times are in eighths of a ms."""
 
     end_ms: int
     commit_at: int  # the first tick of the cell's grid at or after end_ms
@@ -184,18 +163,18 @@ class CellStateMachine:
 
     Every handler returns the trace records it produced. Handlers that
     reject their event raise EventRejection before touching any state.
-    Times in and out are whole counts on `clock`; the records carry ms.
-    A direct caller builds a clock, say `clock = CountClock(8)`, passes
-    each time as `clock.count(ms)`, and reads the records' `at_ms`.
+    Times in and out are whole eighths of a ms; the records carry ms. A
+    direct caller passes each time as `to_units(ms)`, `8 * ms` as an int,
+    and reads the records' `at_ms`.
     """
 
-    def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability, clock: CountClock):
+    def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability):
         self.cell = cell
         self.cfg = cfg
         self.cap = cap
-        self.clock = clock
-        self.tick = clock.count(cfg.tick_ms)
+        self.tick = to_units(cfg.tick_ms)
         self.state = BwpState(active_dl=0, active_ul=0 if cfg.has_uplink else None)
+        self._last: tuple[Optional[int], Optional[Fraction]] = (None, None)
 
     # ------------------------------------------------------------------
     # event handlers
@@ -238,7 +217,7 @@ class CellStateMachine:
             raise EventRejection("InvalidTarget", f"first-active UL BWP #{first_active_ul} not configured")
 
         delay = self._switch_delay(first_active_dl, first_active_ul)
-        end = now + self.clock.count(self.cfg.rrc_processing_delay_ms) + delay
+        end = now + to_units(self.cfg.rrc_processing_delay_ms) + delay
         cause = (
             SwitchCause.FIRST_ACTIVE_ON_SCELL_ACTIVATION
             if scell_activation
@@ -399,11 +378,17 @@ class CellStateMachine:
     # ------------------------------------------------------------------
     # internals
 
+    def _ms(self, t: int) -> Fraction:
+        """A time in ms, as the records carry it; the records of one time share one Fraction."""
+        if t != self._last[0]:
+            self._last = (t, Fraction(t, UNITS_PER_MS))
+        return self._last[1]
+
     def _rec(self, t: int, kind: str, **fields) -> TraceRecord:
-        return TraceRecord(self.clock.ms(t), self.cell, kind, fields)
+        return TraceRecord(self._ms(t), self.cell, kind, fields)
 
     def _switch_delay(self, target_dl: Optional[int], target_ul: Optional[int]) -> int:
-        """Delay budget on the clock for moving to the targets; None leaves a direction alone.
+        """Delay budget in eighths of a ms for moving to the targets; None leaves a direction alone.
 
         Every trigger goes through here: the smallest SCS among the current
         and target BWPs of the moving directions governs, and a 240 kHz
@@ -423,7 +408,7 @@ class CellStateMachine:
             spec = switch_delay_khz(min(scs), max(scs), self.cap.switch_delay_type)
         except UnsupportedScs as exc:
             raise EventRejection("UnsupportedScs", str(exc)) from exc
-        return self.clock.count(spec.duration_ms)
+        return to_units(spec.duration_ms)
 
     def _open_window(
         self,
@@ -439,7 +424,7 @@ class CellStateMachine:
             self._rec(
                 start,
                 WINDOW_OPEN,
-                end_ms=self.clock.ms_str(end),
+                end_ms=ms_str(Fraction(end, UNITS_PER_MS)),  # not _ms(end): keeps start's Fraction cached
                 target_dl=target_dl,
                 target_ul=target_ul,
                 cause=cause.value,
@@ -488,7 +473,7 @@ class CellStateMachine:
             delay = self._switch_delay(default, target_ul)
         except EventRejection as rej:
             # a 240 kHz BWP cannot be switched; record the stuck expiry
-            records.append(rejection_record(self.clock.ms(now), self.cell, TIMER_EXPIRY, rej))
+            records.append(rejection_record(self._ms(now), self.cell, TIMER_EXPIRY, rej))
             return
         self._open_window(now, now + delay, default, target_ul,
                           SwitchCause.TIMER_EXPIRY, records)
@@ -507,7 +492,7 @@ class CellStateMachine:
         tick = self.tick
         # the first whole period ends at the first tick boundary a full tick
         # after arming; the last of value/tick periods ends value - tick later
-        st.timer_expires_at = _ceil_to(now + tick, tick) + self.clock.count(value) - tick
+        st.timer_expires_at = _ceil_to(now + tick, tick) + to_units(value) - tick
         records.append(
             self._rec(now, TIMER_RESTART if was_running else TIMER_START, value_ms=value)
         )

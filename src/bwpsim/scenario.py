@@ -239,8 +239,10 @@ def load_scenario(path: str | Path) -> Scenario:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, deep nesting
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     return scenario_from_obj(obj)

@@ -2,10 +2,9 @@
 
 One record per line when serialized (JSON objects with sorted keys), so
 golden traces can be diffed byte-for-byte. Timestamps are exact rationals
-rendered as minimal decimal strings. Every time of a run is a multiple of
-1/lcm(8, d) ms, where d is the denominator of the horizon: a decimal
-horizon makes d a product of 2s and 5s, so the rendering is always finite
-and round-trips exactly.
+rendered as minimal decimal strings. Every time of a run is a whole
+eighth of a ms, except the horizon that `RunEnd` carries, which is a
+decimal; so the rendering is always finite and round-trips exactly.
 """
 
 from __future__ import annotations
@@ -137,9 +136,11 @@ def read_trace(lines: Iterable[str]) -> list[TraceRecord]:
         if not line:
             continue
         try:
-            records.append(TraceRecord.from_obj(json.loads(line)))
-        except json.JSONDecodeError as exc:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, deep nesting
             raise MalformedTrace(f"line {lineno}: not valid JSON: {exc}") from exc
+        try:
+            records.append(TraceRecord.from_obj(obj))
         except MalformedTrace as exc:
             raise MalformedTrace(f"line {lineno}: {exc}") from exc
     return records

@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
-import bwpsim as b
+import pytest
 
-# The clock of the tests that drive a machine directly. Its scale is not
-# the 8 units per ms that run() picks for a whole-ms horizon, so a machine
-# whose arithmetic assumes one scale fails them.
-CLOCK = b.CountClock(40)
+import bwpsim as b
+from bwpsim.fsm import to_units
+
+# Python's limit on the digits of an int parsed from a string, 3.10.7 and later
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="this Python has no int digit limit")
 
 
 def at(ms: Fraction | int) -> int:
-    """A time or duration in ms as a count on CLOCK."""
-    return CLOCK.count(Fraction(ms))
+    """A time or duration in ms in a machine's unit, whole eighths of a ms."""
+    return to_units(Fraction(ms))
 
 
 # Channel bandwidth that comfortably fits a 100-RB grid per numerology.

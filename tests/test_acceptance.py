@@ -18,7 +18,6 @@ from bwpsim.config import effective_default_dl
 from bwpsim.dci import InvalidCodepoint, Unaddressable
 from bwpsim.fsm import CellStateMachine, EventRejection
 from support import (
-    CLOCK,
     adaptation_scenario,
     assert_machine_invariants,
     at,
@@ -172,7 +171,7 @@ def _random_machine(rng: random.Random) -> CellStateMachine:
         first_active=rng.choice([None, 1, 2]),
     )
     cap = b.UeCapability(max_rrc_bwps=4, switch_delay_type=rng.choice(list(b.DelayType)))
-    return CellStateMachine("c", cfg, cap, CLOCK)
+    return CellStateMachine("c", cfg, cap)
 
 
 def _walk_machine(rng: random.Random, steps: int = 25):
@@ -229,7 +228,7 @@ def test_criterion_06_timer_properties():
 
     # FR2 decrements half-subframes: a 2 ms timer expires after exactly 4 ticks
     m = CellStateMachine(
-        "c", centered_cell(fr=b.FrequencyRange.FR2, mu=3, timer_ms=2), CAP4, CLOCK
+        "c", centered_cell(fr=b.FrequencyRange.FR2, mu=3, timer_ms=2), CAP4
     )
     m.on_dci(at(5), b.DciEvent(b.DciFormat.FMT_1_0))  # arms at 5
     expiry_times = []

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from bwpsim.cli import main
+from support import NEEDS_DIGIT_LIMIT
 from test_scenario_io import BAD_FIELDS, adaptation_doc, mutated
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -167,6 +168,25 @@ class TestRun:
 def test_bad_documents_exit_2_without_traceback(tmp_path, capsys, command, path, value):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps(mutated(adaptation_doc(), path, value)))
+    assert main([command, str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"version": "bwpsim/1", "cells": "\xff"}',
+        b"[" * 100_000 + b"]" * 100_000,
+        pytest.param(b'{"version": ' + b"1" * 5000 + b"}", marks=NEEDS_DIGIT_LIMIT),
+    ],
+    ids=["not-utf8", "nested-100000-deep", "int-of-5000-digits"],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_undecodable_files_exit_2_without_traceback(tmp_path, capsys, command, content):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(content)
     assert main([command, str(doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -12,6 +12,7 @@ import pytest
 
 import bwpsim as b
 from support import (
+    NEEDS_DIGIT_LIMIT,
     adaptation_cell,
     adaptation_scenario,
     centered_cell,
@@ -172,16 +173,27 @@ class TestScenarioErrors:
             (F(603, 10), F(6031, 100), b.ScenarioInvalid),
             (F(603, 10), F(603, 10), b.EventMisaligned),
             (F(10**302 + 1, 10**300), F(10**302 + 1, 10**300), b.EventMisaligned),
+            (F(1, 10), F(0), None),
+            (F(1, 10), F(1, 10), b.EventMisaligned),
+            (F(1, 10), F(11, 100), b.ScenarioInvalid),
         ],
-        ids=["just-after-60.3", "at-60.3", "at-denominator-1e300"],
+        ids=["just-after-60.3", "at-60.3", "at-denominator-1e300",
+             "at-0-before-0.1", "at-0.1", "just-after-0.1"],
     )
     def test_event_near_an_off_grid_horizon(self, horizon, at, error):
-        # the horizon is a whole count of the run's clock: an event at it is
-        # inside the run and off every tick grid, one between it and the next
-        # count is outside the run
+        # an event at the horizon is inside the run and off every tick grid,
+        # one past it is outside the run, though both round down to the
+        # run's last eighth; a run shorter than one eighth still delivers 0
         scn = adaptation_scenario()
         scn.horizon_ms = horizon
         scn.events = [b.SimEvent(at, "pcell", b.EventKind.RACH_START)]
+        if error is None:
+            scn.events.append(b.SimEvent(at, "pcell", b.EventKind.DATA_DL_ASSIGNMENT))
+            trace, metrics = b.run(scn)
+            assert [(r.at_ms, r.record) for r in trace] == [
+                (0, RUN_START), (0, "DataServed"), (horizon, RUN_END)]
+            assert b.replay_metrics(trace) == metrics and metrics.total_time_ms == horizon
+            return
         with pytest.raises(b.ScenarioInvalid) as exc:
             b.run(scn)
         assert type(exc.value) is error
@@ -324,6 +336,20 @@ class TestReadTrace:
         lines = self._lines()
         lines[2] = lines[2].replace('"at_ms": "', '"at_ms": "1e999999999', 1)
         with pytest.raises(b.MalformedTrace, match=r"^line 3: "):
+            b.read_trace(lines)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            pytest.param('{"at_ms": ' + "1" * 5000 + "}", marks=NEEDS_DIGIT_LIMIT),
+        ],
+        ids=["nested-100000-deep", "int-of-5000-digits"],
+    )
+    def test_undecodable_line_names_its_line(self, line):
+        lines = self._lines()
+        lines[1] = line
+        with pytest.raises(b.MalformedTrace, match=r"^line 2: not valid JSON"):
             b.read_trace(lines)
 
     @pytest.mark.parametrize("key", ["cell", "record"])
@@ -473,7 +499,7 @@ def count_ticks(monkeypatch, limit=None):
     def counted(self, now):
         calls[0] += 1
         if limit is not None and calls[0] > limit:
-            raise AssertionError(f"on_tick called over {limit} times, now at {now} ms")
+            raise AssertionError(f"on_tick called over {limit} times, now at {F(now, 8)} ms")
         return on_tick(self, now)
 
     monkeypatch.setattr(CellStateMachine, "on_tick", counted)
@@ -510,11 +536,11 @@ def test_run_cost_follows_the_records_not_the_horizon(monkeypatch):
 
 @pytest.mark.parametrize("horizon", ["60.3", "100." + "0" * 299 + "1", "50.5"],
                          ids=["off-grid", "denominator-1e300", "inside-open-window"])
-def test_awkward_horizons_run_on_their_own_scale(horizon, monkeypatch):
+def test_awkward_horizons_run_and_replay(horizon, monkeypatch):
     """The TDD fixture at an off-grid horizon, at one whose denominator is
     10**300, and at one inside the expiry window open from 50 to 51 ms: each
     run writes the step loop's trace, replays to its metrics, and ticks its
-    cells a few dozen times, not once per count of its fine clock."""
+    cells a few dozen times, not once per eighth of a ms."""
     doc = json.loads((FIXTURES / "tdd_scenario.json").read_text())
     doc["horizon_ms"] = horizon
     scn = scenario_from_obj(doc)
@@ -528,6 +554,23 @@ def test_awkward_horizons_run_on_their_own_scale(horizon, monkeypatch):
     assert metrics.total_time_ms == b.parse_ms(horizon)
     if horizon == "50.5":
         assert [r.record for r in trace[-3:]] == ["TimerExpiry", "WindowOpen", RUN_END]
+
+
+def test_a_horizon_only_bounds_the_run(monkeypatch):
+    """At the horizon 10**-300 ms past 100 ms the TDD fixture's cells tick
+    in eighths of a ms up to 100 ms, 800 eighths, and no further."""
+    times = []
+    on_tick = CellStateMachine.on_tick
+
+    def ticked(self, now):
+        times.append(now)
+        return on_tick(self, now)
+
+    monkeypatch.setattr(CellStateMachine, "on_tick", ticked)
+    doc = json.loads((FIXTURES / "tdd_scenario.json").read_text())
+    doc["horizon_ms"] = "100." + "0" * 299 + "1"
+    b.run(scenario_from_obj(doc))
+    assert max(times) == 800
 
 
 def test_run_drives_the_machines_on_an_integer_clock(monkeypatch):

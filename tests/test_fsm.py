@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bwpsim as b
-from bwpsim.fsm import CellStateMachine, EventRejection
-from support import CLOCK, adaptation_cell, assert_machine_invariants, at, centered_cell, make_bwp
+from bwpsim.fsm import UNITS_PER_MS, CellStateMachine, EventRejection, to_units
+from support import adaptation_cell, assert_machine_invariants, at, centered_cell, make_bwp
 
 T1 = b.DelayType.TYPE1
 T2 = b.DelayType.TYPE2
@@ -26,7 +26,7 @@ DELAY_TABLE = {
 def machine(cfg, delay_type=T1) -> CellStateMachine:
     cap = b.UeCapability(max_rrc_bwps=4, switch_delay_type=delay_type)
     assert not b.validate(cfg, cap).has_errors
-    return CellStateMachine("cell", cfg, cap, CLOCK)
+    return CellStateMachine("cell", cfg, cap)
 
 
 def tick_until(m: CellStateMachine, start: int, end: int) -> list[b.TraceRecord]:
@@ -73,26 +73,24 @@ class TestSwitchDelayTable:
             b.switch_delay_khz(15, 240, T2)
 
 
-class TestCountClock:
-    @pytest.mark.parametrize("per_ms", [0, 12, -8])
-    def test_scale_is_a_positive_multiple_of_8(self, per_ms):
-        with pytest.raises(ValueError):
-            b.CountClock(per_ms)
+class TestUnits:
+    def test_units_round_trip_to_ms(self):
+        m = machine(adaptation_cell())
+        for k in (0, 1, 3, 7, 8, 9, 61, 10**6, 8 * 10**300 + 5):
+            x = F(k, UNITS_PER_MS)
+            assert to_units(x) == k
+            assert m._ms(to_units(x)) == x
+            assert m._ms(k) is m._ms(k)  # the records of one time share one Fraction
+        assert to_units(5) == 5 * UNITS_PER_MS
 
-    @pytest.mark.parametrize("per_ms", [8, 80, 8 * 10**300], ids=["8", "80", "8e300"])
-    def test_counts_round_trip_to_ms(self, per_ms):
-        clock = b.CountClock(per_ms)
-        for k in (0, 1, 3, per_ms - 1, per_ms, per_ms + 1, 7 * per_ms + 5, 10**6):
-            x = F(k, per_ms)
-            assert clock.count(x) == k
-            assert clock.ms(clock.count(x)) == x
-            assert clock.ms(k) is clock.ms(k)  # the records of one time share one Fraction
-            assert clock.ms_str(k) == b.ms_str(F(k, per_ms))
-        assert clock.count(5) == 5 * per_ms
+    def test_off_grid_times_round_down(self):
+        assert [to_units(F(x)) for x in ("0.1", "0.124", "60.3", "-0.01")] == [0, 0, 482, -1]
 
-    def test_ms_str_renders_a_count_in_ms(self):
-        assert b.CountClock(80).ms_str(3) == "0.0375"
-        assert b.CountClock(8).ms_str(90) == "11.25"
+    def test_window_end_renders_in_ms(self):
+        m = machine(centered_cell(fr=b.FrequencyRange.FR2, mu=3), delay_type=T2)
+        recs = m.on_dci(at(9), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
+        assert recs[0].fields["end_ms"] == "11.25"  # 18 slots of 1/8 ms
+        assert m.state.switch_window.end_ms == 90
 
 
 class TestRrcSwitch:
@@ -450,7 +448,7 @@ def test_random_op_sequences_hold_invariants(duplex, fr_mu, timer_ms, default_dl
     cfg = centered_cell(duplex=duplex, fr=fr, mu=mu, timer_ms=timer_ms,
                         default_dl=default_dl, prach_on=prach)
     m = CellStateMachine("c", cfg, b.UeCapability(max_rrc_bwps=4,
-                                                  switch_delay_type=delay_type), CLOCK)
+                                                  switch_delay_type=delay_type))
     now = 0
     for op in ops:
         try:

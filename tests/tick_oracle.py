@@ -8,23 +8,19 @@ deadline bookkeeping. On the way it checks the claim that lets `run()`
 skip ticks: a tick before a cell's `next_deadline()` emits nothing and
 leaves the state as it was, and no deadline is passed without a tick.
 It also counts the ticks that meet a deadline: `run()` should make
-those and one more per cell at the horizon, and no other.
-
-Its machines run on a `CountClock` of three times `run()`'s scale, so
-the two agree byte for byte only if the machine's arithmetic does not
-depend on the scale: a delay or timer value counted in fixed units, say
-eighths of a ms, shows as a different trace.
+those and one more per cell at the horizon, and no other. Like `run()`
+it counts eighths of a ms and stops at the last one at or before the
+horizon.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from fractions import Fraction
 
 from bwpsim.config import effective_default_dl
 from bwpsim.engine import _PHASE, Scenario, _dispatch
-from bwpsim.fsm import CellStateMachine, CountClock
+from bwpsim.fsm import UNITS_PER_MS, CellStateMachine, to_units
 from bwpsim.trace import RUN_END, RUN_START, TraceRecord
 
 
@@ -51,11 +47,10 @@ def tick_run(scenario: Scenario) -> tuple[list[TraceRecord], int]:
     """The trace of a scenario that `run()` accepts, by the step loop, and
     the number of ticks that met their cell's deadline."""
     horizon = Fraction(scenario.horizon_ms)
-    clock = CountClock(3 * math.lcm(8, horizon.denominator))
-    end = clock.count(horizon)
+    end = to_units(horizon)
     cell_order = list(scenario.cells)
     machines = {
-        cid: CellStateMachine(cid, cfg, scenario.capability, clock) for cid, cfg in scenario.cells.items()
+        cid: CellStateMachine(cid, cfg, scenario.capability) for cid, cfg in scenario.cells.items()
     }
     trace = []
     for cid in cell_order:
@@ -67,11 +62,11 @@ def tick_run(scenario: Scenario) -> tuple[list[TraceRecord], int]:
             "default_dl": effective_default_dl(cfg),
         }))
 
-    step = min((m.tick for m in machines.values()), default=clock.per_ms)
+    step = min((m.tick for m in machines.values()), default=UNITS_PER_MS)
     strides = [(cid, machines[cid].tick // step) for cid in cell_order]
     events_at: dict[int, list] = {}
     for ev in sorted(scenario.events, key=lambda ev: _PHASE[ev.kind]):  # stable: input order
-        events_at.setdefault(clock.count(ev.at_ms) // step, []).append(ev)
+        events_at.setdefault(to_units(ev.at_ms) // step, []).append(ev)
 
     reached = 0
     for k in range(end // step + 1):
