@@ -262,7 +262,9 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
         due[cid] = never if d is None else d
 
     while True:
-        now = min([*due.values(), event_times[-1] if event_times else never])
+        now = min(due.values(), default=never)
+        if event_times and event_times[-1] < now:
+            now = event_times[-1]
         if now > end:
             break
         for cid in cell_order:
@@ -335,7 +337,7 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
     horizon: Optional[Fraction] = None
     last_t: Optional[Fraction] = None
     for rec in trace:
-        if last_t is not None and rec.at_ms < last_t:
+        if rec.at_ms is not last_t and last_t is not None and rec.at_ms < last_t:
             raise MalformedTrace(
                 f"timestamps decrease at {rec.at_ms} ms (after {last_t} ms)"
             )

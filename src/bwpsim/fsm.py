@@ -44,6 +44,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .config import (
+    BwpConfig,
     CellConfig,
     DelayType,
     Duplex,
@@ -132,6 +133,14 @@ def to_units(ms: Fraction | int) -> int:
     return ms.numerator * UNITS_PER_MS // ms.denominator
 
 
+def _by_id(bwps: tuple[BwpConfig, ...]) -> dict[int, tuple[int, int]]:
+    """(n_rbs, scs_khz) by BWP id; the first BWP of a repeated id wins."""
+    table: dict[int, tuple[int, int]] = {}
+    for b in reversed(bwps):
+        table[b.id] = (b.geometry.n_rbs, b.geometry.numerology.scs_khz)
+    return table
+
+
 def _ceil_to(t: int, tick: int) -> int:
     """The first multiple of `tick` at or after `t`."""
     return -(-t // tick) * tick
@@ -166,6 +175,11 @@ class CellStateMachine:
     Times in and out are whole eighths of a ms; the records carry ms. A
     direct caller passes each time as `to_units(ms)`, `8 * ms` as an int,
     and reads the records' `at_ms`.
+
+    `cfg` and `cap` are fixed at construction: the machine derives its
+    per-cell tables from them once (indicator contexts, each BWP's width
+    and SCS by id, the default DL BWP, switch delays by SCS pair) and
+    never reads them back for those values.
     """
 
     def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability):
@@ -175,6 +189,13 @@ class CellStateMachine:
         self.tick = to_units(cfg.tick_ms)
         self.state = BwpState(active_dl=0, active_ul=0 if cfg.has_uplink else None)
         self._last: tuple[Optional[int], Optional[Fraction]] = (None, None)
+        self._dl, self._ul = _by_id(cfg.dl_bwps), _by_id(cfg.ul_bwps)  # (n_rbs, scs_khz) by BWP id
+        self._indicator = {
+            direction: IndicatorContext(sum(1 for b in bwps if b.id != 0))
+            for direction, bwps in ((Direction.DL_ASSIGNMENT, cfg.dl_bwps), (Direction.UL_GRANT, cfg.ul_bwps))
+        }
+        self._default_dl = effective_default_dl(cfg)
+        self._delays: dict[tuple[int, int], int] = {}  # eighths of a ms by (smaller, larger) SCS
 
     # ------------------------------------------------------------------
     # event handlers
@@ -211,9 +232,9 @@ class CellStateMachine:
             first_active_ul = paired
         if first_active_ul is not None and not self.cfg.has_uplink:
             raise EventRejection("InvalidTarget", "first-active UL on a cell without UL BWPs")
-        if first_active_dl is not None and not self.cfg.has_dl_bwp(first_active_dl):
+        if first_active_dl is not None and first_active_dl not in self._dl:
             raise EventRejection("InvalidTarget", f"first-active DL BWP #{first_active_dl} not configured")
-        if first_active_ul is not None and not self.cfg.has_ul_bwp(first_active_ul):
+        if first_active_ul is not None and first_active_ul not in self._ul:
             raise EventRejection("InvalidTarget", f"first-active UL BWP #{first_active_ul} not configured")
 
         delay = self._switch_delay(first_active_dl, first_active_ul)
@@ -251,10 +272,8 @@ class CellStateMachine:
         to_ul = dci.direction is Direction.UL_GRANT
         if to_ul and not self.cfg.has_uplink:
             raise EventRejection("NoUplinkConfigured", "UL grant on a DL-only cell")
-        bwps = self.cfg.ul_bwps if to_ul else self.cfg.dl_bwps
-        ctx = IndicatorContext(sum(1 for b in bwps if b.id != 0))
         try:
-            target = decode_indicator(dci.bwp_indicator_bits or "", ctx)
+            target = decode_indicator(dci.bwp_indicator_bits or "", self._indicator[dci.direction])
         except IndicatorError as exc:
             raise EventRejection(type(exc).__name__, str(exc)) from exc
         current = st.active_ul if to_ul else st.active_dl
@@ -270,8 +289,8 @@ class CellStateMachine:
             target_dl, target_ul, what = None, target, "UL BWP"
         else:
             target_dl, target_ul, what = target, None, "DL BWP"
-        if (target_dl is not None and not self.cfg.has_dl_bwp(target_dl)) or (
-            target_ul is not None and not self.cfg.has_ul_bwp(target_ul)
+        if (target_dl is not None and target_dl not in self._dl) or (
+            target_ul is not None and target_ul not in self._ul
         ):
             raise EventRejection("TargetNotConfigured", f"{what} #{target} not configured")
         delay = self._switch_delay(target_dl, target_ul)
@@ -305,10 +324,11 @@ class CellStateMachine:
         emits nothing and changes nothing.
         """
         st = self.state
-        due = [st.switch_window.commit_at] if st.switch_window is not None else []
-        if st.timer_expires_at is not None:
-            due.append(st.timer_expires_at)
-        return min(due, default=None)
+        timer = st.timer_expires_at
+        if st.switch_window is None:
+            return timer
+        commit = st.switch_window.commit_at
+        return commit if timer is None or commit <= timer else timer
 
     def on_rach_start(self, now: int) -> list[TraceRecord]:
         """Begin random access: clear the timer, move to a PRACH-capable UL.
@@ -334,7 +354,7 @@ class CellStateMachine:
                 target_dl = target_ul
         elif self.cfg.cell_role.is_spcell and st.active_dl != new_ul:
             target_dl = new_ul
-        if target_dl is not None and not self.cfg.has_dl_bwp(target_dl):
+        if target_dl is not None and target_dl not in self._dl:
             raise EventRejection("InvalidTarget", f"no DL BWP #{target_dl} to align with the UL BWP")
         moves = target_dl is not None or target_ul is not None
         delay = self._switch_delay(target_dl, target_ul) if moves else None
@@ -368,10 +388,10 @@ class CellStateMachine:
         if direction is Direction.UL_GRANT:
             if not self.cfg.has_uplink:
                 raise EventRejection("NoUplinkConfigured", "UL data on a DL-only cell")
-            n_rbs = self.cfg.ul_bwp(st.active_ul).geometry.n_rbs
+            n_rbs = self._ul[st.active_ul][0]
             tag = "ul"
         else:
-            n_rbs = self.cfg.dl_bwp(st.active_dl).geometry.n_rbs
+            n_rbs = self._dl[st.active_dl][0]
             tag = "dl"
         return [self._rec(now, DATA_SERVED, direction=tag, n_rbs=n_rbs)]
 
@@ -392,23 +412,26 @@ class CellStateMachine:
 
         Every trigger goes through here: the smallest SCS among the current
         and target BWPs of the moving directions governs, and a 240 kHz
-        BWP among them rejects the switch.
+        BWP among them rejects the switch. Only an accepted pair's delay
+        is kept, so a 240 kHz switch is rejected every time.
         """
-        st, cfg = self.state, self.cfg
+        st = self.state
         scs: list[int] = []
         if target_dl is not None:
-            scs += [cfg.dl_bwp(st.active_dl).geometry.numerology.scs_khz,
-                    cfg.dl_bwp(target_dl).geometry.numerology.scs_khz]
+            scs += [self._dl[st.active_dl][1], self._dl[target_dl][1]]
         if target_ul is not None:
-            scs += [cfg.ul_bwp(st.active_ul).geometry.numerology.scs_khz,
-                    cfg.ul_bwp(target_ul).geometry.numerology.scs_khz]
-        try:
-            # every SCS is 15*2**mu kHz with mu <= 4, so 240 kHz, the only one
-            # without a requirement, is always the largest
-            spec = switch_delay_khz(min(scs), max(scs), self.cap.switch_delay_type)
-        except UnsupportedScs as exc:
-            raise EventRejection("UnsupportedScs", str(exc)) from exc
-        return to_units(spec.duration_ms)
+            scs += [self._ul[st.active_ul][1], self._ul[target_ul][1]]
+        # every SCS is 15*2**mu kHz with mu <= 4, so 240 kHz, the only one
+        # without a requirement, is always the largest
+        pair = (min(scs), max(scs))
+        delay = self._delays.get(pair)
+        if delay is None:
+            try:
+                spec = switch_delay_khz(*pair, self.cap.switch_delay_type)
+            except UnsupportedScs as exc:
+                raise EventRejection("UnsupportedScs", str(exc)) from exc
+            delay = self._delays[pair] = to_units(spec.duration_ms)
+        return delay
 
     def _open_window(
         self,
@@ -453,10 +476,10 @@ class CellStateMachine:
                         new_dl=st.active_dl,
                         new_ul=st.active_ul,
                         cause=w.cause.value,
-                        new_dl_rbs=self.cfg.dl_bwp(st.active_dl).geometry.n_rbs,
+                        new_dl_rbs=self._dl[st.active_dl][0],
                     )
                 )
-            if st.active_dl == effective_default_dl(self.cfg):
+            if st.active_dl == self._default_dl:
                 # the default BWP carries no inactivity tracking
                 st.timer_expires_at = None
             elif w.expiry_pending:
@@ -467,7 +490,7 @@ class CellStateMachine:
                 self._try_arm_timer(t, records)
 
     def _open_expiry_window(self, now: int, records: list[TraceRecord]) -> None:
-        default = effective_default_dl(self.cfg)
+        default = self._default_dl
         target_ul = default if (self.cfg.duplex is Duplex.TDD and self.cfg.has_uplink) else None
         try:
             delay = self._switch_delay(default, target_ul)
@@ -486,7 +509,7 @@ class CellStateMachine:
     def _try_arm_timer(self, now: int, records: list[TraceRecord]) -> None:
         st = self.state
         value = self.cfg.inactivity_timer_ms
-        if value is None or st.rach_in_progress or st.active_dl == effective_default_dl(self.cfg):
+        if value is None or st.rach_in_progress or st.active_dl == self._default_dl:
             return
         was_running = st.timer_expires_at is not None
         tick = self.tick

@@ -5,6 +5,11 @@ golden traces can be diffed byte-for-byte. Timestamps are exact rationals
 rendered as minimal decimal strings. Every time of a run is a whole
 eighth of a ms, except the horizon that `RunEnd` carries, which is a
 decimal; so the rendering is always finite and round-trips exactly.
+
+The records of one time share one `Fraction`, both those `run()` emits
+and those `read_trace` reads back, so a time is rendered once per run of
+records that carry it and parsed once per run of lines that spell it
+alike, and replay compares times only where the object changes.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Any, Iterable, TextIO
+from typing import Any, Callable, Iterable, TextIO
 
 # Record kinds
 RUN_START = "RunStart"
@@ -32,6 +37,12 @@ DATA_SERVED = "DataServed"
 # An exact Fraction of 10**e takes time and memory in the size of e;
 # +-400 still admits every finite float (5e-324 .. 1.8e308).
 MAX_EXPONENT = 400
+
+
+# json.dumps builds a new encoder on every call that passes these arguments
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
+_HEADER = ("at_ms", "cell", "record")
+_NO_TIME = object()  # the time before the first record's
 
 
 class MalformedTrace(Exception):
@@ -101,35 +112,64 @@ class TraceRecord:
     fields: dict[str, Any] = field(default_factory=dict)
 
     def to_obj(self) -> dict[str, Any]:
-        obj: dict[str, Any] = {"at_ms": ms_str(self.at_ms), "cell": self.cell, "record": self.record}
-        obj.update(self.fields)
-        return obj
+        """The record as a JSON object; ValueError if a payload field reuses a header key."""
+        return self._obj(ms_str(self.at_ms))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(", ", ": "))
+        return _ENCODER.encode(self.to_obj())
+
+    def _obj(self, at_ms: str) -> dict[str, Any]:
+        """to_obj with the time already rendered as `at_ms`."""
+        obj: dict[str, Any] = {"at_ms": at_ms, "cell": self.cell, "record": self.record}
+        obj.update(self.fields)
+        if len(obj) != len(_HEADER) + len(self.fields):
+            clash = ", ".join(repr(k) for k in _HEADER if k in self.fields)
+            raise ValueError(f"{self.record} record: payload field {clash} would overwrite the header")
+        return obj
 
     @classmethod
     def from_obj(cls, obj: Any) -> "TraceRecord":
-        if not isinstance(obj, dict):
-            raise MalformedTrace("expected an object")
-        cell, record = obj.get("cell"), obj.get("record")
-        if type(cell) is not str or type(record) is not str:
-            raise MalformedTrace(f"bad trace record {obj!r}: cell and record must be strings")
-        try:
-            at_ms = parse_ms(obj.get("at_ms"))
-        except ValueError as exc:
-            raise MalformedTrace(f"bad trace record {obj!r}: at_ms: {exc}") from exc
-        fields = {k: v for k, v in obj.items() if k not in ("at_ms", "cell", "record")}
-        return cls(at_ms, cell, record, fields)
+        return _record(obj, parse_ms)
+
+
+def _record(obj: Any, parse_at: Callable[[Any], Fraction]) -> TraceRecord:
+    """TraceRecord.from_obj, taking its time from `parse_at(obj["at_ms"])`."""
+    if not isinstance(obj, dict):
+        raise MalformedTrace("expected an object")
+    cell, record = obj.get("cell"), obj.get("record")
+    if type(cell) is not str or type(record) is not str:
+        raise MalformedTrace(f"bad trace record {obj!r}: cell and record must be strings")
+    try:
+        at_ms = parse_at(obj.get("at_ms"))
+    except ValueError as exc:
+        raise MalformedTrace(f"bad trace record {obj!r}: at_ms: {exc}") from exc
+    fields = {k: v for k, v in obj.items() if k not in _HEADER}
+    return TraceRecord(at_ms, cell, record, fields)
 
 
 def write_trace(records: Iterable[TraceRecord], out: TextIO) -> None:
+    """One JSON line per record, as `to_json`; a time is rendered once per
+    run of records that share its object."""
+    last: Any = _NO_TIME
     for rec in records:
-        out.write(rec.to_json())
+        if rec.at_ms is not last:
+            last, at_ms = rec.at_ms, ms_str(rec.at_ms)
+        out.write(_ENCODER.encode(rec._obj(at_ms)))
         out.write("\n")
 
 
 def read_trace(lines: Iterable[str]) -> list[TraceRecord]:
+    """The records of a JSON-lines trace; consecutive lines whose `at_ms`
+    is spelled alike share one parsed Fraction."""
+    last: tuple[Any, Fraction] = (_NO_TIME, Fraction(0))
+
+    def parse_at(raw: Any) -> Fraction:
+        nonlocal last
+        # the type check keeps a JSON true from reading as a cached 1
+        if raw != last[0] or type(raw) is not type(last[0]):
+            last = (raw, parse_ms(raw))
+        return last[1]
+
     records = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -140,7 +180,7 @@ def read_trace(lines: Iterable[str]) -> list[TraceRecord]:
         except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, deep nesting
             raise MalformedTrace(f"line {lineno}: not valid JSON: {exc}") from exc
         try:
-            records.append(TraceRecord.from_obj(obj))
+            records.append(_record(obj, parse_at))
         except MalformedTrace as exc:
             raise MalformedTrace(f"line {lineno}: {exc}") from exc
     return records

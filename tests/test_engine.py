@@ -1,5 +1,6 @@
 """Engine runs: determinism, trace structure, metrics, error paths."""
 
+import collections
 import dataclasses
 import io
 import json
@@ -20,6 +21,7 @@ from support import (
     random_scenario,
 )
 from tick_oracle import tick_run
+from bwpsim import fsm
 from bwpsim.fsm import CellStateMachine
 from bwpsim.scenario import scenario_from_obj
 from bwpsim.trace import RUN_END, RUN_START, STATE_CHANGE
@@ -365,6 +367,43 @@ class TestReadTrace:
         with pytest.raises(b.MalformedTrace, match=r"^line 1: expected an object"):
             b.read_trace(["[1, 2]"])
 
+    def test_records_of_one_time_share_one_fraction(self):
+        lines = self._lines()
+        back = b.read_trace(lines)
+        spelled = [json.loads(line)["at_ms"] for line in lines]
+        assert len(set(spelled)) < len(spelled)
+        for (a, ra), (z, rz) in zip(zip(spelled, back), zip(spelled[1:], back[1:])):
+            assert (ra.at_ms is rz.at_ms) == (a == z), (a, z)
+
+    def test_spellings_of_one_time_read_as_equal_values(self):
+        lines = [f'{{"at_ms": {t}, "cell": "c", "record": "R"}}' for t in ("5", "5.0", '"5"', '"5.000"')]
+        assert [r.at_ms for r in b.read_trace(lines)] == [F(5)] * 4
+
+    @pytest.mark.parametrize("bad", ['"2.5x"', "NaN", "true", "null"])
+    def test_bad_time_after_a_cached_one_names_its_line(self, bad):
+        """1 is read first, so a JSON true (equal to 1 in Python) cannot pass as it."""
+        lines = [f'{{"at_ms": {t}, "cell": "c", "record": "R"}}' for t in ("1", "1", bad)]
+        with pytest.raises(b.MalformedTrace, match=r"^line 3: .*at_ms"):
+            b.read_trace(lines)
+
+
+class TestWriteTrace:
+    @pytest.mark.parametrize(
+        "times",
+        [[F(5, 2)] * 3, [F(5, 2), F(5, 2), F(10, 4)], [3, 3, F(3)]],
+        ids=["one-fraction", "equal-fractions", "int-time"],
+    )
+    def test_bytes_are_the_records_json_lines(self, times):
+        records = [b.TraceRecord(t, f"c{k}", "R", {"k": k}) for k, t in enumerate(times)]
+        assert written(records) == "".join(r.to_json() + "\n" for r in records)
+
+    @pytest.mark.parametrize("key", ["at_ms", "cell", "record"])
+    def test_a_payload_field_cannot_overwrite_the_header(self, key):
+        rec = b.TraceRecord(F(5, 2), "pcell", "DataServed", {key: "x", "n_rbs": 3})
+        for render in (rec.to_obj, rec.to_json, lambda: written([rec])):
+            with pytest.raises(ValueError, match=repr(key)):
+                render()
+
 
 def test_rrc_goes_before_rach_at_one_timestamp():
     """Same-time ties deliver RRC before RACH, whatever the input order."""
@@ -597,3 +636,50 @@ def test_run_drives_the_machines_on_an_integer_clock(monkeypatch):
         assert {type(r.at_ms) for r in trace} == {F}, seed
     assert seen and {type(t) for t in seen} <= {int, type(None)}
     assert int in {type(t) for t in seen}
+
+
+def test_cell_tables_are_derived_once_per_machine(monkeypatch):
+    """A machine builds at most its two indicator contexts and looks up each
+    accepted (SCS pair, delay type) once, however many DCIs and switches it
+    handles; a 240 kHz switch is looked up, and rejected, every time. The
+    mixed-SCS golden decodes more DCIs than twice its cells."""
+    made, contexts, switches = [], [0], [0]
+    lookups = collections.Counter()
+    current = []
+    init, switch_delay = CellStateMachine.__init__, CellStateMachine._switch_delay
+    context, delay_khz = fsm.IndicatorContext, fsm.switch_delay_khz
+
+    def counted_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    def counted_context(n):
+        contexts[0] += 1
+        return context(n)
+
+    def tracked_switch(self, *targets):
+        switches[0] += 1
+        current.append(self)
+        try:
+            return switch_delay(self, *targets)
+        finally:
+            current.pop()
+
+    def counted_delay(lo, hi, kind):
+        spec = delay_khz(lo, hi, kind)  # raises for 240 kHz, so only accepted pairs count
+        lookups[current[-1], lo, hi, kind] += 1
+        return spec
+
+    monkeypatch.setattr(CellStateMachine, "__init__", counted_init)
+    monkeypatch.setattr(CellStateMachine, "_switch_delay", tracked_switch)
+    monkeypatch.setattr(fsm, "IndicatorContext", counted_context)
+    monkeypatch.setattr(fsm, "switch_delay_khz", counted_delay)
+    mixed_scs = scenario_from_obj(json.loads((FIXTURES / "mixed_scs_scenario.json").read_text()))
+    for seed, scn in [("mixed_scs", mixed_scs),
+                      *((seed, random_multicell_scenario(random.Random(seed))) for seed in range(100))]:
+        made.clear()
+        contexts[0] = 0
+        b.run(scn)
+        assert contexts[0] <= 2 * len(made), seed
+    assert max(lookups.values()) == 1
+    assert switches[0] > len(lookups)  # some switches reuse a pair their cell has seen

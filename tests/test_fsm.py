@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import bwpsim as b
 from bwpsim.fsm import UNITS_PER_MS, CellStateMachine, EventRejection, to_units
-from support import adaptation_cell, assert_machine_invariants, at, centered_cell, make_bwp
+from support import adaptation_cell, assert_machine_invariants, at, centered_cell, make_bwp, spread_cell
 
 T1 = b.DelayType.TYPE1
 T2 = b.DelayType.TYPE2
@@ -209,6 +209,43 @@ class TestDciSwitch:
         with pytest.raises(EventRejection) as exc:
             m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "10"))  # decodes to absent #2
         assert exc.value.reason == "TargetNotConfigured"
+
+
+    def test_each_direction_decodes_with_its_own_width(self):
+        """Three DL BWPs take a 2-bit indicator, two UL BWPs a 1-bit one."""
+        cfg = centered_cell()
+        cfg = dataclasses.replace(cfg, ul_bwps=cfg.ul_bwps[:2])
+        m = machine(cfg)
+        m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_0_1, "1"))
+        tick_until(m, at(2), at(3))
+        m.on_dci(at(4), b.DciEvent(b.DciFormat.FMT_1_1, "10"))
+        tick_until(m, at(4), at(5))
+        assert (m.state.active_dl, m.state.active_ul) == (2, 1)
+        with pytest.raises(EventRejection) as exc:
+            m.on_dci(at(6), b.DciEvent(b.DciFormat.FMT_0_1, "01"))
+        assert exc.value.reason == "LengthMismatch"
+
+    def test_240_khz_switch_is_rejected_after_a_smaller_pair_was_accepted(self):
+        """60 -> 120 kHz is accepted and its delay kept; 60 -> 240 kHz shares
+        the smaller SCS but is rejected, every time it is tried."""
+        cfg = spread_cell(fr=b.FrequencyRange.FR2, mus=(2, 3, 4), widths=(1, 1, 1), duplex=b.Duplex.FDD,
+                          role=b.CellRole.PCELL, default_dl=None, timer_ms=None, prach_on=frozenset({0}),
+                          first_active=None, rrc_delay_ms=10, initial_dedicated=True)
+        cap = b.UeCapability(max_rrc_bwps=4, mixed_numerology_bwps=True)
+        assert not b.validate(cfg, cap).has_errors
+        m = CellStateMachine("cell", cfg, cap)
+        m.on_dci(at(1), b.DciEvent(b.DciFormat.FMT_1_1, "01"))  # 60 -> 120 kHz: 3 slots of 60 kHz
+        assert m.state.switch_window.end_ms == at(F(7, 4))
+        tick_until(m, at(1), at(2))
+        m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "00"))  # 120 -> 60 kHz: the same pair
+        assert m.state.switch_window.end_ms == at(F(11, 4))
+        tick_until(m, at(2), at(3))
+        assert m.state.active_dl == 0
+        for t in (3, 4):
+            with pytest.raises(EventRejection) as exc:
+                m.on_dci(at(t), b.DciEvent(b.DciFormat.FMT_1_1, "10"))  # 60 -> 240 kHz
+            assert exc.value.reason == "UnsupportedScs"
+        assert m.state.switch_window is None and m.state.active_dl == 0
 
 
 # arming times on the tick grid and 1/8 ... 7/8 ms off it
