@@ -8,7 +8,6 @@ and the engine.
 
 from __future__ import annotations
 
-import json
 from enum import EnumMeta
 from fractions import Fraction
 from pathlib import Path
@@ -28,13 +27,14 @@ from .config import (
 from .dci import DciEvent, DciFormat
 from .engine import EventKind, Scenario, SimEvent
 from .grid import BwpGeometry, CyclicPrefix, FrequencyRange, HzSpan, Numerology
-from .trace import parse_ms
+from .trace import decode_json, parse_ms
 
 FORMAT_VERSION = "bwpsim/1"
 
 _REQUIRED = object()  # default of a field that must be present
 
 _EXPECTED = {int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
+_TIME_TYPES = (int, float, str)  # the JSON types of a time
 
 
 class ParseError(ValueError):
@@ -187,30 +187,45 @@ def _capability(obj: Any, where: str) -> UeCapability:
     )
 
 
-def _event(obj: Any, where: str) -> SimEvent:
-    kind = _get(obj, "kind", where, EventKind)
-    at_ms = _get(obj, "at_ms", where, _time)
-    cell = _get(obj, "cell", where, str)
-    dci = first_dl = first_ul = None
-    if kind is EventKind.DCI:
-        dci = _build(
-            where,
-            DciEvent,
-            format=_get(obj, "format", where, DciFormat),
-            bwp_indicator_bits=_get(obj, "bwp_indicator_bits", where, str, None),
+def _events() -> Callable[[Any, str], list]:
+    """A reader for one document's event list.
+
+    Events whose `at_ms` has one spelling (JSON type and value) share one
+    Fraction, and DCIs of one (format, bits) pair share one DciEvent.
+    Only values that parsed are kept, and only for the reader's lifetime.
+    """
+    times: dict[tuple[type, Any], Fraction] = {}
+    dcis: dict[tuple[str, str | None], DciEvent] = {}
+
+    def event(obj: Any, where: str) -> SimEvent:
+        kind = _get(obj, "kind", where, EventKind)
+        raw = obj.get("at_ms")  # obj is a dict: _get checked it
+        spelling = (type(raw), raw)  # the type keeps a JSON true from reading as a cached 1
+        at_ms = times.get(spelling) if type(raw) in _TIME_TYPES else None  # the rest do not hash or parse
+        if at_ms is None:
+            at_ms = times[spelling] = _get(obj, "at_ms", where, _time)
+        cell = _get(obj, "cell", where, str)
+        dci = first_dl = first_ul = None
+        if kind is EventKind.DCI:
+            fmt = _get(obj, "format", where, DciFormat)
+            # the format's JSON string, as an Enum member hashes in Python
+            pair = (obj["format"], _get(obj, "bwp_indicator_bits", where, str, None))
+            dci = dcis.get(pair)
+            if dci is None:
+                dci = dcis[pair] = _build(where, DciEvent, fmt, pair[1])
+        elif kind is EventKind.RRC_RECONFIG:
+            first_dl = _get(obj, "first_active_dl", where, int, None)
+            first_ul = _get(obj, "first_active_ul", where, int, None)
+        return SimEvent(
+            at_ms=at_ms, cell=cell, kind=kind, dci=dci, first_active_dl=first_dl, first_active_ul=first_ul
         )
-    elif kind is EventKind.RRC_RECONFIG:
-        first_dl = _get(obj, "first_active_dl", where, int, None)
-        first_ul = _get(obj, "first_active_ul", where, int, None)
-    return SimEvent(
-        at_ms=at_ms, cell=cell, kind=kind, dci=dci, first_active_dl=first_dl, first_active_ul=first_ul
-    )
+
+    return _items(event)
 
 
 _BWPS = _items(_bwp)
 _BWP_IDS = _items(_bwp_id)
 _CELLS = _items(_cell)
-_EVENTS = _items(_event)
 
 
 def scenario_from_obj(obj: Any) -> Scenario:
@@ -228,7 +243,7 @@ def scenario_from_obj(obj: Any) -> Scenario:
     return Scenario(
         cells=cells,
         capability=_get(obj, "capability", "", _capability),
-        events=_get(obj, "events", "", _EVENTS, []),
+        events=_get(obj, "events", "", _events(), []),
         # run() requires a horizon; validate-only documents may omit it
         horizon_ms=_get(obj, "horizon_ms", "", _time, None),
     )
@@ -242,7 +257,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
     try:
-        obj = json.loads(text)
+        obj = decode_json(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, deep nesting
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     return scenario_from_obj(obj)

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Iterable, TextIO
 
 # Record kinds
@@ -39,14 +40,51 @@ DATA_SERVED = "DataServed"
 MAX_EXPONENT = 400
 
 
-# json.dumps builds a new encoder on every call that passes these arguments
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
+# A record's payload is a tree of JSON values, so no cycle check.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(", ", ": "), check_circular=False)
 _HEADER = ("at_ms", "cell", "record")
 _NO_TIME = object()  # the time before the first record's
 
 
 class MalformedTrace(Exception):
     """A trace that violates ordering or is missing structural records."""
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A decoded JSON object; ValueError naming a key that it repeats."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def decode_json(text: str) -> Any:
+    """`json.loads(text)`, except that a key repeated within one object is
+    a ValueError naming it rather than a silent choice of its last value."""
+    if text.startswith("\ufeff"):
+        return json.loads(text)  # raises json's own error for a byte order mark
+    return _DECODER.decode(text)
+
+
+def _one_shot_encoder(make: Any = c_make_encoder) -> Callable[[Any], str]:
+    """`_ENCODER.encode` with its C encoder built once rather than per call;
+    without the C accelerator (`make` is None), `_ENCODER.encode` itself."""
+    if make is None:
+        return _ENCODER.encode
+    e = _ENCODER
+    encode = make(None, e.default, encode_basestring_ascii, e.indent, e.key_separator,
+                  e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+_encode = _one_shot_encoder()
 
 
 def ms_str(value: Fraction | int) -> str:
@@ -85,23 +123,25 @@ def parse_ms(value: Any) -> Fraction:
     NaN, infinities, non-decimal strings and decimals whose exponent lies
     outside +-MAX_EXPONENT raise ValueError.
     """
-    if isinstance(value, bool):
-        raise ValueError(f"not a time value: {value!r}")
-    if isinstance(value, int):
+    kind = type(value)
+    if kind is int:
         return Fraction(value)
-    if isinstance(value, (float, str)):
-        try:
-            dec = Decimal(repr(value) if isinstance(value, float) else value)
-        except InvalidOperation:
-            raise ValueError(f"not a decimal time value: {value!r}") from None
-        if not dec.is_finite():
-            raise ValueError(f"not a finite time value: {value!r}")
-        if abs(dec.adjusted()) > MAX_EXPONENT:
-            raise ValueError(f"decimal exponent outside +-{MAX_EXPONENT}: {value!r}")
-        return Fraction(dec)
-    if isinstance(value, Fraction):
-        return value
-    raise ValueError(f"not a time value: {value!r}")
+    if kind is not str and kind is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str, Fraction)):
+            raise ValueError(f"not a time value: {value!r}")
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, Fraction):
+            return value
+    try:
+        dec = Decimal(value if isinstance(value, str) else repr(value))
+    except InvalidOperation:
+        raise ValueError(f"not a decimal time value: {value!r}") from None
+    if not dec.is_finite():
+        raise ValueError(f"not a finite time value: {value!r}")
+    if abs(dec.adjusted()) > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent outside +-{MAX_EXPONENT}: {value!r}")
+    return Fraction(*dec.as_integer_ratio())
 
 
 @dataclass
@@ -116,7 +156,7 @@ class TraceRecord:
         return self._obj(ms_str(self.at_ms))
 
     def to_json(self) -> str:
-        return _ENCODER.encode(self.to_obj())
+        return _encode(self.to_obj())
 
     def _obj(self, at_ms: str) -> dict[str, Any]:
         """to_obj with the time already rendered as `at_ms`."""
@@ -129,11 +169,13 @@ class TraceRecord:
 
     @classmethod
     def from_obj(cls, obj: Any) -> "TraceRecord":
-        return _record(obj, parse_ms)
+        """The record of a decoded JSON object, which is left as it is."""
+        return _record(dict(obj) if isinstance(obj, dict) else obj, parse_ms)
 
 
 def _record(obj: Any, parse_at: Callable[[Any], Fraction]) -> TraceRecord:
-    """TraceRecord.from_obj, taking its time from `parse_at(obj["at_ms"])`."""
+    """TraceRecord.from_obj, taking its time from `parse_at(obj["at_ms"])`;
+    `obj`, less its header keys, becomes the record's fields."""
     if not isinstance(obj, dict):
         raise MalformedTrace("expected an object")
     cell, record = obj.get("cell"), obj.get("record")
@@ -143,8 +185,8 @@ def _record(obj: Any, parse_at: Callable[[Any], Fraction]) -> TraceRecord:
         at_ms = parse_at(obj.get("at_ms"))
     except ValueError as exc:
         raise MalformedTrace(f"bad trace record {obj!r}: at_ms: {exc}") from exc
-    fields = {k: v for k, v in obj.items() if k not in _HEADER}
-    return TraceRecord(at_ms, cell, record, fields)
+    del obj["at_ms"], obj["cell"], obj["record"]
+    return TraceRecord(at_ms, cell, record, obj)
 
 
 def write_trace(records: Iterable[TraceRecord], out: TextIO) -> None:
@@ -154,7 +196,7 @@ def write_trace(records: Iterable[TraceRecord], out: TextIO) -> None:
     for rec in records:
         if rec.at_ms is not last:
             last, at_ms = rec.at_ms, ms_str(rec.at_ms)
-        out.write(_ENCODER.encode(rec._obj(at_ms)))
+        out.write(_encode(rec._obj(at_ms)))
         out.write("\n")
 
 
@@ -176,7 +218,7 @@ def read_trace(lines: Iterable[str]) -> list[TraceRecord]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = decode_json(line)
         except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, deep nesting
             raise MalformedTrace(f"line {lineno}: not valid JSON: {exc}") from exc
         try:

@@ -386,8 +386,65 @@ class TestReadTrace:
         with pytest.raises(b.MalformedTrace, match=r"^line 3: .*at_ms"):
             b.read_trace(lines)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"at_ms": "1", "cell": "a", "record": "RunStart", "cell": "b"}',
+            '{"at_ms": "1", "cell": "a", "record": "R", "n": 1, "n": 2}',
+            '{"at_ms": "1", "cell": "a", "record": "R", "p": [{"k": 1, "k": 1}]}',
+        ],
+        ids=["header", "payload", "nested"],
+    )
+    def test_repeated_key_names_its_line(self, line):
+        lines = self._lines()
+        lines[1] = line
+        with pytest.raises(b.MalformedTrace, match=r"^line 2: .*repeated key '(cell|n|k)'"):
+            b.read_trace(lines)
+
+    def test_record_fields_are_the_payload(self):
+        back = b.read_trace(['{"at_ms": "1.5", "cell": "c", "record": "R", "n": [1, {"k": null}]}'])
+        assert back == [b.TraceRecord(F(3, 2), "c", "R", {"n": [1, {"k": None}]})]
+
+    def test_from_obj_leaves_its_argument_alone(self):
+        obj = {"at_ms": "2", "cell": "c", "record": "R", "n": 1}
+        rec = b.TraceRecord.from_obj(obj)
+        assert obj == {"at_ms": "2", "cell": "c", "record": "R", "n": 1}
+        assert rec == b.TraceRecord(F(2), "c", "R", {"n": 1})
+        rec.fields["m"] = 2
+        assert "m" not in obj
+
+
+# payloads whose JSON text takes escapes and every value type
+AWKWARD_PAYLOADS = [
+    {"s": "Zürich \u00b5s \u20ac \U0001f4e1", "q": 'say "hi"', "bs": "a\\b", "nl": "a\nb\tc\x00"},
+    {"none": None, "t": True, "f": False, "x": 0.1, "big": 1e300, "neg": -2.5, "i": -7},
+    {"nested": [[1, [2.5, None]], {"b": [True, "\u00e9"], "a": {}}], "empty": []},
+    {},
+]
+
+
+@pytest.fixture(params=["c-encoder", "pure-python"])
+def encoder(request, monkeypatch):
+    """The trace encoder, built once from the C accelerator or, as on a
+    Python without one, JSONEncoder.encode itself."""
+    from bwpsim import trace
+
+    if request.param == "pure-python":
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(trace, "_encode", trace._one_shot_encoder(json.encoder.c_make_encoder))
+    return request.param
+
 
 class TestWriteTrace:
+    @pytest.mark.parametrize("fields", AWKWARD_PAYLOADS, ids=["strings", "scalars", "nested", "empty"])
+    def test_each_line_is_json_dumps_of_the_record(self, encoder, fields):
+        records = [b.TraceRecord(F(5, 2), "c\u00e9ll", "R", fields), b.TraceRecord(F(3), "c", "S", fields)]
+        lines = written(records).splitlines()
+        for rec, line in zip(records, lines, strict=True):
+            assert line == json.dumps(rec.to_obj(), sort_keys=True, separators=(", ", ": "))
+            assert line == rec.to_json()
+            assert b.read_trace([line]) == [rec]
+
     @pytest.mark.parametrize(
         "times",
         [[F(5, 2)] * 3, [F(5, 2), F(5, 2), F(10, 4)], [3, 3, F(3)]],

@@ -102,3 +102,45 @@ def test_mutated_documents_parse_or_fail_cleanly(doc_file, text):
         code = main(["validate", str(doc_file)])
     assert code == 2 if scenario is None else code in (0, 1)
     assert "Traceback" not in err.getvalue()
+
+
+def test_repeated_key_is_a_parse_error_naming_it(tmp_path):
+    """A document that says two things for one field is refused, not read as its last."""
+    text = (FIXTURES / "tdd_scenario.json").read_text()
+    assert text.count('"horizon_ms": 60') == 1
+    doc = tmp_path / "doc.json"
+    doc.write_text(text.replace('"horizon_ms": 60', '"horizon_ms": 5, "horizon_ms": 60'))
+    with pytest.raises(ParseError, match=r"doc\.json: .*repeated key 'horizon_ms'"):
+        b.load_scenario(doc)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", str(doc)])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert "repeated key 'horizon_ms'" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ('"switch_delay_type": "type1"', '"switch_delay_type": "type1", "switch_delay_type": "type2"'),
+        ('"pdcch": "wideband"', '"pdcch": "wideband", "pdcch": "narrowband"'),
+        ('"at_ms": 30, "cell": "tdd0"', '"at_ms": 30, "cell": "tdd0", "at_ms": 31'),
+    ],
+    ids=["capability", "link-params", "event"],
+)
+def test_repeated_key_at_any_depth_is_a_parse_error(tmp_path, old, new):
+    text = (FIXTURES / "tdd_scenario.json").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "doc.json"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ParseError, match="repeated key " + repr(old.split('"')[1])):
+        b.load_scenario(path)
+
+
+def test_a_byte_order_mark_keeps_json_s_own_message(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("\ufeff" + (FIXTURES / "tdd_scenario.json").read_text(), encoding="utf-8")
+    with pytest.raises(ParseError, match="Unexpected UTF-8 BOM"):
+        b.load_scenario(path)

@@ -1,5 +1,6 @@
 """Scenario document parsing and the exact-decimal time syntax."""
 
+import itertools
 import json
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
@@ -179,6 +180,79 @@ def test_unreadable_and_unparsable_files(tmp_path):
     bad.write_text('{"version": "bwpsim/1", ')
     with pytest.raises(ParseError):
         load_scenario(bad)
+
+
+@pytest.mark.parametrize(
+    "obj,message",
+    [([], "top level: expected an object, got []"), ({}, "top level: missing required field 'version'")],
+    ids=["not-an-object", "no-version"],
+)
+def test_top_level_errors_say_so(obj, message):
+    with pytest.raises(ParseError) as info:
+        scenario_from_obj(obj)
+    assert str(info.value) == message
+
+
+def events_doc(*events):
+    """The adaptation document with its events replaced."""
+    doc = adaptation_doc()
+    doc["events"] = [dict(ev, cell="pcell") for ev in events]
+    return doc
+
+
+def dci(fmt, bits=None, at_ms=33):
+    ev = {"at_ms": at_ms, "kind": "Dci", "format": fmt}
+    return ev if bits is None else dict(ev, bwp_indicator_bits=bits)
+
+
+def data(at_ms):
+    return {"at_ms": at_ms, "kind": "DataDlAssignment"}
+
+
+class TestSharedEventValues:
+    def test_events_of_one_spelling_share_one_fraction(self):
+        spellings = [5, 5, "5", 5.0, "5.000", 5, "5", 5.0, "5.000", 7]
+        events = scenario_from_obj(events_doc(*map(data, spellings))).events
+        assert [ev.at_ms for ev in events] == [F(5)] * 9 + [F(7)]
+        for (x, ex), (y, ey) in itertools.combinations(zip(spellings, events), 2):
+            same = type(x) is type(y) and x == y
+            assert (ex.at_ms is ey.at_ms) == same, (x, y)
+
+    @pytest.mark.parametrize("cached,bad", [(1, True), (0, False), (1.0, True)])
+    def test_true_after_a_cached_one_is_still_an_error(self, cached, bad):
+        with pytest.raises(ParseError, match=r"^events\[1\]\.at_ms: not a time value"):
+            scenario_from_obj(events_doc(data(cached), data(bad)))
+
+    def test_dcis_of_one_format_and_bits_share_one_dci_event(self):
+        pairs = [("1_1", "01"), ("1_1", "10"), ("1_1", "01"), ("1_0", None), ("0_1", "01"), ("1_0", None)]
+        events = scenario_from_obj(events_doc(*(dci(f, bits) for f, bits in pairs))).events
+        assert [(ev.dci.format.value, ev.dci.bwp_indicator_bits) for ev in events] == pairs
+        for (p, ep), (q, eq) in itertools.combinations(zip(pairs, events), 2):
+            assert (ep.dci is eq.dci) == (p == q), (p, q)
+
+    def test_a_bad_dci_after_a_good_one_of_its_format_is_an_error(self):
+        with pytest.raises(ParseError, match=r"^events\[1\]: indicator bits"):
+            scenario_from_obj(events_doc(dci("1_1", "01"), dci("1_1", "011")))
+
+    def test_nothing_is_kept_between_documents(self, monkeypatch):
+        """A document that fails after some events parsed leaves no cached
+        value behind: the next document parses each of its own spellings."""
+        parsed = []
+
+        def counting(value):
+            parsed.append(value)
+            return b.parse_ms(value)
+
+        monkeypatch.setattr("bwpsim.scenario.parse_ms", counting)
+        with pytest.raises(ParseError, match=r"^events\[2\]"):
+            scenario_from_obj(events_doc(dci("1_1", "01", 5), data("5"), dci("1_1", "0x1", 5)))
+        parsed.clear()
+        doc = events_doc(dci("1_1", "01", 5), data("5"), data(5), dci("1_1", "01", "5"))
+        first, second = scenario_from_obj(doc), scenario_from_obj(doc)
+        assert parsed == [5, "5", 80] * 2  # the two spellings and the horizon, per call
+        for a, z in zip(first.events, second.events):
+            assert a.at_ms == z.at_ms and a.at_ms is not z.at_ms
+            assert a.dci == z.dci and (a.dci is None or a.dci is not z.dci)
 
 
 class TestTimeSyntax:
