@@ -30,7 +30,6 @@ from .grid import (
 
 MIN_BWP_ID = 0
 MAX_BWP_ID = 4
-MAX_RRC_CONFIGURED_BWPS = 4
 
 TIMER_RANGE_MS = (2, 2560)
 RRC_DELAY_RANGE_MS = (5, 80)
@@ -284,7 +283,7 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
     TDD-CENTER         TDD: index-linked pairs share their center frequency
     TDD-FIRST-ACTIVE   TDD: first-active DL/UL ids equal
     BWP-COUNT          RRC-configured BWPs per direction within the
-                       capability's limit and the absolute limit of 4
+                       capability's limit
     MIXED-NUMEROLOGY   multiple numerologies only with the capability
     CORESET0-CONTAIN   initial DL BWP contains CORESET #0
     BW-RESTRICTION     without the no-restriction capability, every DL BWP
@@ -355,7 +354,7 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
                 "first_active_ul",
             )
 
-    limit = min(MAX_RRC_CONFIGURED_BWPS, cap.max_rrc_bwps)
+    limit = cap.max_rrc_bwps
     for direction, bwps in (("dl_bwps", cfg.dl_bwps), ("ul_bwps", cfg.ul_bwps)):
         count = rrc_configured_count(bwps)
         if count > limit:

@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .config import CellConfig, UeCapability, effective_default_dl, validate
+from .config import CellConfig, UeCapability, validate
 from .dci import DciEvent, Direction
 from .fsm import UNITS_PER_MS, CellStateMachine, EventRejection, SwitchCause, rejection_record, to_units
 from .trace import (
@@ -223,27 +223,8 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     for same_time in events_at.values():
         same_time.sort(key=lambda ev: _PHASE[ev.kind])  # stable: input order
 
-    trace: list[TraceRecord] = []
-    tallies: dict[str, _CellTally] = {}
-    for cid in cell_order:
-        m = machines[cid]
-        cfg = scenario.cells[cid]
-        dl_rbs = cfg.dl_bwp(m.state.active_dl).geometry.n_rbs
-        default = effective_default_dl(cfg)
-        trace.append(
-            TraceRecord(
-                Fraction(0),
-                cid,
-                RUN_START,
-                {
-                    "active_dl": m.state.active_dl,
-                    "active_ul": m.state.active_ul,
-                    "dl_rbs": dl_rbs,
-                    "default_dl": default,
-                },
-            )
-        )
-        tallies[cid] = _CellTally(trace[-1])
+    trace = [m.start_record() for m in machines.values()]
+    tallies = {rec.cell: _CellTally(rec) for rec in trace}
 
     def emit(records: Iterable[TraceRecord]) -> None:
         for rec in records:

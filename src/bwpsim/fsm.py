@@ -38,6 +38,7 @@ here is synchronous and the whole machine is single-owner mutable state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -56,6 +57,7 @@ from .dci import DciEvent, Direction, IndicatorContext, IndicatorError, decode_i
 from .trace import (
     DATA_SERVED,
     EVENT_REJECTED,
+    RUN_START,
     STATE_CHANGE,
     TIMER_EXPIRY,
     TIMER_RESTART,
@@ -133,6 +135,14 @@ def to_units(ms: Fraction | int) -> int:
     return ms.numerator * UNITS_PER_MS // ms.denominator
 
 
+@functools.lru_cache(maxsize=8)
+def _ms(t: int) -> Fraction:
+    """A time in eighths of a ms as exact ms, as the records carry it. The
+    records of one time share one Fraction across all cells of a run; the
+    bound keeps the cache from growing with the run."""
+    return Fraction(t, UNITS_PER_MS)
+
+
 def _by_id(bwps: tuple[BwpConfig, ...]) -> dict[int, tuple[int, int]]:
     """(n_rbs, scs_khz) by BWP id; the first BWP of a repeated id wins."""
     table: dict[int, tuple[int, int]] = {}
@@ -179,7 +189,8 @@ class CellStateMachine:
     `cfg` and `cap` are fixed at construction: the machine derives its
     per-cell tables from them once (indicator contexts, each BWP's width
     and SCS by id, the default DL BWP, switch delays by SCS pair) and
-    never reads them back for those values.
+    never reads them back for those values; its `RunStart` record comes
+    from those tables too.
     """
 
     def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability):
@@ -188,7 +199,6 @@ class CellStateMachine:
         self.cap = cap
         self.tick = to_units(cfg.tick_ms)
         self.state = BwpState(active_dl=0, active_ul=0 if cfg.has_uplink else None)
-        self._last: tuple[Optional[int], Optional[Fraction]] = (None, None)
         self._dl, self._ul = _by_id(cfg.dl_bwps), _by_id(cfg.ul_bwps)  # (n_rbs, scs_khz) by BWP id
         self._indicator = {
             direction: IndicatorContext(sum(1 for b in bwps if b.id != 0))
@@ -196,6 +206,12 @@ class CellStateMachine:
         }
         self._default_dl = effective_default_dl(cfg)
         self._delays: dict[tuple[int, int], int] = {}  # eighths of a ms by (smaller, larger) SCS
+
+    def start_record(self) -> TraceRecord:
+        """The cell's RunStart record: its state before any event."""
+        st = self.state
+        return self._rec(0, RUN_START, active_dl=st.active_dl, active_ul=st.active_ul,
+                         dl_rbs=self._dl[st.active_dl][0], default_dl=self._default_dl)
 
     # ------------------------------------------------------------------
     # event handlers
@@ -398,14 +414,8 @@ class CellStateMachine:
     # ------------------------------------------------------------------
     # internals
 
-    def _ms(self, t: int) -> Fraction:
-        """A time in ms, as the records carry it; the records of one time share one Fraction."""
-        if t != self._last[0]:
-            self._last = (t, Fraction(t, UNITS_PER_MS))
-        return self._last[1]
-
     def _rec(self, t: int, kind: str, **fields) -> TraceRecord:
-        return TraceRecord(self._ms(t), self.cell, kind, fields)
+        return TraceRecord(_ms(t), self.cell, kind, fields)
 
     def _switch_delay(self, target_dl: Optional[int], target_ul: Optional[int]) -> int:
         """Delay budget in eighths of a ms for moving to the targets; None leaves a direction alone.
@@ -447,7 +457,7 @@ class CellStateMachine:
             self._rec(
                 start,
                 WINDOW_OPEN,
-                end_ms=ms_str(Fraction(end, UNITS_PER_MS)),  # not _ms(end): keeps start's Fraction cached
+                end_ms=ms_str(_ms(end)),
                 target_dl=target_dl,
                 target_ul=target_ul,
                 cause=cause.value,
@@ -496,7 +506,7 @@ class CellStateMachine:
             delay = self._switch_delay(default, target_ul)
         except EventRejection as rej:
             # a 240 kHz BWP cannot be switched; record the stuck expiry
-            records.append(rejection_record(self._ms(now), self.cell, TIMER_EXPIRY, rej))
+            records.append(rejection_record(_ms(now), self.cell, TIMER_EXPIRY, rej))
             return
         self._open_window(now, now + delay, default, target_ul,
                           SwitchCause.TIMER_EXPIRY, records)

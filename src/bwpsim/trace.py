@@ -6,10 +6,11 @@ rendered as minimal decimal strings. Every time of a run is a whole
 eighth of a ms, except the horizon that `RunEnd` carries, which is a
 decimal; so the rendering is always finite and round-trips exactly.
 
-The records of one time share one `Fraction`, both those `run()` emits
-and those `read_trace` reads back, so a time is rendered once per run of
-records that carry it and parsed once per run of lines that spell it
-alike, and replay compares times only where the object changes.
+The records of one time share one `Fraction`, both those `run()` emits,
+across all its cells, and those `read_trace` reads back, so a time is
+rendered once per run of records that carry it and parsed once per run
+of lines that spell it alike, and replay compares times only where the
+object changes.
 """
 
 from __future__ import annotations

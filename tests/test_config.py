@@ -110,6 +110,20 @@ class TestValidate:
         # 270 RB * 180 kHz = 48.6 MHz no longer fits
         assert "BWP-IN-CHANNEL" in report_codes(cfg, CAP4)
 
+    def test_bwp_at_the_channel_upper_edge(self):
+        # 100 RBs of 180 kHz from Point A end at exactly 18 MHz: inside an
+        # 18 MHz channel, 10 Hz outside a 17.99999 MHz one
+        bwps = (make_bwp(0, 0, 24, dedicated=False), make_bwp(1, 0, 100))
+        cfg = dataclasses.replace(adaptation_cell(), dl_bwps=bwps, ul_bwps=bwps, default_dl_bwp=None)
+        edge = dataclasses.replace(cfg, channel_bandwidth_mhz=18.0)
+        assert edge.channel_span == b.HzSpan(cfg.point_a_hz, cfg.point_a_hz + 18_000_000)
+        assert report_codes(edge, CAP4) == ()
+        short = dataclasses.replace(cfg, channel_bandwidth_mhz=17.99999)
+        assert short.channel_span.high_hz == cfg.point_a_hz + 17_999_990
+        assert [(f.rule_code, f.location) for f in b.validate(short, CAP4).findings] == [
+            ("BWP-IN-CHANNEL", "dl_bwps[1]"), ("BWP-IN-CHANNEL", "ul_bwps[1]"),
+        ]
+
     def test_oversized_bwp(self):
         cfg = adaptation_cell()
         bwps = (*cfg.dl_bwps[:2], make_bwp(2, 0, 276))
@@ -284,6 +298,14 @@ def test_valid_config_default_names_configured_bwp():
     for cfg in (adaptation_cell(), centered_cell(default_dl=None), centered_cell(duplex=b.Duplex.TDD)):
         if b.validate(cfg, CAP4).valid:
             assert cfg.has_dl_bwp(b.effective_default_dl(cfg))
+
+
+@pytest.mark.parametrize("mhz", [0.0, 1e-7, -5.0, float("nan"), float("inf")])
+def test_channel_must_be_positive_and_finite(mhz):
+    """A channel narrower than half a Hz, negative or not finite is refused
+    at construction; validation never sees it."""
+    with pytest.raises(ValueError, match="positive finite number of MHz"):
+        dataclasses.replace(adaptation_cell(), channel_bandwidth_mhz=mhz)
 
 
 def test_capability_self_consistency():

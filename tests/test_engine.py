@@ -475,6 +475,44 @@ def test_rrc_goes_before_rach_at_one_timestamp():
     assert at_5 == [("WindowOpen", "RrcReconfig"), ("EventRejected", "RachStart")]
 
 
+def test_rach_goes_before_dci_at_one_timestamp():
+    """Same-time ties deliver RACH before DCI, whatever the input order: the
+    switching DCI then starts no timer, and RACH start is not rejected."""
+    dci = b.DciEvent(b.DciFormat.FMT_1_1, "01")
+    scn = b.Scenario(
+        cells={"c": centered_cell()}, capability=CAP4,
+        events=[b.SimEvent(F(5), "c", b.EventKind.DCI, dci=dci), b.SimEvent(F(5), "c", b.EventKind.RACH_START)],
+        horizon_ms=F(30),
+    )
+    trace, _ = b.run(scn)
+    assert [(r.record, r.fields.get("cause")) for r in trace if r.at_ms == 5] == [("WindowOpen", "Dci")]
+
+
+def test_ul_and_dl_data_at_one_timestamp_keep_input_order():
+    """UL and DL data share one tie class: at one time they are served in
+    the order the scenario lists them."""
+    scn = b.Scenario(
+        cells={"c": centered_cell()}, capability=CAP4,
+        events=[b.SimEvent(F(5), "c", b.EventKind.DATA_UL_GRANT),
+                b.SimEvent(F(5), "c", b.EventKind.DATA_DL_ASSIGNMENT),
+                b.SimEvent(F(5), "c", b.EventKind.DATA_UL_GRANT)],
+        horizon_ms=F(10),
+    )
+    trace, _ = b.run(scn)
+    assert [r.fields["direction"] for r in trace if r.record == "DataServed"] == ["ul", "dl", "ul"]
+
+
+def test_records_of_one_time_share_one_fraction_across_cells():
+    """Consecutive records of one time carry one Fraction object, whichever
+    cells they come from, so write_trace renders each time once. Only a
+    rejection, stamped with its event's own time, and RunEnd may differ."""
+    for seed in range(100):
+        trace, _ = b.run(random_multicell_scenario(random.Random(seed)))
+        for prev, rec in zip(trace, trace[1:]):
+            if rec.at_ms == prev.at_ms and not {prev.record, rec.record} & {"EventRejected", RUN_END}:
+                assert rec.at_ms is prev.at_ms, (seed, prev, rec)
+
+
 def test_window_ending_after_the_last_tick_commits_at_the_horizon():
     # 60 kHz type 1: the window opened at 10 ends at 10.75, after the last
     # 1 ms tick (10) and before the horizon (10.9)

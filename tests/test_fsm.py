@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bwpsim as b
+from bwpsim import fsm
 from bwpsim.fsm import UNITS_PER_MS, CellStateMachine, EventRejection, to_units
 from support import adaptation_cell, assert_machine_invariants, at, centered_cell, make_bwp, spread_cell
 
@@ -75,12 +76,11 @@ class TestSwitchDelayTable:
 
 class TestUnits:
     def test_units_round_trip_to_ms(self):
-        m = machine(adaptation_cell())
         for k in (0, 1, 3, 7, 8, 9, 61, 10**6, 8 * 10**300 + 5):
             x = F(k, UNITS_PER_MS)
             assert to_units(x) == k
-            assert m._ms(to_units(x)) == x
-            assert m._ms(k) is m._ms(k)  # the records of one time share one Fraction
+            assert fsm._ms(to_units(x)) == x
+            assert fsm._ms(k) is fsm._ms(k)  # the records of one time share one Fraction
         assert to_units(5) == 5 * UNITS_PER_MS
 
     def test_off_grid_times_round_down(self):
@@ -91,6 +91,17 @@ class TestUnits:
         recs = m.on_dci(at(9), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
         assert recs[0].fields["end_ms"] == "11.25"  # 18 slots of 1/8 ms
         assert m.state.switch_window.end_ms == 90
+
+
+def test_start_record_is_the_state_before_any_event():
+    m = machine(centered_cell())
+    rec = m.start_record()
+    assert (rec.at_ms, rec.cell, rec.record) == (0, "cell", "RunStart")
+    assert rec.fields == {"active_dl": 0, "active_ul": 0, "dl_rbs": 24, "default_dl": 2}
+    dl_only = dataclasses.replace(centered_cell(default_dl=None), ul_bwps=(), first_active_ul=None,
+                                  prach_configured_on=frozenset())
+    assert machine(dl_only).start_record().fields == {
+        "active_dl": 0, "active_ul": None, "dl_rbs": 24, "default_dl": 0}
 
 
 class TestRrcSwitch:
@@ -438,6 +449,14 @@ class TestDataService:
         m = machine(centered_cell())
         recs = m.on_data(at(2), b.Direction.DL_ASSIGNMENT)
         assert recs[0].fields == {"direction": "dl", "n_rbs": 24}
+
+    def test_ul_data_carries_the_active_ul_width(self):
+        # UL #0 is 12 RBs of 15 kHz, DL #0 24 RBs
+        cfg = adaptation_cell()
+        cfg = dataclasses.replace(cfg, ul_bwps=(make_bwp(0, 0, 12, dedicated=False), *cfg.ul_bwps[1:]))
+        m = machine(cfg)
+        recs = m.on_data(at(2), b.Direction.UL_GRANT)
+        assert recs[0].fields == {"direction": "ul", "n_rbs": 12}
 
     def test_data_rejected_inside_window(self):
         m = machine(centered_cell())
