@@ -3,7 +3,10 @@
 Subcommands: validate a scenario document, run one to a trace and metrics,
 or look up a switch delay. Exit codes are stable: 0 success, 1 domain
 error (validation findings, invalid scenario, unsupported SCS), 2 parse
-or I/O failure. Machine-readable output goes to stdout, human-readable
+or I/O failure. The commands raise; `main` alone maps each error to its
+exit code and prints it to stderr as `error: ...`, so an unreadable
+input or an unwritable output file or stdout exits 2 without a
+traceback. Machine-readable output goes to stdout, human-readable
 reporting to stderr.
 """
 
@@ -42,11 +45,7 @@ def _print_findings(reports: Iterable[tuple[str, ValidationReport]]) -> tuple[in
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.file)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    scenario = load_scenario(args.file)
     reports = {cid: validate(cfg, scenario.capability) for cid, cfg in scenario.cells.items()}
     ok = not any(rep.has_errors for rep in reports.values())
     machine = {
@@ -64,42 +63,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.file)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        trace, metrics = run(scenario)
-    except ScenarioInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _print_findings(sorted(exc.reports.items()))
-        return EXIT_DOMAIN
+    trace, metrics = run(load_scenario(args.file))
     metrics_doc = json.dumps(metrics.to_obj(), sort_keys=True, indent=2)
-    try:
-        if args.trace is not None:
-            with open(args.trace, "w", encoding="utf-8") as out:
-                write_trace(trace, out)
-        else:
-            write_trace(trace, sys.stdout)
-        if args.metrics is not None:
-            with open(args.metrics, "w", encoding="utf-8") as out:
-                out.write(metrics_doc + "\n")
-        else:
-            print(metrics_doc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.trace is not None:
+        with open(args.trace, "w", encoding="utf-8") as out:
+            write_trace(trace, out)
+    else:
+        write_trace(trace, sys.stdout)
+    if args.metrics is not None:
+        with open(args.metrics, "w", encoding="utf-8") as out:
+            out.write(metrics_doc + "\n")
+    else:
+        print(metrics_doc)
     print(f"{len(trace)} trace record(s) over {ms_str(metrics.total_time_ms)} ms", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_delay(args: argparse.Namespace) -> int:
-    try:
-        spec = switch_delay_khz(args.scs_from, args.scs_to, DelayType(args.delay_type))
-    except UnsupportedScs as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    spec = switch_delay_khz(args.scs_from, args.scs_to, DelayType(args.delay_type))
     ms = ms_str(spec.duration_ms)
     if "." not in ms:
         ms += ".0"
@@ -138,7 +119,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, OSError) as exc:  # an unreadable input or unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ScenarioInvalid as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        _print_findings(sorted(exc.reports.items()))
+        return EXIT_DOMAIN
+    except UnsupportedScs as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 def entrypoint() -> None:

@@ -285,11 +285,11 @@ _HANDLERS: dict[EventKind, Callable[[CellStateMachine, SimEvent, int], list[Trac
 
 def _dispatch(machine: CellStateMachine, ev: SimEvent, now: int) -> list[TraceRecord]:
     """Deliver ev to its cell's machine at `now`, ev's time in eighths of a
-    ms; a rejection is traced at ev's own `at_ms`."""
+    ms; a rejection is traced at `now`, as the machine's records are."""
     try:
         return _HANDLERS[ev.kind](machine, ev, now)
     except EventRejection as rej:
-        return [rejection_record(ev.at_ms, ev.cell, ev.kind.value, rej)]
+        return [rejection_record(now, ev.cell, ev.kind.value, rej)]
 
 
 def _payload(rec: TraceRecord, **kinds: type) -> list:

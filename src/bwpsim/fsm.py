@@ -82,10 +82,10 @@ class EventRejection(Exception):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
-def rejection_record(at_ms: Fraction, cell: str, event_kind: str, rej: EventRejection) -> TraceRecord:
-    """The EventRejected trace record for one refused event."""
+def rejection_record(t: int, cell: str, event_kind: str, rej: EventRejection) -> TraceRecord:
+    """The EventRejected trace record for one event refused at `t` eighths of a ms."""
     return TraceRecord(
-        at_ms, cell, EVENT_REJECTED, {"event_kind": event_kind, "reason": rej.reason, "detail": rej.detail}
+        _ms(t), cell, EVENT_REJECTED, {"event_kind": event_kind, "reason": rej.reason, "detail": rej.detail}
     )
 
 
@@ -506,7 +506,7 @@ class CellStateMachine:
             delay = self._switch_delay(default, target_ul)
         except EventRejection as rej:
             # a 240 kHz BWP cannot be switched; record the stuck expiry
-            records.append(rejection_record(_ms(now), self.cell, TIMER_EXPIRY, rej))
+            records.append(rejection_record(now, self.cell, TIMER_EXPIRY, rej))
             return
         self._open_window(now, now + delay, default, target_ul,
                           SwitchCause.TIMER_EXPIRY, records)

@@ -42,13 +42,10 @@ class ParseError(ValueError):
 
 
 def _get(obj: Any, key: str, where: str, kind: Any, default: Any = _REQUIRED) -> Any:
-    """Read field `key` of the JSON object at path `where`.
-
-    `kind` is an exact JSON type (int, bool, str or dict; so `true` is not
-    an integer), an Enum class matched by value, or a reader called as
-    kind(value, path). A missing field takes `default`; null does too, but
-    only where the default is None. Anything else is a ParseError naming
-    the field's path.
+    """Read field `key` of the JSON object at path `where` as `kind` (see
+    `_read`). A missing field takes `default`; null does too, but only
+    where the default is None. Anything else is a ParseError naming the
+    field's path.
     """
     if type(obj) is not dict:
         raise ParseError(f"{where or 'top level'}: expected an object, got {obj!r}")
@@ -61,6 +58,22 @@ def _get(obj: Any, key: str, where: str, kind: Any, default: Any = _REQUIRED) ->
         return default
     if value is None and default is None:
         return None
+    return _read(value, f"{where}.{key}" if where else key, kind)
+
+
+def _read(value: Any, path: str, kind: Any) -> Any:
+    """Read the JSON value at `path` as `kind`: an exact JSON type (int,
+    bool, str or dict; so `true` is not an integer), an Enum class matched
+    by value, a one-item list [item_kind] for a JSON list whose item i is
+    read as item_kind at `path[i]`, or a reader called as kind(value, path).
+    A value of another kind is a ParseError naming `path`.
+    """
+    if type(value) is kind:
+        return value
+    if type(kind) is list:
+        if type(value) is not list:
+            raise ParseError(f"{path}: expected a list, got {value!r}")
+        return [_read(item, f"{path}[{i}]", kind[0]) for i, item in enumerate(value)]
     if type(kind) is EnumMeta:
         member = kind._value2member_map_.get(value) if type(value) is str else None
         if member is not None:
@@ -69,8 +82,8 @@ def _get(obj: Any, key: str, where: str, kind: Any, default: Any = _REQUIRED) ->
     elif type(kind) is type:
         expected = _EXPECTED[kind]
     else:
-        return kind(value, f"{where}.{key}".lstrip("."))  # where is "" at the top level
-    raise ParseError(f"{where}.{key}: expected {expected}, got {value!r}".lstrip("."))
+        return kind(value, path)
+    raise ParseError(f"{path}: expected {expected}, got {value!r}")
 
 
 def _build(where: str, ctor: Callable, *args: Any, **fields: Any) -> Any:
@@ -79,23 +92,6 @@ def _build(where: str, ctor: Callable, *args: Any, **fields: Any) -> Any:
         return ctor(*args, **fields)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
-
-
-def _items(read: Callable[[Any, str], Any]) -> Callable[[Any, str], list]:
-    """A reader for a JSON list whose items are read by read(item, path)."""
-
-    def read_list(value: Any, path: str) -> list:
-        if type(value) is not list:
-            raise ParseError(f"{path}: expected a list, got {value!r}")
-        return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]
-
-    return read_list
-
-
-def _bwp_id(value: Any, path: str) -> int:
-    if type(value) is not int:
-        raise ParseError(f"{path}: expected an integer, got {value!r}")
-    return value
 
 
 def _time(value: Any, path: str) -> Fraction:
@@ -165,14 +161,14 @@ def _cell(obj: Any, where: str) -> tuple[str, CellConfig]:
         channel_bandwidth_mhz=_get(obj, "channel_bandwidth_mhz", where, _float),
         coreset0_span=_get(obj, "coreset0_span", where, _span),
         ssb_span=_get(obj, "ssb_span", where, _span),
-        dl_bwps=_get(obj, "dl_bwps", where, _BWPS),
-        ul_bwps=_get(obj, "ul_bwps", where, _BWPS, ()),
+        dl_bwps=_get(obj, "dl_bwps", where, [_bwp]),
+        ul_bwps=_get(obj, "ul_bwps", where, [_bwp], ()),
         first_active_dl=_get(obj, "first_active_dl", where, int, None),
         first_active_ul=_get(obj, "first_active_ul", where, int, None),
         default_dl_bwp=_get(obj, "default_dl_bwp", where, int, None),
         inactivity_timer_ms=_get(obj, "inactivity_timer_ms", where, int, None),
         rrc_processing_delay_ms=_get(obj, "rrc_processing_delay_ms", where, int, 10),
-        prach_configured_on=_get(obj, "prach_configured_on", where, _BWP_IDS, (0,)),
+        prach_configured_on=_get(obj, "prach_configured_on", where, [int], (0,)),
     )
 
 
@@ -187,12 +183,12 @@ def _capability(obj: Any, where: str) -> UeCapability:
     )
 
 
-def _events() -> Callable[[Any, str], list]:
-    """A reader for one document's event list.
+def _events() -> list:
+    """The kind of one document's event list, [event].
 
     Events whose `at_ms` has one spelling (JSON type and value) share one
     Fraction, and DCIs of one (format, bits) pair share one DciEvent.
-    Only values that parsed are kept, and only for the reader's lifetime.
+    Only values that parsed are kept, and only while the kind lives.
     """
     times: dict[tuple[type, Any], Fraction] = {}
     dcis: dict[tuple[str, str | None], DciEvent] = {}
@@ -220,12 +216,7 @@ def _events() -> Callable[[Any, str], list]:
             at_ms=at_ms, cell=cell, kind=kind, dci=dci, first_active_dl=first_dl, first_active_ul=first_ul
         )
 
-    return _items(event)
-
-
-_BWPS = _items(_bwp)
-_BWP_IDS = _items(_bwp_id)
-_CELLS = _items(_cell)
+    return [event]
 
 
 def scenario_from_obj(obj: Any) -> Scenario:
@@ -234,7 +225,7 @@ def scenario_from_obj(obj: Any) -> Scenario:
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported document version {version!r}, expected {FORMAT_VERSION!r}")
     cells: dict[str, CellConfig] = {}
-    for i, (cell_id, cell) in enumerate(_get(obj, "cells", "", _CELLS)):
+    for i, (cell_id, cell) in enumerate(_get(obj, "cells", "", [_cell])):
         if cell_id in cells:
             raise ParseError(f"cells[{i}]: duplicate cell_id {cell_id!r}")
         cells[cell_id] = cell

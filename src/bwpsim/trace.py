@@ -7,10 +7,10 @@ eighth of a ms, except the horizon that `RunEnd` carries, which is a
 decimal; so the rendering is always finite and round-trips exactly.
 
 The records of one time share one `Fraction`, both those `run()` emits,
-across all its cells, and those `read_trace` reads back, so a time is
-rendered once per run of records that carry it and parsed once per run
-of lines that spell it alike, and replay compares times only where the
-object changes.
+across all its cells and rejections included, and those `read_trace`
+reads back, so a time is rendered once per run of records that carry it
+and parsed once per run of lines that spell it alike, and replay
+compares times only where the object changes.
 """
 
 from __future__ import annotations

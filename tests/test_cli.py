@@ -162,6 +162,14 @@ class TestRun:
         assert main(["run", "/nonexistent/nowhere.json"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("option", ["--trace", "--metrics"])
+    def test_unwritable_output_exits_2_without_traceback(self, tmp_path, capsys, option):
+        out = tmp_path / "missing" / "out.json"
+        assert main(["run", str(FIXTURES / "tdd_scenario.json"), option, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 @pytest.mark.parametrize("path,value", BAD_FIELDS, ids=lambda x: repr(x))
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -191,6 +199,18 @@ def test_undecodable_files_exit_2_without_traceback(tmp_path, capsys, command, c
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+class _FullStream:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unwritable_stdout_exits_2_without_traceback(monkeypatch, capsys, command):
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    assert main([command, str(FIXTURES / "tdd_scenario.json")]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
 def test_no_arguments_is_a_usage_error(capsys):

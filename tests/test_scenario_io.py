@@ -184,10 +184,24 @@ def test_unreadable_and_unparsable_files(tmp_path):
 
 @pytest.mark.parametrize(
     "obj,message",
-    [([], "top level: expected an object, got []"), ({}, "top level: missing required field 'version'")],
-    ids=["not-an-object", "no-version"],
+    [
+        ([], "top level: expected an object, got []"),
+        ({}, "top level: missing required field 'version'"),
+        (mutated(adaptation_doc(), ("cells", 0, "prach_configured_on"), ["0"]),
+         "cells[0].prach_configured_on[0]: expected an integer, got '0'"),
+        (mutated(adaptation_doc(), ("cells",), 5), "cells: expected a list, got 5"),
+        (mutated(adaptation_doc(), ("cells", 0, "dl_bwps", 1, "common", "link_params"), ["ab"]),
+         "cells[0].dl_bwps[1].common.link_params: expected an object, got ['ab']"),
+        (mutated(adaptation_doc(), ("cells", 0, "channel_bandwidth_mhz"), -5),
+         "cells[0]: channel bandwidth must be a positive finite number of MHz, got -5.0"),
+        (mutated(adaptation_doc(), ("events", 1, "bwp_indicator_bits"), 1),
+         "events[1].bwp_indicator_bits: expected a string, got 1"),
+    ],
+    ids=["not-an-object", "no-version", "list-item", "not-a-list", "nested-object", "constructor", "event-index"],
 )
 def test_top_level_errors_say_so(obj, message):
+    """Top-level errors say so; the others name the JSON path of the value
+    or the object whose constructor refused it."""
     with pytest.raises(ParseError) as info:
         scenario_from_obj(obj)
     assert str(info.value) == message
