@@ -26,6 +26,8 @@ before it, and only `RunEnd` and the metrics carry it exactly.
 Metrics are computed twice on purpose: once online while the run emits
 records, and once by `replay_metrics` walking a finished trace. The two
 must agree, which pins the trace as a complete account of the run.
+Both sum in ints over a common denominator of the record times; a
+cell's two metrics become `Fraction`s once, when the cell finishes.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .config import CellConfig, UeCapability, validate
@@ -138,25 +141,37 @@ class _CellTally:
 
     The proxy integrates the active DL BWP width over time (RB * ms); a
     switch takes effect at the commit timestamp carried by the record,
-    which can sit between tick boundaries.
+    which can sit between tick boundaries. The sums are ints in units of
+    1/den ms, den the least common multiple of the time denominators seen
+    so far; `finish` turns them into `Fraction`s, exact for any times.
     """
 
     def __init__(self, start: TraceRecord):
         self.default_dl, self.active_dl, self.dl_rbs = _payload(start, default_dl=int, active_dl=int, dl_rbs=int)
-        self.last_t = Fraction(0)
-        self.proxy = Fraction(0)
-        self.on_default = Fraction(0)
+        self.den = 1
+        self.last_t = 0
+        self.proxy = 0
+        self.on_default = 0
         self.switches: dict[str, int] = {c.value: 0 for c in SwitchCause}
         self.rejected = 0
 
     def integrate_to(self, t: Fraction) -> None:
-        dt = t - self.last_t
+        num, d = t.numerator, t.denominator
+        den = self.den
+        if den % d:
+            k = d // gcd(den, d)
+            self.den = den = den * k
+            self.last_t *= k
+            self.proxy *= k
+            self.on_default *= k
+        t_den = num * (den // d)
+        dt = t_den - self.last_t
         if dt < 0:
             raise MalformedTrace("cell records run backwards")
         self.proxy += self.dl_rbs * dt
         if self.active_dl == self.default_dl:
             self.on_default += dt
-        self.last_t = t
+        self.last_t = t_den
 
     def add(self, rec: TraceRecord) -> None:
         """Fold one record in: the only place that decides which records move the metrics."""
@@ -173,8 +188,8 @@ class _CellTally:
         return CellMetrics(
             switch_count_by_cause=self.switches,
             rejected_event_count=self.rejected,
-            bandwidth_time_proxy_rb_ms=self.proxy,
-            time_on_default_ms=self.on_default,
+            bandwidth_time_proxy_rb_ms=Fraction(self.proxy, self.den),
+            time_on_default_ms=Fraction(self.on_default, self.den),
         )
 
 
@@ -309,20 +324,26 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
     """Recompute RunMetrics from a trace alone.
 
     Independent of the engine's own bookkeeping: only the records are
-    consulted. Raises MalformedTrace on out-of-order timestamps, records
-    for unknown cells, a missing RunStart/RunEnd bracket, or a RunStart or
-    StateChange payload field of the wrong type.
+    consulted. Raises MalformedTrace on a time that is not an int or
+    Fraction, out-of-order timestamps, records for unknown cells, a missing
+    RunStart/RunEnd bracket, or a RunStart or StateChange payload field of
+    the wrong type.
     """
     tallies: dict[str, _CellTally] = {}
     cells: dict[str, CellMetrics] = {}
     horizon: Optional[Fraction] = None
     last_t: Optional[Fraction] = None
     for rec in trace:
-        if rec.at_ms is not last_t and last_t is not None and rec.at_ms < last_t:
-            raise MalformedTrace(
-                f"timestamps decrease at {rec.at_ms} ms (after {last_t} ms)"
-            )
-        last_t = rec.at_ms
+        if rec.at_ms is not last_t:
+            if not isinstance(rec.at_ms, (int, Fraction)):
+                raise MalformedTrace(
+                    f"{rec.record} for cell {rec.cell!r} at {rec.at_ms!r} ms: a time must be an int or Fraction"
+                )
+            if last_t is not None and rec.at_ms < last_t:
+                raise MalformedTrace(
+                    f"timestamps decrease at {rec.at_ms} ms (after {last_t} ms)"
+                )
+            last_t = rec.at_ms
         if rec.record == RUN_START:
             if rec.cell in tallies:
                 raise MalformedTrace(f"duplicate RunStart for cell {rec.cell!r}")

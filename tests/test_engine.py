@@ -6,6 +6,7 @@ import io
 import json
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from support import (
     random_multicell_scenario,
     random_scenario,
 )
+from metrics_oracle import mixed_denominator_trace, reference_metrics
 from tick_oracle import tick_run
 from bwpsim import fsm
 from bwpsim.fsm import CellStateMachine
@@ -303,6 +305,17 @@ class TestReplayRejectsMalformedTraces:
     def test_empty_trace(self):
         with pytest.raises(b.MalformedTrace):
             b.replay_metrics([])
+
+    @pytest.mark.parametrize("record", [STATE_CHANGE, "WindowOpen", RUN_END])
+    @pytest.mark.parametrize("kind", [float, Decimal])
+    def test_time_that_is_not_an_int_or_fraction(self, record, kind):
+        """A time of equal value but inexact type, here a float or Decimal
+        in a record built by hand, is refused, naming the record."""
+        trace = self._base()
+        rec = next(r for r in trace if r.record == record)
+        rec.at_ms = kind(rec.at_ms.numerator) / rec.at_ms.denominator
+        with pytest.raises(b.MalformedTrace, match=f"^{record} for cell 'pcell' at .*int or Fraction"):
+            b.replay_metrics(trace)
 
     @pytest.mark.parametrize(
         "record,name,value",
@@ -653,6 +666,7 @@ def test_run_matches_the_tick_oracle(make, monkeypatch):
         oracle, reached = tick_run(scn)
         assert written(trace) == written(oracle), seed
         assert b.replay_metrics(oracle) == metrics, seed
+        assert reference_metrics(oracle) == metrics, seed
         assert calls[0] == reached + len(scn.cells), seed
 
 
@@ -685,10 +699,22 @@ def test_awkward_horizons_run_and_replay(horizon, monkeypatch):
     text = written(trace)
     assert text == written(tick_run(scn)[0])
     assert b.replay_metrics(b.read_trace(text.splitlines())) == metrics
+    assert reference_metrics(trace) == metrics
     assert trace[-1].record == RUN_END and trace[-1].to_obj()["at_ms"] == horizon
     assert metrics.total_time_ms == b.parse_ms(horizon)
     if horizon == "50.5":
         assert [r.record for r in trace[-3:]] == ["TimerExpiry", "WindowOpen", RUN_END]
+
+
+def test_replay_of_mixed_denominators_matches_plain_fractions():
+    """Hand-written decimal traces whose times mix denominators 1, 2, 8, 10,
+    1000 and 10**k replay, as records and as written text, to the metrics
+    that plain Fraction sums give."""
+    for seed in range(300):
+        trace = mixed_denominator_trace(random.Random(seed))
+        expected = reference_metrics(trace)
+        assert b.replay_metrics(trace) == expected, seed
+        assert b.replay_metrics(b.read_trace(written(trace).splitlines())) == expected, seed
 
 
 def test_a_horizon_only_bounds_the_run(monkeypatch):
