@@ -316,8 +316,9 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
             "rrc_processing_delay_ms",
         )
 
-    for direction, bwps in (("dl_bwps", cfg.dl_bwps), ("ul_bwps", cfg.ul_bwps)):
-        _check_direction(out, cfg, direction, bwps)
+    channel = cfg.channel_span
+    dl_spans = _check_direction(out, cfg, channel, "dl_bwps", cfg.dl_bwps)
+    _check_direction(out, cfg, channel, "ul_bwps", cfg.ul_bwps)
 
     if cfg.ul_bwps and not cfg.has_ul_bwp(0):
         out.error("INITIAL-BWP", "UL direction configured without BWP #0", "ul_bwps")
@@ -372,18 +373,16 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
             "dl_bwps",
         )
 
-    if cfg.has_dl_bwp(0):
-        initial_span = cfg.dl_bwp(0).geometry.span(cfg.point_a_hz)
-        if not initial_span.contains(cfg.coreset0_span):
-            out.error(
-                "CORESET0-CONTAIN",
-                "initial DL BWP does not contain CORESET #0",
-                "dl_bwps[0]",
-            )
+    initial_span = next((span for bwp, span in zip(cfg.dl_bwps, dl_spans) if bwp.id == 0), None)
+    if initial_span is not None and not initial_span.contains(cfg.coreset0_span):
+        out.error(
+            "CORESET0-CONTAIN",
+            "initial DL BWP does not contain CORESET #0",
+            "dl_bwps[0]",
+        )
 
     if not cap.supports_no_bandwidth_restriction:
-        for i, bwp in enumerate(cfg.dl_bwps):
-            span = bwp.geometry.span(cfg.point_a_hz)
+        for i, (bwp, span) in enumerate(zip(cfg.dl_bwps, dl_spans)):
             missing = []
             if not span.contains(cfg.ssb_span):
                 missing.append("SSB")
@@ -432,8 +431,12 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
     return ValidationReport(tuple(out.findings))
 
 
-def _check_direction(out: _Collector, cfg: CellConfig, direction: str, bwps: tuple[BwpConfig, ...]) -> None:
+def _check_direction(
+    out: _Collector, cfg: CellConfig, channel: HzSpan, direction: str, bwps: tuple[BwpConfig, ...]
+) -> list[HzSpan]:
+    """Check the rules of each BWP of one direction on its own; returns their spans."""
     seen: set[int] = set()
+    spans = []
     for i, bwp in enumerate(bwps):
         loc = f"{direction}[{i}]"
         if not MIN_BWP_ID <= bwp.id <= MAX_BWP_ID:
@@ -458,9 +461,12 @@ def _check_direction(out: _Collector, cfg: CellConfig, direction: str, bwps: tup
                 f"BWP #{bwp.id} is {n} RBs, below the RBG/PRG floor of {DEFAULT_RBG_FLOOR_RBS}",
                 loc,
             )
-        if not cfg.channel_span.contains(bwp.geometry.span(cfg.point_a_hz)):
+        span = bwp.geometry.span(cfg.point_a_hz)
+        spans.append(span)
+        if not channel.contains(span):
             out.error(
                 "BWP-IN-CHANNEL",
                 f"BWP #{bwp.id} extends outside the channel bandwidth",
                 loc,
             )
+    return spans

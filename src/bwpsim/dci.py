@@ -53,26 +53,26 @@ class DciFormat(Enum):
 
 @dataclass(frozen=True)
 class DciEvent:
-    """One received DCI. Fallback formats never carry indicator bits."""
+    """One received DCI. Fallback formats never carry indicator bits.
+
+    `direction` and `is_fallback` follow from the format; they are set
+    once here as plain attributes, not fields, so they take no part in
+    repr, == or hash.
+    """
 
     format: DciFormat
     bwp_indicator_bits: Optional[str] = None
 
     def __post_init__(self) -> None:
+        fmt = self.format
+        object.__setattr__(self, "direction", fmt.direction)
+        object.__setattr__(self, "is_fallback", fmt.is_fallback)
         bits = self.bwp_indicator_bits
         if bits is not None:
             if len(bits) > 2 or any(c not in "01" for c in bits):
                 raise ValueError(f"indicator bits must be a 0/1 string of length <= 2, got {bits!r}")
-            if self.format.is_fallback:
-                raise ValueError(f"fallback format {self.format.value} cannot carry a BWP indicator")
-
-    @property
-    def direction(self) -> Direction:
-        return self.format.direction
-
-    @property
-    def is_fallback(self) -> bool:
-        return self.format.is_fallback
+            if self.is_fallback:
+                raise ValueError(f"fallback format {fmt.value} cannot carry a BWP indicator")
 
 
 @dataclass(frozen=True)

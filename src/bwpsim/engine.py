@@ -236,7 +236,8 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
             )
         events_at.setdefault(at, []).append(ev)
     for same_time in events_at.values():
-        same_time.sort(key=lambda ev: _PHASE[ev.kind])  # stable: input order
+        if len(same_time) > 1:
+            same_time.sort(key=lambda ev: _PHASE[ev.kind])  # stable: input order
 
     trace = [m.start_record() for m in machines.values()]
     tallies = {rec.cell: _CellTally(rec) for rec in trace}
@@ -258,15 +259,16 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
         due[cid] = never if d is None else d
 
     while True:
-        now = min(due.values(), default=never)
+        now = next_due = min(due.values(), default=never)
         if event_times and event_times[-1] < now:
             now = event_times[-1]
         if now > end:
             break
-        for cid in cell_order:
-            if due[cid] == now:
-                emit(machines[cid].on_tick(now))
-                refresh(cid, now)
+        if next_due == now:  # some cell is due: tick those, in document order
+            for cid in cell_order:
+                if due[cid] == now:
+                    emit(machines[cid].on_tick(now))
+                    refresh(cid, now)
         if event_times and event_times[-1] == now:
             for ev in events_at[event_times.pop()]:
                 emit(_dispatch(machines[ev.cell], ev, now))

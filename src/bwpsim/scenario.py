@@ -52,6 +52,10 @@ def _get(obj: Any, key: str, where: str, kind: Any, default: Any = _REQUIRED) ->
     value = obj.get(key, _REQUIRED)
     if type(value) is kind:
         return value
+    if type(value) is str and type(kind) is EnumMeta:
+        member = kind._value2member_map_.get(value)
+        if member is not None:  # else _read names the path
+            return member
     if value is _REQUIRED:
         if default is _REQUIRED:
             raise ParseError(f"{where or 'top level'}: missing required field {key!r}")
@@ -212,9 +216,7 @@ def _events() -> list:
         elif kind is EventKind.RRC_RECONFIG:
             first_dl = _get(obj, "first_active_dl", where, int, None)
             first_ul = _get(obj, "first_active_ul", where, int, None)
-        return SimEvent(
-            at_ms=at_ms, cell=cell, kind=kind, dci=dci, first_active_dl=first_dl, first_active_ul=first_ul
-        )
+        return SimEvent(at_ms, cell, kind, dci, first_dl, first_ul)
 
     return [event]
 

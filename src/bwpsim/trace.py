@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from json.decoder import WHITESPACE, JSONDecodeError
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Iterable, TextIO
 
@@ -64,14 +65,29 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_scan = _DECODER.scan_once  # json's C scanner where it has one
+_space = WHITESPACE.match
 
 
 def decode_json(text: str) -> Any:
     """`json.loads(text)`, except that a key repeated within one object is
-    a ValueError naming it rather than a silent choice of its last value."""
+    a ValueError naming it rather than a silent choice of its last value.
+
+    `_DECODER.decode` without its two Python frames: the scanner is called
+    directly, and whitespace is matched only at a leading whitespace
+    character or after a value that ends before the text does. The same
+    values and errors."""
     if text.startswith("\ufeff"):
         return json.loads(text)  # raises json's own error for a byte order mark
-    return _DECODER.decode(text)
+    try:
+        obj, end = _scan(text, _space(text).end() if text[:1] in " \t\n\r" else 0)
+    except StopIteration as err:
+        raise JSONDecodeError("Expecting value", text, err.value) from None
+    if end != len(text):
+        end = _space(text, end).end()
+        if end != len(text):
+            raise JSONDecodeError("Extra data", text, end)
+    return obj
 
 
 def _one_shot_encoder(make: Any = c_make_encoder) -> Callable[[Any], str]:
@@ -153,16 +169,24 @@ class TraceRecord:
     fields: dict[str, Any] = field(default_factory=dict)
 
     def to_obj(self) -> dict[str, Any]:
-        """The record as a JSON object; ValueError if a payload field reuses a header key."""
-        return self._obj(ms_str(self.at_ms))
+        """The record as a JSON object; ValueError if its time is not an int
+        or Fraction or a payload field reuses a header key."""
+        return self._obj(self._at_ms_str())
 
     def to_json(self) -> str:
         return _encode(self.to_obj())
 
+    def _at_ms_str(self) -> str:
+        """ms_str of the record's time, which must be an int or Fraction."""
+        if not isinstance(self.at_ms, (int, Fraction)):
+            raise ValueError(
+                f"{self.record} for cell {self.cell!r} at {self.at_ms!r} ms: a time must be an int or Fraction"
+            )
+        return ms_str(self.at_ms)
+
     def _obj(self, at_ms: str) -> dict[str, Any]:
         """to_obj with the time already rendered as `at_ms`."""
-        obj: dict[str, Any] = {"at_ms": at_ms, "cell": self.cell, "record": self.record}
-        obj.update(self.fields)
+        obj = {"at_ms": at_ms, "cell": self.cell, "record": self.record, **self.fields}
         if len(obj) != len(_HEADER) + len(self.fields):
             clash = ", ".join(repr(k) for k in _HEADER if k in self.fields)
             raise ValueError(f"{self.record} record: payload field {clash} would overwrite the header")
@@ -191,14 +215,13 @@ def _record(obj: Any, parse_at: Callable[[Any], Fraction]) -> TraceRecord:
 
 
 def write_trace(records: Iterable[TraceRecord], out: TextIO) -> None:
-    """One JSON line per record, as `to_json`; a time is rendered once per
-    run of records that share its object."""
+    """One JSON line per record, as `to_json`; a time is checked and
+    rendered once per run of records that share its object."""
     last: Any = _NO_TIME
     for rec in records:
         if rec.at_ms is not last:
-            last, at_ms = rec.at_ms, ms_str(rec.at_ms)
-        out.write(_encode(rec._obj(at_ms)))
-        out.write("\n")
+            last, at_ms = rec.at_ms, rec._at_ms_str()
+        out.write(_encode(rec._obj(at_ms)) + "\n")
 
 
 def read_trace(lines: Iterable[str]) -> list[TraceRecord]:

@@ -1,5 +1,8 @@
 """BWP indicator codec: exhaustive over the whole field interpretation."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from bwpsim.dci import (
@@ -99,6 +102,36 @@ class TestDciEvent:
         assert DciEvent(DciFormat.FMT_1_1, "0").direction is Direction.DL_ASSIGNMENT
         assert DciEvent(DciFormat.FMT_0_0).direction is Direction.UL_GRANT
         assert DciEvent(DciFormat.FMT_0_1, "0").direction is Direction.UL_GRANT
+
+    @pytest.mark.parametrize(
+        "fmt,direction,fallback",
+        [
+            (DciFormat.FMT_0_0, Direction.UL_GRANT, True),
+            (DciFormat.FMT_0_1, Direction.UL_GRANT, False),
+            (DciFormat.FMT_1_0, Direction.DL_ASSIGNMENT, True),
+            (DciFormat.FMT_1_1, Direction.DL_ASSIGNMENT, False),
+        ],
+    )
+    def test_facts_follow_the_format_after_construction_and_replace(self, fmt, direction, fallback):
+        """Set once per construction; dataclasses.replace constructs anew, so
+        an event moved to another format takes that format's facts."""
+        events = [DciEvent(fmt), DciEvent(fmt, None if fallback else "1")]
+        events += [dataclasses.replace(DciEvent(other), format=fmt) for other in DciFormat]
+        events += [pickle.loads(pickle.dumps(ev)) for ev in events]
+        for ev in events:
+            assert (ev.direction, ev.is_fallback) == (direction, fallback), ev
+            assert (ev.direction, ev.is_fallback) == (fmt.direction, fmt.is_fallback)
+
+    def test_facts_are_not_fields(self):
+        """repr, ==, hash and the field list see only the format and the bits."""
+        ev = DciEvent(DciFormat.FMT_1_1, "01")
+        assert [f.name for f in dataclasses.fields(ev)] == ["format", "bwp_indicator_bits"]
+        assert repr(ev) == "DciEvent(format=<DciFormat.FMT_1_1: '1_1'>, bwp_indicator_bits='01')"
+        assert dataclasses.astuple(ev) == (DciFormat.FMT_1_1, "01")
+        assert ev == DciEvent(DciFormat.FMT_1_1, "01") != DciEvent(DciFormat.FMT_1_1, "10")
+        assert hash(ev) == hash(DciEvent(DciFormat.FMT_1_1, "01")) == hash((DciFormat.FMT_1_1, "01"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.direction = Direction.UL_GRANT  # type: ignore[misc]
 
     def test_fallback_flags(self):
         assert DciEvent(DciFormat.FMT_0_0).is_fallback

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import random
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction as F
@@ -367,6 +368,22 @@ class TestReadTrace:
         with pytest.raises(b.MalformedTrace, match=r"^line 2: not valid JSON"):
             b.read_trace(lines)
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ('{"at_ms": "1", "cell": "c", "record": "R"} x', "Extra data: line 1 column 44 (char 43)"),
+            ('{"at_ms": "1", "cell": "c", "record": "R"}{}', "Extra data: line 1 column 43 (char 42)"),
+            ('{"at_ms": }', "Expecting value: line 1 column 11 (char 10)"),
+        ],
+        ids=["trailing-text", "second-object", "missing-value"],
+    )
+    def test_bad_json_keeps_json_s_message_after_its_line(self, line, message):
+        lines = self._lines()
+        lines[1] = "  " + line + " \n"
+        with pytest.raises(b.MalformedTrace) as exc:
+            b.read_trace(lines)
+        assert str(exc.value) == "line 2: not valid JSON: " + message
+
     @pytest.mark.parametrize("key", ["cell", "record"])
     def test_cell_and_record_must_be_strings(self, key):
         lines = self._lines()
@@ -466,6 +483,22 @@ class TestWriteTrace:
     def test_bytes_are_the_records_json_lines(self, times):
         records = [b.TraceRecord(t, f"c{k}", "R", {"k": k}) for k, t in enumerate(times)]
         assert written(records) == "".join(r.to_json() + "\n" for r in records)
+
+    @pytest.mark.parametrize("at_ms", [0.1, Decimal("2.5")], ids=["float", "decimal"])
+    def test_a_time_that_is_not_an_int_or_fraction_is_refused(self, at_ms):
+        """Rather than a float's binary expansion (0.1 would be written as
+        0.1000000000000000055...), a ValueError naming the record, as replay does."""
+        rec = b.TraceRecord(at_ms, "pcell", "TimerStart", {})
+        message = re.escape(f"TimerStart for cell 'pcell' at {at_ms!r} ms: a time must be an int or Fraction")
+        for render in (rec.to_obj, rec.to_json, lambda: written([rec])):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                render()
+
+    def test_an_inexact_time_after_exact_ones_is_refused(self):
+        """The writer checks a time each time the time object changes."""
+        records = [b.TraceRecord(t, "c", r, {}) for t, r in ((F(1, 2), "R"), (F(1, 2), "S"), (0.5, "T"))]
+        with pytest.raises(ValueError, match="^T for cell 'c' at 0.5 ms"):
+            written(records)
 
     @pytest.mark.parametrize("key", ["at_ms", "cell", "record"])
     def test_a_payload_field_cannot_overwrite_the_header(self, key):

@@ -9,6 +9,7 @@ replays to the run's metrics.
 import contextlib
 import io
 import json
+import json.scanner
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import bwpsim as b
 from bwpsim.cli import main
+from bwpsim import trace
 from bwpsim.scenario import ParseError, scenario_from_obj
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -144,3 +146,51 @@ def test_a_byte_order_mark_keeps_json_s_own_message(tmp_path):
     path.write_text("\ufeff" + (FIXTURES / "tdd_scenario.json").read_text(), encoding="utf-8")
     with pytest.raises(ParseError, match="Unexpected UTF-8 BOM"):
         b.load_scenario(path)
+
+
+# texts whose value or error json.loads decides; decode_json must agree
+DECODE_CASES = {
+    "empty": "",
+    "whitespace-only": " \t\r\n ",
+    "leading-whitespace": " \t\n{\"a\": [1, 2.5, null]}",
+    "trailing-whitespace": '{"a": "b"}\r\n\t ',
+    "both-whitespace": "\n 7 \n",
+    "plain": '{"a": {"b": [true, false, "\\u00e9"]}}',
+    "trailing-text": '{"a":1} x',
+    "two-objects": '{"a":1}{"b":2}',
+    "two-numbers": "1 2",
+    "whitespace-then-extra": "  1  2  ",
+    "bad-value": "  x",
+    "bad-member": '{"a": }',
+    "byte-order-mark": "\ufeff{}",
+    "nested-100000-deep": "[" * 100_000,
+}
+
+
+def _outcome(decode, text):
+    try:
+        return "value", decode(text)
+    except json.JSONDecodeError as exc:
+        return type(exc), str(exc), exc.pos
+    except RecursionError:  # its wording differs between the C and Python scanners
+        return (RecursionError,)
+
+
+@pytest.fixture(params=["c-scanner", "py-scanner"])
+def decode(request, monkeypatch):
+    """decode_json as it is here, and as on a Python whose json has no C scanner."""
+    if request.param == "py-scanner":
+        monkeypatch.setattr(trace, "_scan", json.scanner.py_make_scanner(trace._DECODER))
+    assert (type(trace._scan).__module__ == "_json") == (request.param == "c-scanner")
+    return trace.decode_json
+
+
+class TestDecodeJson:
+    @pytest.mark.parametrize("text", DECODE_CASES.values(), ids=DECODE_CASES.keys())
+    def test_values_and_errors_are_json_loads_s(self, decode, text):
+        assert _outcome(decode, text) == _outcome(json.loads, text)
+
+    @pytest.mark.parametrize("text", ['{"a": 1, "a": 1}', ' [{"b": {"a": 1, "a": 2}}] '], ids=["top", "nested"])
+    def test_a_repeated_key_is_a_value_error_naming_it(self, decode, text):
+        with pytest.raises(ValueError, match=r"^repeated key 'a'$"):
+            decode(text)
