@@ -65,6 +65,8 @@ class DciEvent:
 
     def __post_init__(self) -> None:
         fmt = self.format
+        if type(fmt) is not DciFormat:
+            raise ValueError(f"DCI format must be a DciFormat, got {fmt!r}")
         object.__setattr__(self, "direction", fmt.direction)
         object.__setattr__(self, "is_fallback", fmt.is_fallback)
         bits = self.bwp_indicator_bits

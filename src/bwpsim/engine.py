@@ -48,6 +48,7 @@ from .trace import (
     STATE_CHANGE,
     MalformedTrace,
     TraceRecord,
+    _exact_ms_str,
     ms_str,
 )
 
@@ -74,15 +75,16 @@ class EventKind(Enum):
     DATA_UL_GRANT = "DataUlGrant"
 
 
-# Same-timestamp delivery order (ticks run before all of these).
-_PHASE = {
-    EventKind.RRC_RECONFIG: 1,
-    EventKind.SCELL_ACTIVATE: 1,
-    EventKind.RACH_START: 2,
-    EventKind.RACH_COMPLETE: 2,
-    EventKind.DCI: 3,
-    EventKind.DATA_DL_ASSIGNMENT: 4,
-    EventKind.DATA_UL_GRANT: 4,
+# How each kind is delivered: its phase in the same-time order (ticks run
+# before all phases, and one phase keeps input order) and its handler.
+_DELIVERY: dict[EventKind, tuple[int, Callable[[CellStateMachine, SimEvent, int], list[TraceRecord]]]] = {
+    EventKind.RRC_RECONFIG: (1, lambda m, ev, now: m.on_rrc_reconfig(now, ev.first_active_dl, ev.first_active_ul)),
+    EventKind.SCELL_ACTIVATE: (1, lambda m, ev, now: m.on_rrc_reconfig(now, scell_activation=True)),
+    EventKind.RACH_START: (2, lambda m, ev, now: m.on_rach_start(now)),
+    EventKind.RACH_COMPLETE: (2, lambda m, ev, now: m.on_rach_complete(now)),
+    EventKind.DCI: (3, lambda m, ev, now: m.on_dci(now, ev.dci)),
+    EventKind.DATA_DL_ASSIGNMENT: (4, lambda m, ev, now: m.on_data(now, Direction.DL_ASSIGNMENT)),
+    EventKind.DATA_UL_GRANT: (4, lambda m, ev, now: m.on_data(now, Direction.UL_GRANT)),
 }
 
 
@@ -119,8 +121,8 @@ class CellMetrics:
         return {
             "switch_count_by_cause": dict(sorted(self.switch_count_by_cause.items())),
             "rejected_event_count": self.rejected_event_count,
-            "bandwidth_time_proxy_rb_ms": ms_str(self.bandwidth_time_proxy_rb_ms),
-            "time_on_default_ms": ms_str(self.time_on_default_ms),
+            "bandwidth_time_proxy_rb_ms": _exact_ms_str(self.bandwidth_time_proxy_rb_ms, "bandwidth_time_proxy_rb_ms"),
+            "time_on_default_ms": _exact_ms_str(self.time_on_default_ms, "time_on_default_ms"),
         }
 
 
@@ -131,7 +133,7 @@ class RunMetrics:
 
     def to_obj(self) -> dict:
         return {
-            "total_time_ms": ms_str(self.total_time_ms),
+            "total_time_ms": _exact_ms_str(self.total_time_ms, "total_time_ms"),
             "cells": {cid: m.to_obj() for cid, m in sorted(self.cells.items())},
         }
 
@@ -218,11 +220,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     except ValueError:
         raise ScenarioInvalid(f"horizon {horizon} ms has no finite decimal form") from None
     end = to_units(horizon)  # the last eighth at or before the horizon
-    cell_order = list(scenario.cells)
-    machines = {
-        cid: CellStateMachine(cid, scenario.cells[cid], scenario.capability)
-        for cid in cell_order
-    }
+    machines = {cid: CellStateMachine(cid, cfg, scenario.capability) for cid, cfg in scenario.cells.items()}
     events_at: dict[int, list[SimEvent]] = {}  # by time in eighths
     for ev in scenario.events:
         if ev.cell not in scenario.cells:
@@ -237,7 +235,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
         events_at.setdefault(at, []).append(ev)
     for same_time in events_at.values():
         if len(same_time) > 1:
-            same_time.sort(key=lambda ev: _PHASE[ev.kind])  # stable: input order
+            same_time.sort(key=lambda ev: _DELIVERY[ev.kind][0])  # stable: input order
 
     trace = [m.start_record() for m in machines.values()]
     tallies = {rec.cell: _CellTally(rec) for rec in trace}
@@ -249,7 +247,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
 
     event_times = sorted(events_at, reverse=True)  # the next one is last
     never = end + 1
-    due = dict.fromkeys(cell_order, never)  # each cell's deadline
+    due = dict.fromkeys(machines, never)  # each cell's deadline
 
     def refresh(cid: str, now: int) -> None:
         d = machines[cid].next_deadline()
@@ -265,20 +263,20 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
         if now > end:
             break
         if next_due == now:  # some cell is due: tick those, in document order
-            for cid in cell_order:
+            for cid, m in machines.items():
                 if due[cid] == now:
-                    emit(machines[cid].on_tick(now))
+                    emit(m.on_tick(now))
                     refresh(cid, now)
         if event_times and event_times[-1] == now:
             for ev in events_at[event_times.pop()]:
                 emit(_dispatch(machines[ev.cell], ev, now))
                 refresh(ev.cell, now)
 
-    for cid in cell_order:
-        emit(machines[cid].on_tick(end))  # windows ending after the last tick
+    for m in machines.values():
+        emit(m.on_tick(end))  # windows ending after the last tick
 
     cell_metrics = {}
-    for cid in cell_order:
+    for cid in machines:
         cell_metrics[cid] = tallies[cid].finish(horizon)
         trace.append(TraceRecord(horizon, cid, RUN_END, {}))
 
@@ -289,22 +287,11 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     return trace, metrics
 
 
-_HANDLERS: dict[EventKind, Callable[[CellStateMachine, SimEvent, int], list[TraceRecord]]] = {
-    EventKind.RRC_RECONFIG: lambda m, ev, now: m.on_rrc_reconfig(now, ev.first_active_dl, ev.first_active_ul),
-    EventKind.SCELL_ACTIVATE: lambda m, ev, now: m.on_rrc_reconfig(now, scell_activation=True),
-    EventKind.DCI: lambda m, ev, now: m.on_dci(now, ev.dci),
-    EventKind.RACH_START: lambda m, ev, now: m.on_rach_start(now),
-    EventKind.RACH_COMPLETE: lambda m, ev, now: m.on_rach_complete(now),
-    EventKind.DATA_DL_ASSIGNMENT: lambda m, ev, now: m.on_data(now, Direction.DL_ASSIGNMENT),
-    EventKind.DATA_UL_GRANT: lambda m, ev, now: m.on_data(now, Direction.UL_GRANT),
-}
-
-
 def _dispatch(machine: CellStateMachine, ev: SimEvent, now: int) -> list[TraceRecord]:
     """Deliver ev to its cell's machine at `now`, ev's time in eighths of a
     ms; a rejection is traced at `now`, as the machine's records are."""
     try:
-        return _HANDLERS[ev.kind](machine, ev, now)
+        return _DELIVERY[ev.kind][1](machine, ev, now)
     except EventRejection as rej:
         return [rejection_record(now, ev.cell, ev.kind.value, rej)]
 

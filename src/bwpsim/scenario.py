@@ -67,10 +67,11 @@ def _get(obj: Any, key: str, where: str, kind: Any, default: Any = _REQUIRED) ->
 
 def _read(value: Any, path: str, kind: Any) -> Any:
     """Read the JSON value at `path` as `kind`: an exact JSON type (int,
-    bool, str or dict; so `true` is not an integer), an Enum class matched
-    by value, a one-item list [item_kind] for a JSON list whose item i is
-    read as item_kind at `path[i]`, or a reader called as kind(value, path).
-    A value of another kind is a ParseError naming `path`.
+    bool, str or dict; so `true` is not an integer), a one-item list
+    [item_kind] for a JSON list whose item i is read as item_kind at
+    `path[i]`, or a reader called as kind(value, path). A value of another
+    kind is a ParseError naming `path`; so is every value for an Enum
+    class, whose members `_get` has already matched by value.
     """
     if type(value) is kind:
         return value
@@ -79,9 +80,6 @@ def _read(value: Any, path: str, kind: Any) -> Any:
             raise ParseError(f"{path}: expected a list, got {value!r}")
         return [_read(item, f"{path}[{i}]", kind[0]) for i, item in enumerate(value)]
     if type(kind) is EnumMeta:
-        member = kind._value2member_map_.get(value) if type(value) is str else None
-        if member is not None:
-            return member
         expected = "one of " + ", ".join(repr(e.value) for e in kind)
     elif type(kind) is type:
         expected = _EXPECTED[kind]

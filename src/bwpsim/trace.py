@@ -132,26 +132,29 @@ def ms_str(value: Fraction | int) -> str:
     return f"{'-' if num < 0 else ''}{whole}.{part:0{digits}d}"
 
 
+def _exact_ms_str(value: Fraction | int, what: str) -> str:
+    """ms_str of the time of `what`, refused unless it is an int or Fraction."""
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{what} at {value!r} ms: a time must be an int or Fraction")
+    return ms_str(value)
+
+
 def parse_ms(value: Any) -> Fraction:
-    """Parse a millisecond value from JSON (int, decimal float, or string).
+    """Parse a millisecond value from JSON: exactly an int, a decimal float
+    or a string, so `true` or a `Fraction` is not a time value.
 
     Floats go through their decimal repr so '0.3' means exactly 3/10 and
     can be checked against the tick grid rather than silently rounded.
-    NaN, infinities, non-decimal strings and decimals whose exponent lies
-    outside +-MAX_EXPONENT raise ValueError.
+    Another type, NaN, infinities, non-decimal strings and decimals whose
+    exponent lies outside +-MAX_EXPONENT raise ValueError.
     """
     kind = type(value)
     if kind is int:
         return Fraction(value)
     if kind is not str and kind is not float:
-        if isinstance(value, bool) or not isinstance(value, (int, float, str, Fraction)):
-            raise ValueError(f"not a time value: {value!r}")
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, Fraction):
-            return value
+        raise ValueError(f"not a time value: {value!r}")
     try:
-        dec = Decimal(value if isinstance(value, str) else repr(value))
+        dec = Decimal(value if kind is str else repr(value))
     except InvalidOperation:
         raise ValueError(f"not a decimal time value: {value!r}") from None
     if not dec.is_finite():
@@ -177,12 +180,7 @@ class TraceRecord:
         return _encode(self.to_obj())
 
     def _at_ms_str(self) -> str:
-        """ms_str of the record's time, which must be an int or Fraction."""
-        if not isinstance(self.at_ms, (int, Fraction)):
-            raise ValueError(
-                f"{self.record} for cell {self.cell!r} at {self.at_ms!r} ms: a time must be an int or Fraction"
-            )
-        return ms_str(self.at_ms)
+        return _exact_ms_str(self.at_ms, f"{self.record} for cell {self.cell!r}")
 
     def _obj(self, at_ms: str) -> dict[str, Any]:
         """to_obj with the time already rendered as `at_ms`."""

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +160,21 @@ class TestValidate:
         cfg = dataclasses.replace(cfg, dl_bwps=cfg.dl_bwps[1:])
         assert "INITIAL-BWP" in report_codes(cfg, CAP4)
 
+    def test_missing_initial_ul_bwp(self):
+        """A UL list needs BWP #0 too, though the DL list has it."""
+        cfg = adaptation_cell()
+        cfg = dataclasses.replace(cfg, ul_bwps=cfg.ul_bwps[1:], prach_configured_on=frozenset({1}))
+        findings = b.validate(cfg, CAP4).findings
+        assert [(f.rule_code, f.location) for f in findings if f.rule_code == "INITIAL-BWP"] == [
+            ("INITIAL-BWP", "ul_bwps")]
+        assert not b.validate(adaptation_cell(), CAP4).has_errors
+
+    def test_tdd_first_active_ids_must_match(self):
+        cfg = dataclasses.replace(centered_cell(duplex=b.Duplex.TDD), first_active_ul=2)
+        findings = b.validate(cfg, CAP4).findings
+        assert [(f.rule_code, f.severity, f.location) for f in findings] == [
+            ("TDD-FIRST-ACTIVE", b.Severity.ERROR, "first_active_ul")]
+
     def test_nonzero_bwp_needs_dedicated(self):
         cfg = adaptation_cell()
         bwps = (cfg.dl_bwps[0], make_bwp(1, 0, 270, dedicated=False), cfg.dl_bwps[2])
@@ -306,6 +323,16 @@ def test_channel_must_be_positive_and_finite(mhz):
     at construction; validation never sees it."""
     with pytest.raises(ValueError, match="positive finite number of MHz"):
         dataclasses.replace(adaptation_cell(), channel_bandwidth_mhz=mhz)
+
+
+def test_docs_list_every_rule_code_with_its_severity():
+    """docs/file_formats.md's table and validate()'s docstring name the same
+    codes, and mark the same ones as warnings."""
+    docs = (Path(__file__).resolve().parent.parent / "docs" / "file_formats.md").read_text(encoding="utf-8")
+    table = dict(re.findall(r"^\| `([A-Z0-9-]+)` \| `(Error|Warning)` \|", docs, re.MULTILINE))
+    listed = re.findall(r"^    ([A-Z0-9-]+) +(\(warning\))?", b.validate.__doc__, re.MULTILINE)
+    assert table == {code: "Warning" if warning else "Error" for code, warning in listed}
+    assert len(table) == 21
 
 
 def test_capability_self_consistency():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import re
 
 import pytest
 
@@ -143,3 +144,9 @@ class TestDciEvent:
     def test_malformed_bits_rejected(self, bits):
         with pytest.raises(ValueError):
             DciEvent(DciFormat.FMT_1_1, bits)
+
+    @pytest.mark.parametrize("fmt", ["1_1", None, Direction.DL_ASSIGNMENT])
+    def test_a_format_that_is_not_a_dci_format_is_a_value_error(self, fmt):
+        """Named in the error, as bad bits are, rather than an AttributeError."""
+        with pytest.raises(ValueError, match=re.escape(f"DCI format must be a DciFormat, got {fmt!r}")):
+            DciEvent(fmt)

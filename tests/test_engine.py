@@ -131,6 +131,22 @@ def test_synthetic_trace_proxy_oracle():
     assert cm.switch_count_by_cause["TimerExpiry"] == 1
 
 
+@pytest.mark.parametrize("at_ms", [0.1, Decimal("2.5")], ids=["float", "decimal"])
+def test_metrics_refuse_a_time_that_is_not_an_int_or_fraction(at_ms):
+    """As the trace writer does, rather than write a float's binary expansion."""
+    exact = b.CellMetrics({}, 0, F(1, 2), 3)
+    inexact = [("total_time_ms", b.RunMetrics(at_ms, {})), ("total_time_ms", b.RunMetrics(at_ms, {"c": exact}))]
+    for name in ("bandwidth_time_proxy_rb_ms", "time_on_default_ms"):
+        inexact.append((name, b.RunMetrics(F(4), {"c": dataclasses.replace(exact, **{name: at_ms})})))
+    for name, metrics in inexact:
+        message = re.escape(f"{name} at {at_ms!r} ms: a time must be an int or Fraction")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            metrics.to_obj()
+    assert b.RunMetrics(F(4), {"c": exact}).to_obj() == {"total_time_ms": "4", "cells": {"c": {
+        "switch_count_by_cause": {}, "rejected_event_count": 0,
+        "bandwidth_time_proxy_rb_ms": "0.5", "time_on_default_ms": "3"}}}
+
+
 class TestScenarioErrors:
     def test_misaligned_event_fr1(self):
         scn = adaptation_scenario()

@@ -44,6 +44,18 @@ def kinds(records) -> list[str]:
     return [r.record for r in records]
 
 
+def dl_only_cell(**kw) -> b.CellConfig:
+    """centered_cell without UL BWPs, and so without PRACH occasions."""
+    return dataclasses.replace(centered_cell(**kw), ul_bwps=(), first_active_ul=None,
+                               prach_configured_on=frozenset())
+
+
+def rejection(call) -> tuple[str, str]:
+    with pytest.raises(EventRejection) as exc:
+        call()
+    return exc.value.reason, exc.value.detail
+
+
 class TestSwitchDelayTable:
     @pytest.mark.parametrize("scs", sorted(DELAY_TABLE))
     @pytest.mark.parametrize("delay_type", [T1, T2])
@@ -144,8 +156,28 @@ class TestRrcSwitch:
             m.on_rrc_reconfig(at(5), 4, 4)
         assert exc.value.reason == "InvalidTarget"
 
+    def test_first_active_ul_on_a_dl_only_cell_rejected(self):
+        m = machine(dl_only_cell())
+        assert rejection(lambda: m.on_rrc_reconfig(at(5), 1, 1)) == (
+            "InvalidTarget", "first-active UL on a cell without UL BWPs")
+        assert m.state.switch_window is None and m.state.active_dl == 0
+
+    def test_unconfigured_first_active_ul_rejected(self):
+        """The DL id is configured; only the UL id is not."""
+        m = machine(adaptation_cell())
+        assert rejection(lambda: m.on_rrc_reconfig(at(5), 1, 4)) == (
+            "InvalidTarget", "first-active UL BWP #4 not configured")
+        assert m.state.switch_window is None and (m.state.active_dl, m.state.active_ul) == (0, 0)
+
 
 class TestDciSwitch:
+    def test_ul_grant_on_a_dl_only_cell_rejected(self):
+        """Rejected as such, before the UL indicator (of no width) is read."""
+        m = machine(dl_only_cell())
+        assert rejection(lambda: m.on_dci(at(4), b.DciEvent(b.DciFormat.FMT_0_1, "01"))) == (
+            "NoUplinkConfigured", "UL grant on a DL-only cell")
+        assert m.state.switch_window is None
+
     def test_fdd_dl_assignment_switches_dl_only(self):
         m = machine(centered_cell())
         m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
@@ -434,6 +466,18 @@ class TestRach:
             m.on_rach_complete(at(8))
         assert exc.value.reason == "NotInRach"
 
+    def test_spcell_rach_without_a_dl_bwp_to_align_with_rejected(self):
+        """An FDD PCell on UL BWP #3, which has PRACH but no DL BWP #3:
+        the DL cannot follow the UL."""
+        base = centered_cell(prach_on=frozenset({0, 3}))
+        m = machine(dataclasses.replace(base, ul_bwps=(*base.ul_bwps, make_bwp(3, 30, 40))))
+        m.on_rrc_reconfig(at(5), 1, 3)
+        tick_until(m, at(5), at(20))
+        assert (m.state.active_dl, m.state.active_ul, m.state.switch_window) == (1, 3, None)
+        assert rejection(lambda: m.on_rach_start(at(20))) == (
+            "InvalidTarget", "no DL BWP #3 to align with the UL BWP")
+        assert not m.state.rach_in_progress
+
     def test_no_uplink_no_rach(self):
         cfg = dataclasses.replace(centered_cell(role=b.CellRole.SCELL, first_active=1),
                                   ul_bwps=(), first_active_ul=None,
@@ -464,6 +508,12 @@ class TestDataService:
         with pytest.raises(EventRejection) as exc:
             m.on_data(at(2), b.Direction.DL_ASSIGNMENT)
         assert exc.value.reason == "DataDuringSwitchWindow"
+
+    def test_ul_data_on_a_dl_only_cell_rejected(self):
+        m = machine(dl_only_cell())
+        assert rejection(lambda: m.on_data(at(2), b.Direction.UL_GRANT)) == (
+            "NoUplinkConfigured", "UL data on a DL-only cell")
+        assert m.on_data(at(2), b.Direction.DL_ASSIGNMENT)[0].fields == {"direction": "dl", "n_rbs": 24}
 
 
 _ops = st.one_of(

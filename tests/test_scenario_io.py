@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from pathlib import Path
@@ -307,6 +308,14 @@ class TestTimeSyntax:
     def test_booleans_are_not_times(self):
         with pytest.raises(ValueError):
             b.parse_ms(True)
+
+    @pytest.mark.parametrize("value", [F(1, 3), F(1, 2), Decimal("0.5"), type("Ms", (int,), {})(5), None, [1]],
+                             ids=["fraction-1/3", "fraction-1/2", "decimal", "int-subclass", "null", "list"])
+    def test_only_json_types_are_times(self, value):
+        """Exactly an int, float or str: a Fraction such as 1/3 has no
+        decimal form, and no JSON decoder makes an int subclass."""
+        with pytest.raises(ValueError, match=re.escape(f"not a time value: {value!r}")):
+            b.parse_ms(value)
 
     @pytest.mark.parametrize(
         "value",

@@ -1,16 +1,16 @@
 """The step-loop engine, kept as an oracle for the deadline-driven `run()`.
 
 `tick_run` drives the same `CellStateMachine`s through the finest tick
-grid among the cells, ticking every cell at every tick of its own grid up
-to the horizon, then once more at the horizon. It shares `_PHASE` and
-`_dispatch` with the engine, and so the tie order, but none of its
-deadline bookkeeping. On the way it checks the claim that lets `run()`
-skip ticks: a tick before a cell's `next_deadline()` emits nothing and
-leaves the state as it was, and no deadline is passed without a tick.
-It also counts the ticks that meet a deadline: `run()` should make
-those and one more per cell at the horizon, and no other. Like `run()`
-it counts eighths of a ms and stops at the last one at or before the
-horizon.
+grid among the cells, ticking every cell at every tick of its own grid
+up to the horizon, then once more at the horizon. It shares the delivery
+table `_DELIVERY` (each event kind's phase and handler) and `_dispatch`
+with the engine, and so the tie order, but none of its deadline
+bookkeeping. On the way it checks the claim that lets `run()` skip
+ticks: a tick before a cell's `next_deadline()` emits nothing and leaves
+the state as it was, and no deadline is passed without a tick. It also
+counts the ticks that meet a deadline: `run()` should make those and one
+more per cell at the horizon, and no other. Like `run()` it counts
+eighths of a ms and stops at the last one at or before the horizon.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import copy
 from fractions import Fraction
 
 from bwpsim.config import effective_default_dl
-from bwpsim.engine import _PHASE, Scenario, _dispatch
+from bwpsim.engine import _DELIVERY, Scenario, _dispatch
 from bwpsim.fsm import UNITS_PER_MS, CellStateMachine, to_units
 from bwpsim.trace import RUN_END, RUN_START, TraceRecord
 
@@ -65,7 +65,7 @@ def tick_run(scenario: Scenario) -> tuple[list[TraceRecord], int]:
     step = min((m.tick for m in machines.values()), default=UNITS_PER_MS)
     strides = [(cid, machines[cid].tick // step) for cid in cell_order]
     events_at: dict[int, list] = {}
-    for ev in sorted(scenario.events, key=lambda ev: _PHASE[ev.kind]):  # stable: input order
+    for ev in sorted(scenario.events, key=lambda ev: _DELIVERY[ev.kind][0]):  # stable: input order
         events_at.setdefault(to_units(ev.at_ms) // step, []).append(ev)
 
     reached = 0

@@ -7,7 +7,7 @@ Run from anywhere, with pytest and hypothesis installed:
 Each mutant names a file under src/, an exact `old` text that must occur
 there once, the `new` text that replaces it, and why the change is not
 equivalent. The runner copies the tier-1 tree (src/, tests/, fixtures/,
-demos/ and pyproject.toml) to a temporary directory, first checks that
+demos/, docs/ and pyproject.toml) to a temporary directory, first checks that
 the unmutated copy passes, then applies one mutant at a time to a fresh
 copy of src/ and runs the tier-1 command with -x. A mutant the suite
 passes on is a survivor; a mutant run that takes longer than TIMEOUT_FACTOR
@@ -29,7 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = Path(__file__).resolve().parent / "mutants.json"
-TREE = ("src", "tests", "fixtures", "demos", "pyproject.toml")
+TREE = ("src", "tests", "fixtures", "demos", "docs", "pyproject.toml")
 IGNORE = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
