@@ -48,7 +48,7 @@ from .trace import (
     STATE_CHANGE,
     MalformedTrace,
     TraceRecord,
-    _exact_ms_str,
+    _exact_time,
     ms_str,
 )
 
@@ -121,8 +121,8 @@ class CellMetrics:
         return {
             "switch_count_by_cause": dict(sorted(self.switch_count_by_cause.items())),
             "rejected_event_count": self.rejected_event_count,
-            "bandwidth_time_proxy_rb_ms": _exact_ms_str(self.bandwidth_time_proxy_rb_ms, "bandwidth_time_proxy_rb_ms"),
-            "time_on_default_ms": _exact_ms_str(self.time_on_default_ms, "time_on_default_ms"),
+            "bandwidth_time_proxy_rb_ms": ms_str(_exact_time(self.bandwidth_time_proxy_rb_ms, "bandwidth_time_proxy_rb_ms")),
+            "time_on_default_ms": ms_str(_exact_time(self.time_on_default_ms, "time_on_default_ms")),
         }
 
 
@@ -133,7 +133,7 @@ class RunMetrics:
 
     def to_obj(self) -> dict:
         return {
-            "total_time_ms": _exact_ms_str(self.total_time_ms, "total_time_ms"),
+            "total_time_ms": ms_str(_exact_time(self.total_time_ms, "total_time_ms")),
             "cells": {cid: m.to_obj() for cid, m in sorted(self.cells.items())},
         }
 
@@ -324,10 +324,9 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
     last_t: Optional[Fraction] = None
     for rec in trace:
         if rec.at_ms is not last_t:
+            # the writer's check raises; testing here first spares a valid time the call
             if not isinstance(rec.at_ms, (int, Fraction)):
-                raise MalformedTrace(
-                    f"{rec.record} for cell {rec.cell!r} at {rec.at_ms!r} ms: a time must be an int or Fraction"
-                )
+                _exact_time(rec.at_ms, "{} for cell {!r}", rec.record, rec.cell, error=MalformedTrace)
             if last_t is not None and rec.at_ms < last_t:
                 raise MalformedTrace(
                     f"timestamps decrease at {rec.at_ms} ms (after {last_t} ms)"

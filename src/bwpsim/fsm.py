@@ -7,13 +7,13 @@ activation, non-fallback DCI, timer expiry, and random-access initiation.
 
 Timing semantics:
 
-* A switch is not instantaneous. Each trigger opens a window whose length
-  is the slot budget from the delay-requirement table (TS 38.133 style),
-  taken at the smaller of the two subcarrier spacings involved; RRC adds
-  the configured RRC processing delay on top. The new ids commit when the
-  window ends, and the commit records carry the exact end time even when
-  the driving tick lands later (a 2.25 ms window commits at exactly
-  2.25 ms after it opened).
+* A switch is not instantaneous. Each trigger opens its window through
+  `_open_window`; it lasts the slot budget of the delay-requirement table
+  (TS 38.133 style) at the smaller of the two subcarrier spacings
+  involved, plus the configured RRC processing delay for RRC. The new
+  ids commit when the window ends, and the commit records carry the exact
+  end time even when the driving tick lands later (a 2.25 ms window
+  commits at exactly 2.25 ms after it opened).
 * While a window is open the UE neither transmits nor receives on the
   cell: every arriving event is rejected and traced, never queued.
 * The inactivity timer counts whole subframes (1 ms) on FR1 and whole
@@ -180,17 +180,18 @@ class BwpState:
 class CellStateMachine:
     """Mutable BWP state of one serving cell, advanced by the engine.
 
-    Every handler returns the trace records it produced. Handlers that
-    reject their event raise EventRejection before touching any state.
-    Times in and out are whole eighths of a ms; the records carry ms. A
-    direct caller passes each time as `to_units(ms)`, `8 * ms` as an int,
-    and reads the records' `at_ms`.
+    Every handler returns the trace records it produced, as does every
+    helper that makes records. A rejected event raises EventRejection
+    before any state changes, also in `_open_window`, the one method that
+    opens a window. Times in and out are whole eighths of a ms; the
+    records carry ms. A direct caller passes each time as `to_units(ms)`,
+    `8 * ms` as an int, and reads the records' `at_ms`.
 
     `cfg` and `cap` are fixed at construction: the machine derives its
     per-cell tables from them once (indicator contexts, each BWP's width
-    and SCS by id, the default DL BWP, switch delays by SCS pair) and
-    never reads them back for those values; its `RunStart` record comes
-    from those tables too.
+    and SCS by id, the default DL BWP, whether DL and UL switch as a pair,
+    switch delays by SCS pair) and never reads them back for those
+    values; its `RunStart` record comes from those tables too.
     """
 
     def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability):
@@ -205,6 +206,7 @@ class CellStateMachine:
             for direction, bwps in ((Direction.DL_ASSIGNMENT, cfg.dl_bwps), (Direction.UL_GRANT, cfg.ul_bwps))
         }
         self._default_dl = effective_default_dl(cfg)
+        self._switch_as_pair = cfg.duplex is Duplex.TDD and cfg.has_uplink  # unpaired spectrum with UL
         self._delays: dict[tuple[int, int], int] = {}  # eighths of a ms by (smaller, larger) SCS
 
     def start_record(self) -> TraceRecord:
@@ -239,7 +241,7 @@ class CellStateMachine:
             first_active_ul = self.cfg.first_active_ul if self.cfg.has_uplink else None
         if first_active_dl is None and first_active_ul is None:
             return []
-        if self.cfg.duplex is Duplex.TDD and self.cfg.has_uplink:
+        if self._switch_as_pair:
             ids = {x for x in (first_active_dl, first_active_ul) if x is not None}
             if len(ids) > 1:
                 raise EventRejection("InvalidTarget", "TDD first-active ids must pair up")
@@ -253,16 +255,13 @@ class CellStateMachine:
         if first_active_ul is not None and first_active_ul not in self._ul:
             raise EventRejection("InvalidTarget", f"first-active UL BWP #{first_active_ul} not configured")
 
-        delay = self._switch_delay(first_active_dl, first_active_ul)
-        end = now + to_units(self.cfg.rrc_processing_delay_ms) + delay
         cause = (
             SwitchCause.FIRST_ACTIVE_ON_SCELL_ACTIVATION
             if scell_activation
             else SwitchCause.RRC_RECONFIG
         )
-        records: list[TraceRecord] = []
-        self._open_window(now, end, first_active_dl, first_active_ul, cause, records)
-        return records
+        extra = to_units(self.cfg.rrc_processing_delay_ms)
+        return [self._open_window(now, first_active_dl, first_active_ul, cause, extra)]
 
     def on_dci(self, now: int, dci: DciEvent) -> list[TraceRecord]:
         """Process one DCI: possibly a switch, possibly a timer restart.
@@ -276,10 +275,8 @@ class CellStateMachine:
         st = self.state
         if st.switch_window is not None:
             raise EventRejection("DciDuringSwitchWindow", "no reception during a switch window")
-        records: list[TraceRecord] = []
         if dci.is_fallback:
-            self._timer_on_scheduling(now, dci.direction, records)
-            return records
+            return self._timer_on_scheduling(now, dci.direction)
         if not dci_switch_available(self.cfg, st.active_dl):
             raise EventRejection(
                 "NonFallbackOnOption1Initial",
@@ -294,12 +291,11 @@ class CellStateMachine:
             raise EventRejection(type(exc).__name__, str(exc)) from exc
         current = st.active_ul if to_ul else st.active_dl
         if target == current:
-            self._timer_on_scheduling(now, dci.direction, records)
-            return records
+            return self._timer_on_scheduling(now, dci.direction)
 
         target_dl: Optional[int]
         target_ul: Optional[int]
-        if self.cfg.duplex is Duplex.TDD and self.cfg.has_uplink:
+        if self._switch_as_pair:
             target_dl, target_ul, what = target, target, "BWP pair"
         elif to_ul:
             target_dl, target_ul, what = None, target, "UL BWP"
@@ -309,10 +305,8 @@ class CellStateMachine:
             target_ul is not None and target_ul not in self._ul
         ):
             raise EventRejection("TargetNotConfigured", f"{what} #{target} not configured")
-        delay = self._switch_delay(target_dl, target_ul)
-        self._open_window(now, now + delay, target_dl, target_ul, SwitchCause.DCI, records)
-        self._try_arm_timer(now, records)
-        return records
+        records = [self._open_window(now, target_dl, target_ul, SwitchCause.DCI)]
+        return records + self._try_arm_timer(now)
 
     def on_tick(self, now: int) -> list[TraceRecord]:
         """Commit the windows due by `now`, then fire the timer if it is due.
@@ -320,8 +314,7 @@ class CellStateMachine:
         `now` may lie on the tick grid or off it; the engine calls this at
         each `next_deadline()` it reaches and once more at the horizon.
         """
-        records: list[TraceRecord] = []
-        self._close_due_windows(now, records)
+        records = self._close_due_windows(now)
         st = self.state
         if st.timer_expires_at is not None and now >= st.timer_expires_at:
             st.timer_expires_at = None
@@ -329,7 +322,7 @@ class CellStateMachine:
             if st.switch_window is not None:
                 st.switch_window.expiry_pending = True
             else:
-                self._open_expiry_window(now, records)
+                records.append(self._open_expiry_window(now))
         return records
 
     def next_deadline(self) -> Optional[int]:
@@ -365,23 +358,21 @@ class CellStateMachine:
             target_ul = 0
         new_ul = target_ul if target_ul is not None else st.active_ul
         target_dl: Optional[int] = None
-        if self.cfg.duplex is Duplex.TDD:
+        if self._switch_as_pair:
             if target_ul is not None:
                 target_dl = target_ul
         elif self.cfg.cell_role.is_spcell and st.active_dl != new_ul:
             target_dl = new_ul
         if target_dl is not None and target_dl not in self._dl:
             raise EventRejection("InvalidTarget", f"no DL BWP #{target_dl} to align with the UL BWP")
-        moves = target_dl is not None or target_ul is not None
-        delay = self._switch_delay(target_dl, target_ul) if moves else None
 
-        records: list[TraceRecord] = []
+        records: list[TraceRecord] = []  # the window first: a rejected switch leaves the state alone
+        if target_dl is not None or target_ul is not None:
+            records.append(
+                self._open_window(now, target_dl, target_ul, SwitchCause.RACH_INITIATED)
+            )
         st.rach_in_progress = True
         st.timer_expires_at = None
-        if delay is not None:
-            self._open_window(
-                now, now + delay, target_dl, target_ul, SwitchCause.RACH_INITIATED, records
-            )
         return records
 
     def on_rach_complete(self, now: int) -> list[TraceRecord]:
@@ -391,10 +382,8 @@ class CellStateMachine:
             raise EventRejection("EventDuringSwitchWindow", "RACH completion during a switch window")
         if not st.rach_in_progress:
             raise EventRejection("NotInRach", "no random-access procedure in progress")
-        records: list[TraceRecord] = []
         st.rach_in_progress = False
-        self._try_arm_timer(now, records)
-        return records
+        return self._try_arm_timer(now)
 
     def on_data(self, now: int, direction: Direction) -> list[TraceRecord]:
         """Serve a scheduled data burst on the active BWP of that direction."""
@@ -420,9 +409,9 @@ class CellStateMachine:
     def _switch_delay(self, target_dl: Optional[int], target_ul: Optional[int]) -> int:
         """Delay budget in eighths of a ms for moving to the targets; None leaves a direction alone.
 
-        Every trigger goes through here: the smallest SCS among the current
-        and target BWPs of the moving directions governs, and a 240 kHz
-        BWP among them rejects the switch. Only an accepted pair's delay
+        Every trigger's window is timed here, through `_open_window`: the
+        smallest SCS among the current and target BWPs of the moving
+        directions governs, and a 240 kHz BWP among them rejects the switch. Only an accepted pair's delay
         is kept, so a 240 kHz switch is rejected every time.
         """
         st = self.state
@@ -445,27 +434,27 @@ class CellStateMachine:
 
     def _open_window(
         self,
-        start: int,
-        end: int,
+        now: int,
         target_dl: Optional[int],
         target_ul: Optional[int],
         cause: SwitchCause,
-        records: list[TraceRecord],
-    ) -> None:
+        extra: int = 0,
+    ) -> TraceRecord:
+        """Open a switch window `extra` eighths of a ms past its delay budget; return its WindowOpen."""
+        end = now + extra + self._switch_delay(target_dl, target_ul)
         self.state.switch_window = SwitchWindow(end, _ceil_to(end, self.tick), target_dl, target_ul, cause)
-        records.append(
-            self._rec(
-                start,
-                WINDOW_OPEN,
-                end_ms=ms_str(_ms(end)),
-                target_dl=target_dl,
-                target_ul=target_ul,
-                cause=cause.value,
-            )
+        return self._rec(
+            now,
+            WINDOW_OPEN,
+            end_ms=ms_str(_ms(end)),
+            target_dl=target_dl,
+            target_ul=target_ul,
+            cause=cause.value,
         )
 
-    def _close_due_windows(self, now: int, records: list[TraceRecord]) -> None:
+    def _close_due_windows(self, now: int) -> list[TraceRecord]:
         st = self.state
+        records: list[TraceRecord] = []
         while st.switch_window is not None and st.switch_window.end_ms <= now:
             w = st.switch_window
             t = w.end_ms
@@ -493,39 +482,35 @@ class CellStateMachine:
                 # the default BWP carries no inactivity tracking
                 st.timer_expires_at = None
             elif w.expiry_pending:
-                self._open_expiry_window(t, records)
+                records.append(self._open_expiry_window(t))
             elif st.timer_expires_at is None or w.cause is not SwitchCause.DCI:
                 # activation of a non-default BWP restarts the timer; for a
                 # DCI-driven switch the restart at reception already governs
-                self._try_arm_timer(t, records)
+                records += self._try_arm_timer(t)
+        return records
 
-    def _open_expiry_window(self, now: int, records: list[TraceRecord]) -> None:
+    def _open_expiry_window(self, now: int) -> TraceRecord:
         default = self._default_dl
-        target_ul = default if (self.cfg.duplex is Duplex.TDD and self.cfg.has_uplink) else None
+        target_ul = default if self._switch_as_pair else None
         try:
-            delay = self._switch_delay(default, target_ul)
+            return self._open_window(now, default, target_ul, SwitchCause.TIMER_EXPIRY)
         except EventRejection as rej:
             # a 240 kHz BWP cannot be switched; record the stuck expiry
-            records.append(rejection_record(now, self.cell, TIMER_EXPIRY, rej))
-            return
-        self._open_window(now, now + delay, default, target_ul,
-                          SwitchCause.TIMER_EXPIRY, records)
+            return rejection_record(now, self.cell, TIMER_EXPIRY, rej)
 
-    def _timer_on_scheduling(self, now: int, direction: Direction, records: list[TraceRecord]) -> None:
+    def _timer_on_scheduling(self, now: int, direction: Direction) -> list[TraceRecord]:
         if self.cfg.duplex is Duplex.FDD and direction is not Direction.DL_ASSIGNMENT:
-            return
-        self._try_arm_timer(now, records)
+            return []
+        return self._try_arm_timer(now)
 
-    def _try_arm_timer(self, now: int, records: list[TraceRecord]) -> None:
+    def _try_arm_timer(self, now: int) -> list[TraceRecord]:
         st = self.state
         value = self.cfg.inactivity_timer_ms
         if value is None or st.rach_in_progress or st.active_dl == self._default_dl:
-            return
+            return []
         was_running = st.timer_expires_at is not None
         tick = self.tick
         # the first whole period ends at the first tick boundary a full tick
         # after arming; the last of value/tick periods ends value - tick later
         st.timer_expires_at = _ceil_to(now + tick, tick) + to_units(value) - tick
-        records.append(
-            self._rec(now, TIMER_RESTART if was_running else TIMER_START, value_ms=value)
-        )
+        return [self._rec(now, TIMER_RESTART if was_running else TIMER_START, value_ms=value)]

@@ -132,11 +132,12 @@ def ms_str(value: Fraction | int) -> str:
     return f"{'-' if num < 0 else ''}{whole}.{part:0{digits}d}"
 
 
-def _exact_ms_str(value: Fraction | int, what: str) -> str:
-    """ms_str of the time of `what`, refused unless it is an int or Fraction."""
+def _exact_time(value: Any, what: str, *args: Any, error: type[Exception] = ValueError) -> Fraction | int:
+    """`value`, the time of `what.format(*args)`, refused with `error` unless
+    it is an int or Fraction; the message is formatted only then."""
     if not isinstance(value, (int, Fraction)):
-        raise ValueError(f"{what} at {value!r} ms: a time must be an int or Fraction")
-    return ms_str(value)
+        raise error(f"{what.format(*args)} at {value!r} ms: a time must be an int or Fraction")
+    return value
 
 
 def parse_ms(value: Any) -> Fraction:
@@ -180,7 +181,7 @@ class TraceRecord:
         return _encode(self.to_obj())
 
     def _at_ms_str(self) -> str:
-        return _exact_ms_str(self.at_ms, f"{self.record} for cell {self.cell!r}")
+        return ms_str(_exact_time(self.at_ms, "{} for cell {!r}", self.record, self.cell))
 
     def _obj(self, at_ms: str) -> dict[str, Any]:
         """to_obj with the time already rendered as `at_ms`."""

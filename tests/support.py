@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -237,11 +238,7 @@ def spread_cell(
     point_a = POINT_A[fr]
     center = 70 * b.Numerology(high_mu).rb_width_hz
     half_block = 20 * b.Numerology(low_mu).rb_width_hz
-    bwps = []
-    for i, (mu, k) in enumerate(zip(mus, widths)):
-        n = k * 40 >> (mu - low_mu)
-        start = center // b.Numerology(mu).rb_width_hz - n // 2
-        bwps.append(make_bwp(i, start, n, mu=mu, dedicated=(i != 0 or initial_dedicated)))
+    bwps = spread_bwps(fr, mus, widths, initial_dedicated)
     block = b.HzSpan(point_a + center - half_block, point_a + center + half_block)
     return b.CellConfig(
         cell_role=role,
@@ -260,6 +257,20 @@ def spread_cell(
         rrc_processing_delay_ms=rrc_delay_ms,
         prach_configured_on=prach_on,
     )
+
+
+def spread_bwps(
+    fr: b.FrequencyRange, mus: tuple[int, ...], widths: tuple[int, ...], initial_dedicated: bool
+) -> tuple[b.BwpConfig, ...]:
+    """The BWPs of `spread_cell`, ids 0, 1, ... in order."""
+    low_mu, high_mu = SPREAD_MUS[fr][0], SPREAD_MUS[fr][-1]
+    center = 70 * b.Numerology(high_mu).rb_width_hz
+    bwps = []
+    for i, (mu, k) in enumerate(zip(mus, widths)):
+        n = k * 40 >> (mu - low_mu)
+        start = center // b.Numerology(mu).rb_width_hz - n // 2
+        bwps.append(make_bwp(i, start, n, mu=mu, dedicated=(i != 0 or initial_dedicated)))
+    return tuple(bwps)
 
 
 def random_multicell_scenario(rng: random.Random) -> b.Scenario:
@@ -306,6 +317,100 @@ def random_multicell_scenario(rng: random.Random) -> b.Scenario:
         tick = cells[cell].tick_ms
         at = rng.choice(shared) if rng.random() < 0.5 else tick * rng.randint(0, int(base / tick))
         events.append(random_event(rng, at, cell, cells[cell]))
+    capability = b.UeCapability(
+        max_rrc_bwps=4,
+        mixed_numerology_bwps=mixed_any,
+        switch_delay_type=rng.choice(list(b.DelayType)),
+    )
+    return b.Scenario(cells=cells, capability=capability, events=events, horizon_ms=horizon)
+
+
+def _numerologies(rng: random.Random, fr: b.FrequencyRange, n: int) -> tuple[int, ...]:
+    """Mixed numerologies half the time, else one of the two smallest of `fr`."""
+    if rng.random() < 0.5:
+        return tuple(rng.choice(SPREAD_MUS[fr]) for _ in range(n))
+    return (rng.choice(SPREAD_MUS[fr][:2]),) * n
+
+
+def _some_extended_cp(rng: random.Random, bwps: tuple[b.BwpConfig, ...]) -> tuple[b.BwpConfig, ...]:
+    """`bwps` with about half of the 60 kHz ones switched to extended CP."""
+    out = []
+    for bwp in bwps:
+        if bwp.geometry.numerology.mu == 2 and rng.random() < 0.5:
+            geometry = dataclasses.replace(bwp.geometry, cyclic_prefix=b.CyclicPrefix.EXTENDED)
+            bwp = dataclasses.replace(bwp, common=dataclasses.replace(bwp.common, geometry=geometry))
+        out.append(bwp)
+    return tuple(out)
+
+
+def random_asymmetric_scenario(rng: random.Random) -> b.Scenario:
+    """A multicell scenario of the cell shapes `random_multicell_scenario`
+    never draws, all valid.
+
+    About a third of the cells are DL-only, FDD or TDD, with no PRACH
+    occasions; about a third are FDD cells whose UL BWPs are a subset of
+    the DL ids, #0 included, with numerologies and widths of their own;
+    the rest pair their DL and UL BWPs as `spread_cell` builds them. Cells
+    after the first are SCells or PSCells, and about half of the 60 kHz
+    BWPs use extended CP. RRC events name a DL target, a UL target, both
+    or neither, so DL-only cells see RRC switches they accept.
+    """
+    names = [f"c{k}" for k in rng.sample(range(10), rng.randint(1, 4))]
+    cells: dict[str, b.CellConfig] = {}
+    mixed_any = False
+    for pos, name in enumerate(names):
+        fr = rng.choice(list(SPREAD_MUS))
+        n_bwps = rng.randint(2, 4)
+        ids = list(range(n_bwps))
+        role = b.CellRole.PCELL if pos == 0 else rng.choice([b.CellRole.SCELL, b.CellRole.PSCELL])
+        shape = rng.choice(["dl-only", "own-ul", "paired"])
+        cfg = spread_cell(
+            fr=fr,
+            mus=_numerologies(rng, fr, n_bwps),
+            widths=tuple(rng.choice((1, 2, 3, 6)) for _ in ids),
+            duplex=b.Duplex.FDD if shape == "own-ul" else rng.choice([b.Duplex.FDD, b.Duplex.TDD]),
+            role=role,
+            default_dl=rng.choice([None, *ids]),
+            timer_ms=rng.choice([None, 2, 5, 20]),
+            prach_on=rng.choice([frozenset({0}), frozenset(ids)]),
+            first_active=rng.choice(ids[1:] if role is b.CellRole.SCELL else [None, *ids]),
+            rrc_delay_ms=rng.choice([5, 10]),
+            initial_dedicated=rng.random() < 0.5,
+        )
+        if shape == "dl-only":
+            cfg = dataclasses.replace(cfg, ul_bwps=(), first_active_ul=None, prach_configured_on=frozenset())
+        elif shape == "own-ul":
+            ul_ids = [0, *sorted(rng.sample(ids[1:], rng.randint(0, n_bwps - 1)))]
+            ul_bwps = spread_bwps(
+                fr,
+                _numerologies(rng, fr, n_bwps),
+                tuple(rng.choice((1, 2, 3, 6)) for _ in ids),
+                rng.random() < 0.5,
+            )
+            cfg = dataclasses.replace(
+                cfg,
+                ul_bwps=tuple(bwp for bwp in ul_bwps if bwp.id in ul_ids),
+                first_active_ul=rng.choice([None, *ul_ids]),
+                prach_configured_on=frozenset(rng.sample(ul_ids, rng.randint(1, len(ul_ids)))),
+            )
+        cfg = dataclasses.replace(
+            cfg, dl_bwps=_some_extended_cp(rng, cfg.dl_bwps), ul_bwps=_some_extended_cp(rng, cfg.ul_bwps)
+        )
+        mixed_any |= len({bwp.geometry.numerology for bwp in (*cfg.dl_bwps, *cfg.ul_bwps)}) > 1
+        cells[name] = cfg
+    base = rng.choice([10, 30, 60])
+    horizon = base + rng.choice([Fraction(k, 40) for k in (0, 5, 10, 12, 24)])
+    shared = [Fraction(rng.randint(0, base)) for _ in range(3)]
+    events: list[b.SimEvent] = []
+    for _ in range(rng.randint(0, 16)):
+        cell = rng.choice(names)
+        cfg = cells[cell]
+        at = rng.choice(shared) if rng.random() < 0.5 else cfg.tick_ms * rng.randint(0, int(base / cfg.tick_ms))
+        ev = random_event(rng, at, cell, cfg)
+        if ev.kind is b.EventKind.RRC_RECONFIG:
+            ul = rng.choice([ev.first_active_dl, None, *(bwp.id for bwp in cfg.ul_bwps)])
+            ev = dataclasses.replace(ev, first_active_ul=ul)
+        events.append(ev)
     capability = b.UeCapability(
         max_rrc_bwps=4,
         mixed_numerology_bwps=mixed_any,

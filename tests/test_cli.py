@@ -67,6 +67,17 @@ class TestValidate:
         codes = {f["rule_code"] for cell in machine["cells"].values() for f in cell["findings"]}
         assert code in codes
 
+    def test_warnings_are_counted_and_pass(self, tmp_path, capsys):
+        """A 1-RB UL BWP is below the RBG floor: a warning, not an error."""
+        doc = tmp_path / "warning.json"
+        n_rbs = ("cells", 0, "ul_bwps", 0, "common", "geometry", "n_rbs")
+        doc.write_text(json.dumps(mutated(adaptation_doc(), n_rbs, 1)))
+        assert main(["validate", str(doc)]) == 0
+        out = capsys.readouterr()
+        assert json.loads(out.out)["ok"] is True
+        assert "Warning [RBG-FLOOR]" in out.err
+        assert out.err.endswith("0 error(s), 1 warning(s) across 1 cell(s)\n")
+
     def test_truncated_file_is_a_parse_error(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         broken.write_text('{"version": "bwpsim/1"')

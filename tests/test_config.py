@@ -340,3 +340,11 @@ def test_capability_self_consistency():
         b.UeCapability(max_rrc_bwps=3)
     with pytest.raises(ValueError):
         b.UeCapability(max_rrc_bwps=2, mixed_numerology_bwps=True)
+
+
+def test_lookup_of_an_unconfigured_bwp_is_a_key_error():
+    cfg = centered_cell()
+    with pytest.raises(KeyError, match="no DL BWP with id 3"):
+        cfg.dl_bwp(3)
+    with pytest.raises(KeyError, match="no UL BWP with id 3"):
+        cfg.ul_bwp(3)

@@ -19,6 +19,7 @@ from support import (
     adaptation_cell,
     adaptation_scenario,
     centered_cell,
+    random_asymmetric_scenario,
     random_multicell_scenario,
     random_scenario,
 )
@@ -244,6 +245,12 @@ class TestScenarioErrors:
         with pytest.raises(ValueError):
             b.SimEvent(F(1), "pcell", b.EventKind.DCI)
 
+    def test_negative_horizon(self):
+        scn = adaptation_scenario()
+        scn.events, scn.horizon_ms = [], F(-1, 10)
+        with pytest.raises(b.ScenarioInvalid, match="^horizon must be >= 0 ms$"):
+            b.run(scn)
+
 
 def test_rejected_events_are_traced_and_counted():
     cfg = centered_cell()
@@ -318,6 +325,17 @@ class TestReplayRejectsMalformedTraces:
                  b.TraceRecord(end.at_ms + 1, "scell", RUN_END, {})]
         with pytest.raises(b.MalformedTrace, match="cells end at different horizons"):
             b.replay_metrics([start, other[0], *trace[1:], other[1]])
+
+    def test_duplicate_run_start(self):
+        trace = self._base()
+        with pytest.raises(b.MalformedTrace, match="^duplicate RunStart for cell 'pcell'$"):
+            b.replay_metrics([trace[0], *trace])
+
+    def test_payload_field_missing(self):
+        trace = self._base()
+        del trace[0].fields["dl_rbs"]
+        with pytest.raises(b.MalformedTrace, match="^RunStart missing field 'dl_rbs'$"):
+            b.replay_metrics(trace)
 
     def test_empty_trace(self):
         with pytest.raises(b.MalformedTrace):
@@ -412,6 +430,11 @@ class TestReadTrace:
     def test_non_object_line(self):
         with pytest.raises(b.MalformedTrace, match=r"^line 1: expected an object"):
             b.read_trace(["[1, 2]"])
+
+    def test_blank_lines_are_skipped(self):
+        lines = self._lines()
+        spaced = [lines[0], "", *lines[1:3], " \n", *lines[3:], "\n"]
+        assert b.read_trace(spaced) == b.read_trace(lines)
 
     def test_records_of_one_time_share_one_fraction(self):
         lines = self._lines()
@@ -686,6 +709,19 @@ def test_multicell_runs_are_deterministic_and_replay():
         times = [r.at_ms for r in trace]
         assert times == sorted(times), seed
         assert b.replay_metrics(b.read_trace(text.splitlines())) == metrics, seed
+
+
+def test_asymmetric_cells_match_the_oracles():
+    """DL-only FDD and TDD cells, FDD cells with UL BWPs of their own,
+    PSCells and extended CP: run() writes the step loop's trace, and the
+    trace replays, read back, to the metrics that plain Fraction sums give."""
+    for seed in range(200):
+        scn = random_asymmetric_scenario(random.Random(seed))
+        trace, metrics = b.run(scn)
+        text = written(trace)
+        assert text == written(tick_run(scn)[0]), seed
+        assert b.replay_metrics(b.read_trace(text.splitlines())) == metrics, seed
+        assert reference_metrics(trace) == metrics, seed
 
 
 def count_ticks(monkeypatch, limit=None):

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 import bwpsim as b
 from bwpsim import fsm
 from bwpsim.fsm import UNITS_PER_MS, CellStateMachine, EventRejection, to_units
-from support import adaptation_cell, assert_machine_invariants, at, centered_cell, make_bwp, spread_cell
+from support import (
+    adaptation_cell,
+    assert_machine_invariants,
+    at,
+    centered_cell,
+    make_bwp,
+    spread_bwps,
+    spread_cell,
+)
 
 T1 = b.DelayType.TYPE1
 T2 = b.DelayType.TYPE2
@@ -478,6 +486,28 @@ class TestRach:
             "InvalidTarget", "no DL BWP #3 to align with the UL BWP")
         assert not m.state.rach_in_progress
 
+    def test_unsupported_scs_rejects_before_touching_state(self):
+        """An FDD PCell on DL #0 at 240 kHz and UL #1 at 120 kHz: RACH start
+        would align DL with UL #1, a switch from 240 kHz, so it is rejected
+        and random access never starts, nor is the timer cleared."""
+        cfg = spread_cell(fr=b.FrequencyRange.FR2, mus=(4, 3), widths=(1, 1), duplex=b.Duplex.FDD,
+                          role=b.CellRole.PCELL, default_dl=None, timer_ms=None, prach_on=frozenset({0, 1}),
+                          first_active=None, rrc_delay_ms=10, initial_dedicated=True)
+        cfg = dataclasses.replace(cfg, ul_bwps=spread_bwps(b.FrequencyRange.FR2, (3, 3), (1, 1), True))
+        cap = b.UeCapability(max_rrc_bwps=4, mixed_numerology_bwps=True)
+        assert not b.validate(cfg, cap).has_errors
+        m = CellStateMachine("cell", cfg, cap)
+        m.on_dci(at(1), b.DciEvent(b.DciFormat.FMT_0_1, "1"))  # UL 120 -> 120 kHz: 6 slots
+        tick_until(m, at(1), at(2))
+        assert (m.state.active_dl, m.state.active_ul, m.state.switch_window) == (0, 1, None)
+        m.state.timer_expires_at = at(13)
+        assert rejection(lambda: m.on_rach_start(at(2))) == (
+            "UnsupportedScs", "no switch delay requirement for 240 kHz")
+        assert (m.state.rach_in_progress, m.state.timer_expires_at, m.state.switch_window) == (
+            False, at(13), None)
+        assert rejection(lambda: m.on_rach_complete(at(3))) == (
+            "NotInRach", "no random-access procedure in progress")
+
     def test_no_uplink_no_rach(self):
         cfg = dataclasses.replace(centered_cell(role=b.CellRole.SCELL, first_active=1),
                                   ul_bwps=(), first_active_ul=None,
@@ -486,6 +516,34 @@ class TestRach:
         with pytest.raises(EventRejection) as exc:
             m.on_rach_start(at(4))
         assert exc.value.reason == "NoUplinkConfigured"
+
+
+class TestTddWithoutUplink:
+    """A TDD cell without UL BWPs has nothing to pair: it switches DL alone."""
+
+    def test_rrc_with_only_a_dl_target(self):
+        m = machine(dl_only_cell(duplex=b.Duplex.TDD))
+        recs = m.on_rrc_reconfig(at(5), 1)
+        assert (recs[0].fields["target_dl"], recs[0].fields["target_ul"]) == (1, None)
+        tick_until(m, at(5), at(16))
+        assert (m.state.active_dl, m.state.active_ul) == (1, None)
+
+    def test_dl_dci_switch(self):
+        m = machine(dl_only_cell(duplex=b.Duplex.TDD))
+        recs = m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
+        assert kinds(recs) == ["WindowOpen", "TimerStart"]
+        assert (recs[0].fields["target_dl"], recs[0].fields["target_ul"]) == (1, None)
+        tick_until(m, at(2), at(3))
+        assert (m.state.active_dl, m.state.active_ul) == (1, None)
+
+    def test_timer_expiry(self):
+        m = machine(dl_only_cell(duplex=b.Duplex.TDD, timer_ms=2))
+        m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
+        recs = tick_until(m, at(2), at(6))
+        assert kinds(recs) == ["WindowClose", "StateChange", "TimerExpiry", "WindowOpen", "WindowClose",
+                               "StateChange"]
+        assert (recs[3].fields["target_dl"], recs[3].fields["target_ul"]) == (2, None)
+        assert (m.state.active_dl, m.state.active_ul) == (2, None)
 
 
 class TestDataService:

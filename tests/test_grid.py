@@ -146,6 +146,12 @@ class TestClassifyFrequency:
         with pytest.raises(ValueError):
             classify_frequency(-1)
 
+    def test_unassigned_has_no_bounds_and_no_tick(self):
+        with pytest.raises(ValueError, match="no defined bounds"):
+            FrequencyRange.UNASSIGNED.bounds_mhz
+        with pytest.raises(ValueError, match="no timer granularity"):
+            FrequencyRange.UNASSIGNED.tick_ms
+
 
 @given(g=geometries, point_a=st.integers(0, 10**11))
 def test_span_width_is_exactly_rbs_times_rb_width(g, point_a):

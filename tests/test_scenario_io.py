@@ -86,6 +86,22 @@ def test_duplicate_cell_id():
         scenario_from_obj(doc)
 
 
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("cells",), [], "top level: at least one cell is required"),
+        (("cells", 0, "cell_id"), "", "cells[0].cell_id: expected a non-empty string"),
+        (("cells", 0, "fr"), "Unassigned", "cells[0]: cell must sit in FR1 or FR2"),
+    ],
+    ids=["no-cells", "empty-cell-id", "unassigned-fr"],
+)
+def test_documents_without_a_cell_to_run(path, value, message):
+    """No cell, a cell without a name and a cell outside FR1 and FR2."""
+    with pytest.raises(ParseError) as info:
+        scenario_from_obj(mutated(adaptation_doc(), path, value))
+    assert str(info.value) == message
+
+
 def test_unknown_event_kind():
     doc = adaptation_doc()
     doc["events"][0]["kind"] = "Handover"

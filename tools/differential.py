@@ -8,9 +8,10 @@ Run from anywhere, with the test extras (pytest) installed:
 The corpus is built once, as `bwpsim/1` JSON texts, in a child
 interpreter on the NEW tree:
 
-- `tests/support.py`'s `random_scenario` and `random_multicell_scenario`,
-  seeds 0-299, serialized by `write_scenario` below; each text must parse
-  back to a Scenario equal to the one it was written from;
+- `tests/support.py`'s `random_scenario`, `random_multicell_scenario` and
+  `random_asymmetric_scenario`, seeds 0-299, serialized by
+  `write_scenario` below; each text must parse back to a Scenario equal
+  to the one it was written from;
 - the seed-0 and seed-1 documents of `perfbench/gen.py` (`ca_dense`,
   `idle_horizon` and `validate_corpus`), imported and not changed;
 - `fixtures/*_scenario.json` and `fixtures/invalid/*.json`.
@@ -18,8 +19,8 @@ interpreter on the NEW tree:
 Then each tree runs the whole corpus in one child interpreter of its own,
 and hashes for each input: the parse outcome (the Scenario's repr, or the
 error), each cell's validation findings, the written trace and metrics
-JSON of `run()` (or its error), and the exit code and stdout of
-`cli.main` for `run` and for `validate`. The first input whose digests
+JSON of `run()` (or its error), and the exit code (or the error) and
+stdout of `cli.main` for `run` and for `validate`. The first input whose digests
 differ is printed with the digest that differs, and the exit status is 1;
 0 when every digest agrees, 2 when a child fails. Only the standard
 library is used here; the corpus child also imports the tree's tests and
@@ -119,7 +120,7 @@ def build_corpus(tree: Path) -> list[tuple[str, str]]:
     from bwpsim.scenario import scenario_from_obj
 
     corpus = []
-    for make in (support.random_scenario, support.random_multicell_scenario):
+    for make in (support.random_scenario, support.random_multicell_scenario, support.random_asymmetric_scenario):
         for seed in SEEDS:
             scenario = make(random.Random(seed))
             text = write_scenario(scenario)
@@ -175,7 +176,7 @@ def digests(text: str) -> dict[str, str]:
     for command in ("run", "validate"):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([command, INPUT])
+            code = _outcome(lambda: cli.main([command, INPUT]))[1]
         cli_out.append(f"{command} exit {code}\n{stdout.getvalue()}")
     out["cli"] = "\n".join(cli_out)
     return {key: hashlib.sha256(out[key].encode()).hexdigest() for key in DIGESTS}
