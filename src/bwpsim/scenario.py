@@ -1,37 +1,34 @@
 """Scenario document serialization (JSON, versioned as "bwpsim/1").
 
-Field names in the documents mirror the configuration types one-to-one so
-a scenario file reads like the in-memory model. Anything wrong with a
-document raises ParseError; semantic problems are left to the validator
-and the engine.
+Each document object is read from the fields of its configuration type:
+their names, order, kinds and defaults, where null means absent only if
+the default is None. So adding a field to a config type adds a document
+field. The one exception is `max_rrc_bwps`, which a document must give
+though `UeCapability` defaults it. A cell also carries its `cell_id`; the
+events and the top level are read by hand. Anything wrong with a document
+raises ParseError; semantic problems are left to the validator and the
+engine.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+from collections.abc import Mapping
 from enum import EnumMeta
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
-from .config import (
-    BwpCommon,
-    BwpConfig,
-    BwpDedicated,
-    CellConfig,
-    CellRole,
-    DelayType,
-    Duplex,
-    UeCapability,
-    UplinkWaveform,
-)
+from .config import CellConfig, UeCapability
 from .dci import DciEvent, DciFormat
 from .engine import EventKind, Scenario, SimEvent
-from .grid import BwpGeometry, CyclicPrefix, FrequencyRange, HzSpan, Numerology
 from .trace import decode_json, parse_ms
 
 FORMAT_VERSION = "bwpsim/1"
 
 _REQUIRED = object()  # default of a field that must be present
+_OPTIONAL = object()  # default of a field the constructor defaults: left out when absent
 
 _EXPECTED = {int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
 _TIME_TYPES = (int, float, str)  # the JSON types of a time
@@ -71,7 +68,9 @@ def _read(value: Any, path: str, kind: Any) -> Any:
     [item_kind] for a JSON list whose item i is read as item_kind at
     `path[i]`, or a reader called as kind(value, path). A value of another
     kind is a ParseError naming `path`; so is every value for an Enum
-    class, whose members `_get` has already matched by value.
+    class, whose members `_get` has already matched by value. A reader's
+    or a constructor's TypeError, ValueError or OverflowError is a
+    ParseError at `path`; a ParseError from further in passes unchanged.
     """
     if type(value) is kind:
         return value
@@ -84,105 +83,76 @@ def _read(value: Any, path: str, kind: Any) -> Any:
     elif type(kind) is type:
         expected = _EXPECTED[kind]
     else:
-        return kind(value, path)
+        try:
+            return kind(value, path)
+        except ParseError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
     raise ParseError(f"{path}: expected {expected}, got {value!r}")
 
 
-def _build(where: str, ctor: Callable, *args: Any, **fields: Any) -> Any:
-    """Call a model constructor; its rejection of a value is a ParseError at `where`."""
-    try:
-        return ctor(*args, **fields)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-
-
 def _time(value: Any, path: str) -> Fraction:
-    return _build(path, parse_ms, value)
+    return parse_ms(value)
 
 
 def _float(value: Any, path: str) -> float:
     if type(value) is not float and type(value) is not int:
         raise ParseError(f"{path}: expected a number, got {value!r}")
-    return _build(path, float, value)
+    return float(value)
 
 
-def _numerology(obj: Any, where: str) -> Numerology:
-    return _build(where, Numerology, mu=_get(obj, "mu", where, int))
+def _kind(hint: Any) -> Any:
+    """The `_read` kind of a config type's field annotation."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return _kind(args[0])
+    if origin is tuple or origin is frozenset:
+        return [_kind(args[0])]
+    if origin is Mapping:
+        return dict
+    if dataclasses.is_dataclass(hint):
+        return _reader(hint)
+    return _float if hint is float else hint
 
 
-def _span(obj: Any, where: str) -> HzSpan:
-    return _build(
-        where, HzSpan, low_hz=_get(obj, "low_hz", where, int), high_hz=_get(obj, "high_hz", where, int)
-    )
+@functools.cache
+def _reader(cls: type) -> Callable[[Any, str], Any]:
+    """The reader of a config type's document object: each field in order,
+    as its annotation's `_kind`; an absent field is left out for the
+    constructor to default. Built on first use, not at import: resolving
+    the annotations is the costly part.
+    """
+    hints = get_type_hints(cls)
+    plan = []
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            default = _REQUIRED
+        else:
+            default = None if f.default is None else _OPTIONAL
+        plan.append((f.name, _kind(hints[f.name]), default))
 
+    def read(obj: Any, where: str) -> Any:
+        fields = {}
+        for key, kind, default in plan:
+            value = _get(obj, key, where, kind, default)
+            if value is not _OPTIONAL:
+                fields[key] = value
+        return cls(**fields)
 
-def _geometry(obj: Any, where: str) -> BwpGeometry:
-    return _build(
-        where,
-        BwpGeometry,
-        start_rb=_get(obj, "start_rb", where, int),
-        n_rbs=_get(obj, "n_rbs", where, int),
-        numerology=_get(obj, "numerology", where, _numerology),
-        cyclic_prefix=_get(obj, "cyclic_prefix", where, CyclicPrefix, CyclicPrefix.NORMAL),
-    )
-
-
-def _common(obj: Any, where: str) -> BwpCommon:
-    return BwpCommon(
-        geometry=_get(obj, "geometry", where, _geometry),
-        link_params=_get(obj, "link_params", where, dict, {}),
-    )
-
-
-def _dedicated(obj: Any, where: str) -> BwpDedicated:
-    return BwpDedicated(
-        link_params=_get(obj, "link_params", where, dict, {}),
-        uplink_waveform=_get(obj, "uplink_waveform", where, UplinkWaveform, None),
-    )
-
-
-def _bwp(obj: Any, where: str) -> BwpConfig:
-    return BwpConfig(
-        id=_get(obj, "id", where, int),
-        common=_get(obj, "common", where, _common),
-        dedicated=_get(obj, "dedicated", where, _dedicated, None),
-    )
+    return read
 
 
 def _cell(obj: Any, where: str) -> tuple[str, CellConfig]:
     cell_id = _get(obj, "cell_id", where, str)
     if not cell_id:
         raise ParseError(f"{where}.cell_id: expected a non-empty string")
-    return cell_id, _build(
-        where,
-        CellConfig,
-        cell_role=_get(obj, "cell_role", where, CellRole),
-        duplex=_get(obj, "duplex", where, Duplex),
-        fr=_get(obj, "fr", where, FrequencyRange),
-        point_a_hz=_get(obj, "point_a_hz", where, int),
-        channel_bandwidth_mhz=_get(obj, "channel_bandwidth_mhz", where, _float),
-        coreset0_span=_get(obj, "coreset0_span", where, _span),
-        ssb_span=_get(obj, "ssb_span", where, _span),
-        dl_bwps=_get(obj, "dl_bwps", where, [_bwp]),
-        ul_bwps=_get(obj, "ul_bwps", where, [_bwp], ()),
-        first_active_dl=_get(obj, "first_active_dl", where, int, None),
-        first_active_ul=_get(obj, "first_active_ul", where, int, None),
-        default_dl_bwp=_get(obj, "default_dl_bwp", where, int, None),
-        inactivity_timer_ms=_get(obj, "inactivity_timer_ms", where, int, None),
-        rrc_processing_delay_ms=_get(obj, "rrc_processing_delay_ms", where, int, 10),
-        prach_configured_on=_get(obj, "prach_configured_on", where, [int], (0,)),
-    )
+    return cell_id, _reader(CellConfig)(obj, where)
 
 
 def _capability(obj: Any, where: str) -> UeCapability:
-    return _build(
-        where,
-        UeCapability,
-        max_rrc_bwps=_get(obj, "max_rrc_bwps", where, int),
-        mixed_numerology_bwps=_get(obj, "mixed_numerology_bwps", where, bool, False),
-        supports_no_bandwidth_restriction=_get(obj, "supports_no_bandwidth_restriction", where, bool, False),
-        switch_delay_type=_get(obj, "switch_delay_type", where, DelayType, DelayType.TYPE1),
-    )
+    _get(obj, "max_rrc_bwps", where, int)  # required, though UeCapability defaults it
+    return _reader(UeCapability)(obj, where)
 
 
 def _events() -> list:
@@ -210,7 +180,7 @@ def _events() -> list:
             pair = (obj["format"], _get(obj, "bwp_indicator_bits", where, str, None))
             dci = dcis.get(pair)
             if dci is None:
-                dci = dcis[pair] = _build(where, DciEvent, fmt, pair[1])
+                dci = dcis[pair] = DciEvent(fmt, pair[1])
         elif kind is EventKind.RRC_RECONFIG:
             first_dl = _get(obj, "first_active_dl", where, int, None)
             first_ul = _get(obj, "first_active_ul", where, int, None)

@@ -224,6 +224,114 @@ def test_top_level_errors_say_so(obj, message):
     assert str(info.value) == message
 
 
+# The document format field by field, typed from docs/file_formats.md and
+# not from the config types: one object of each kind in
+# adaptation_fdd_scenario.json, by its path, and its fields in the order
+# they are read, each REQUIRED or with the JSON value that its absence means.
+REQUIRED = "required"
+FORMAT = [
+    ((), {"version": REQUIRED, "cells": REQUIRED, "capability": REQUIRED, "events": [], "horizon_ms": None}),
+    (("capability",), {
+        "max_rrc_bwps": REQUIRED, "mixed_numerology_bwps": False,
+        "supports_no_bandwidth_restriction": False, "switch_delay_type": "type1",
+    }),
+    (("cells", 0), {
+        "cell_id": REQUIRED, "cell_role": REQUIRED, "duplex": REQUIRED, "fr": REQUIRED, "point_a_hz": REQUIRED,
+        "channel_bandwidth_mhz": REQUIRED, "coreset0_span": REQUIRED, "ssb_span": REQUIRED, "dl_bwps": REQUIRED,
+        "ul_bwps": [], "first_active_dl": None, "first_active_ul": None, "default_dl_bwp": None,
+        "inactivity_timer_ms": None, "rrc_processing_delay_ms": 10, "prach_configured_on": [0],
+    }),
+    (("cells", 0, "ssb_span"), {"low_hz": REQUIRED, "high_hz": REQUIRED}),
+    (("cells", 0, "ul_bwps", 1), {"id": REQUIRED, "common": REQUIRED, "dedicated": None}),
+    (("cells", 0, "ul_bwps", 1, "common"), {"geometry": REQUIRED, "link_params": {}}),
+    (("cells", 0, "ul_bwps", 1, "common", "geometry"), {
+        "start_rb": REQUIRED, "n_rbs": REQUIRED, "numerology": REQUIRED, "cyclic_prefix": "normal",
+    }),
+    (("cells", 0, "ul_bwps", 1, "common", "geometry", "numerology"), {"mu": REQUIRED}),
+    (("cells", 0, "ul_bwps", 1, "dedicated"), {"link_params": {}, "uplink_waveform": None}),
+    (("events", 0), {  # RrcReconfig
+        "kind": REQUIRED, "at_ms": REQUIRED, "cell": REQUIRED, "first_active_dl": None, "first_active_ul": None,
+    }),
+    (("events", 1), {  # Dci, non-fallback
+        "kind": REQUIRED, "at_ms": REQUIRED, "cell": REQUIRED, "format": REQUIRED, "bwp_indicator_bits": None,
+    }),
+]
+FIELDS = [(where, key, absent) for where, fields in FORMAT for key, absent in fields.items()]
+REQUIRED_FIELDS = [(where, key) for where, key, absent in FIELDS if absent == REQUIRED]
+DEFAULTED_FIELDS = [field for field in FIELDS if field[2] != REQUIRED]
+# the fields in which the docs let null mean absent
+NULLABLE = {
+    "first_active_dl", "first_active_ul", "default_dl_bwp", "inactivity_timer_ms",
+    "dedicated", "uplink_waveform", "bwp_indicator_bits", "horizon_ms",
+}
+
+
+def json_path(where):
+    """A path tuple as parse errors spell it: cells[0].ssb_span."""
+    text = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in where).lstrip(".")
+    return text or "top level"
+
+
+def node_at(doc, where):
+    for key in where:
+        doc = doc[key]
+    return doc
+
+
+def without(doc, where, *keys):
+    """A copy of doc with the named fields of the object at `where` deleted."""
+    doc = json.loads(json.dumps(doc))
+    node = node_at(doc, where)
+    for key in keys:
+        del node[key]
+    return doc
+
+
+def field_ids(fields):
+    return [f"{json_path(where)}:{key}" for where, key, *_ in fields]
+
+
+class TestFormatTable:
+    def test_the_table_covers_every_field_of_its_objects(self):
+        doc = adaptation_doc()
+        for where, fields in FORMAT:
+            assert set(fields) == set(node_at(doc, where)), where
+
+    def test_the_nullable_fields_are_the_docs_list(self):
+        docs = (FIXTURES.parent / "docs" / "file_formats.md").read_text()
+        sentence = re.search(r"`null` means \"absent\" only in the fields[^:]*:(.*?)\. Anywhere else", docs, re.S)
+        assert set(re.findall(r"`(\w+)`", sentence.group(1))) == NULLABLE
+        assert {key for _, key, absent in FIELDS if absent is None} == NULLABLE
+
+    @pytest.mark.parametrize("where,key", REQUIRED_FIELDS, ids=field_ids(REQUIRED_FIELDS))
+    def test_a_missing_required_field_is_named(self, where, key):
+        with pytest.raises(ParseError) as info:
+            scenario_from_obj(without(adaptation_doc(), where, key))
+        assert str(info.value) == f"{json_path(where)}: missing required field {key!r}"
+
+    @pytest.mark.parametrize("where,key,absent", DEFAULTED_FIELDS, ids=field_ids(DEFAULTED_FIELDS))
+    def test_a_missing_defaulted_field_reads_as_its_documented_default(self, where, key, absent):
+        doc = adaptation_doc()
+        assert scenario_from_obj(without(doc, where, key)) == scenario_from_obj(mutated(doc, (*where, key), absent))
+
+    @pytest.mark.parametrize("where,key", [field[:2] for field in FIELDS], ids=field_ids(FIELDS))
+    def test_null_means_absent_only_in_the_documented_fields(self, where, key):
+        doc = adaptation_doc()
+        if key in NULLABLE:
+            assert scenario_from_obj(mutated(doc, (*where, key), None)) == scenario_from_obj(without(doc, where, key))
+        else:
+            with pytest.raises(ParseError, match=f"^{re.escape(json_path((*where, key)))}: "):
+                scenario_from_obj(mutated(doc, (*where, key), None))
+
+    @pytest.mark.parametrize("where", list(dict.fromkeys(where for where, _ in REQUIRED_FIELDS)), ids=json_path)
+    def test_fields_are_read_in_order(self, where):
+        """With every required field gone, the error names the first."""
+        required = [key for w, key in REQUIRED_FIELDS if w == where]
+        with pytest.raises(ParseError) as info:
+            scenario_from_obj(without(adaptation_doc(), where, *required))
+        assert str(info.value) == f"{json_path(where)}: missing required field {required[0]!r}"
+
+
 def events_doc(*events):
     """The adaptation document with its events replaced."""
     doc = adaptation_doc()

@@ -14,7 +14,13 @@ interpreter on the NEW tree:
   to the one it was written from;
 - the seed-0 and seed-1 documents of `perfbench/gen.py` (`ca_dense`,
   `idle_horizon` and `validate_corpus`), imported and not changed;
-- `fixtures/*_scenario.json` and `fixtures/invalid/*.json`.
+- `fixtures/*_scenario.json` and `fixtures/invalid/*.json`;
+- MUTATED documents made from those fixtures by `mutate` with a fixed
+  seed: each has 1-3 edits at random key or index paths, and an edit
+  deletes the value there or sets it to one of MEANINGFUL, values that
+  mean something in the format. Most of them are parse errors, so they
+  compare the messages and the null, default and required-field rules
+  that the generated scenarios, all valid, never reach.
 
 Then each tree runs the whole corpus in one child interpreter of its own,
 and hashes for each input: the parse outcome (the Scenario's repr, or the
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import io
@@ -50,6 +57,17 @@ SEEDS = range(300)
 PERFBENCH_SEEDS = (0, 1)
 DIGESTS = ("parse", "findings", "run", "cli")
 INPUT = "input.json"  # every input is read from this name, so messages that quote it agree
+MUTATED = 2000
+MUTATION_SEED = 0
+# enum strings, times, indicator bits, BWP ids and counts, and the wrong
+# JSON types around them
+MEANINGFUL = [
+    None, True, False, 0, 1, 2, 4, 5, -1, 0.5, 2.5, 50.0, 10**30, [], [0], {}, {"mu": 2},
+    "", "bwpsim/1", "pcell", "FDD", "TDD", "FR1", "FR2", "Unassigned", "PCell", "PSCell", "SCell",
+    "normal", "extended", "type1", "type2", "CP-OFDM", "DFT-s-OFDM",
+    "RrcReconfig", "ScellActivate", "Dci", "RachStart", "RachComplete", "DataDlAssignment", "DataUlGrant",
+    "0_0", "0_1", "1_0", "1_1", "0", "1", "01", "10", "11", "2.25", "-1", "1e400", "1e-999999999", "nan", "Infinity",
+]
 
 
 def _use_tree(tree: Path, *subdirs: str) -> None:
@@ -113,6 +131,31 @@ def write_scenario(scenario) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _paths(node, prefix=()):
+    """Every key and index path below a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def mutate(doc, rng: random.Random):
+    """`doc`, changed in place by 1-3 edits at paths drawn from `rng`."""
+    for _ in range(rng.randint(1, 3)):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, key = rng.choice(paths)
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        if rng.random() < 0.5:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(rng.choice(MEANINGFUL))
+    return doc
+
+
 def build_corpus(tree: Path) -> list[tuple[str, str]]:
     """(name, text) for every input, from `tree`'s generators and fixtures."""
     import gen  # these three from the tree, which `_use_tree` put first on sys.path
@@ -136,6 +179,11 @@ def build_corpus(tree: Path) -> list[tuple[str, str]]:
         corpus += [(f"perfbench:{seed}:{i}:{label}", text) for i, (label, text) in enumerate(docs)]
     paths = sorted(fixtures.glob("*_scenario.json")) + sorted((fixtures / "invalid").glob("*.json"))
     corpus += [(f"fixtures/{p.relative_to(fixtures)}", p.read_text(encoding="utf-8")) for p in paths]
+    rng = random.Random(MUTATION_SEED)
+    for i in range(MUTATED):
+        p = rng.choice(paths)
+        doc = mutate(json.loads(p.read_text(encoding="utf-8")), rng)
+        corpus.append((f"mutated:{i}:{p.relative_to(fixtures)}", json.dumps(doc)))
     return corpus
 
 
