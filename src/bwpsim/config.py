@@ -25,7 +25,6 @@ from .grid import (
     BwpGeometry,
     FrequencyRange,
     HzSpan,
-    tdd_pair_compatible,
 )
 
 MIN_BWP_ID = 0
@@ -317,28 +316,24 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
         )
 
     channel = cfg.channel_span
-    dl_spans = _check_direction(out, cfg, channel, "dl_bwps", cfg.dl_bwps)
-    _check_direction(out, cfg, channel, "ul_bwps", cfg.ul_bwps)
+    dl_spans, dl_by_id = _check_direction(out, cfg, channel, "dl_bwps", cfg.dl_bwps)
+    _, ul_by_id = _check_direction(out, cfg, channel, "ul_bwps", cfg.ul_bwps)
 
-    if cfg.ul_bwps and not cfg.has_ul_bwp(0):
+    if cfg.ul_bwps and 0 not in ul_by_id:
         out.error("INITIAL-BWP", "UL direction configured without BWP #0", "ul_bwps")
-    if not cfg.has_dl_bwp(0):
+    if 0 not in dl_by_id:
         out.error("INITIAL-BWP", "DL direction has no BWP #0", "dl_bwps")
 
     if cfg.duplex is Duplex.TDD and cfg.ul_bwps:
-        dl_ids = {b.id for b in cfg.dl_bwps}
-        ul_ids = {b.id for b in cfg.ul_bwps}
-        if dl_ids != ul_ids:
+        if dl_by_id.keys() != ul_by_id.keys():
             out.error(
                 "TDD-PAIR-IDS",
-                f"TDD requires matching DL/UL id sets, got DL {sorted(dl_ids)} vs UL {sorted(ul_ids)}",
+                f"TDD requires matching DL/UL id sets, got DL {sorted(dl_by_id)} vs UL {sorted(ul_by_id)}",
                 "ul_bwps",
             )
-        for dl in cfg.dl_bwps:
-            if not cfg.has_ul_bwp(dl.id):
-                continue
-            ul = cfg.ul_bwp(dl.id)
-            if not tdd_pair_compatible(cfg.point_a_hz, dl.geometry, ul.geometry):
+        for dl, span in zip(cfg.dl_bwps, dl_spans):
+            ul_span = ul_by_id.get(dl.id)
+            if ul_span is not None and not span.shares_center(ul_span):
                 out.error(
                     "TDD-CENTER",
                     f"TDD pair #{dl.id} does not share a center frequency",
@@ -365,7 +360,7 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
                 direction,
             )
 
-    numerologies = {b.geometry.numerology for b in (*cfg.dl_bwps, *cfg.ul_bwps)}
+    numerologies = {b.geometry.numerology.mu for b in (*cfg.dl_bwps, *cfg.ul_bwps)}
     if len(numerologies) > 1 and not cap.mixed_numerology_bwps:
         out.error(
             "MIXED-NUMEROLOGY",
@@ -373,7 +368,7 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
             "dl_bwps",
         )
 
-    initial_span = next((span for bwp, span in zip(cfg.dl_bwps, dl_spans) if bwp.id == 0), None)
+    initial_span = dl_by_id.get(0)
     if initial_span is not None and not initial_span.contains(cfg.coreset0_span):
         out.error(
             "CORESET0-CONTAIN",
@@ -382,11 +377,12 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
         )
 
     if not cap.supports_no_bandwidth_restriction:
+        spcell = cfg.cell_role.is_spcell
         for i, (bwp, span) in enumerate(zip(cfg.dl_bwps, dl_spans)):
             missing = []
             if not span.contains(cfg.ssb_span):
                 missing.append("SSB")
-            if cfg.cell_role.is_spcell and not span.contains(cfg.coreset0_span):
+            if spcell and not span.contains(cfg.coreset0_span):
                 missing.append("CORESET #0")
             if missing:
                 out.error(
@@ -396,19 +392,19 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
                     f"dl_bwps[{i}]",
                 )
 
-    if cfg.default_dl_bwp is not None and not cfg.has_dl_bwp(cfg.default_dl_bwp):
+    if cfg.default_dl_bwp is not None and cfg.default_dl_bwp not in dl_by_id:
         out.error(
             "DEFAULT-REF",
             f"default DL BWP #{cfg.default_dl_bwp} is not configured",
             "default_dl_bwp",
         )
-    if cfg.first_active_dl is not None and not cfg.has_dl_bwp(cfg.first_active_dl):
+    if cfg.first_active_dl is not None and cfg.first_active_dl not in dl_by_id:
         out.error(
             "FIRST-ACTIVE-REF",
             f"first-active DL BWP #{cfg.first_active_dl} is not configured",
             "first_active_dl",
         )
-    if cfg.first_active_ul is not None and not cfg.has_ul_bwp(cfg.first_active_ul):
+    if cfg.first_active_ul is not None and cfg.first_active_ul not in ul_by_id:
         out.error(
             "FIRST-ACTIVE-REF",
             f"first-active UL BWP #{cfg.first_active_ul} is not configured",
@@ -421,7 +417,7 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
             "first_active_dl",
         )
     for bwp_id in sorted(cfg.prach_configured_on):
-        if not cfg.has_ul_bwp(bwp_id):
+        if bwp_id not in ul_by_id:
             out.error(
                 "PRACH-REF",
                 f"PRACH occasions configured on unknown UL BWP #{bwp_id}",
@@ -433,17 +429,18 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
 
 def _check_direction(
     out: _Collector, cfg: CellConfig, channel: HzSpan, direction: str, bwps: tuple[BwpConfig, ...]
-) -> list[HzSpan]:
-    """Check the rules of each BWP of one direction on its own; returns their spans."""
-    seen: set[int] = set()
+) -> tuple[list[HzSpan], dict[int, HzSpan]]:
+    """Check the rules of each BWP of one direction on its own. Returns their
+    spans, and by id the span of the first BWP of that id, as `CellConfig.dl_bwp`
+    and `ul_bwp` find it."""
+    by_id: dict[int, HzSpan] = {}
     spans = []
     for i, bwp in enumerate(bwps):
         loc = f"{direction}[{i}]"
         if not MIN_BWP_ID <= bwp.id <= MAX_BWP_ID:
             out.error("BWP-ID-RANGE", f"BWP id {bwp.id} outside [0, {MAX_BWP_ID}]", loc)
-        if bwp.id in seen:
+        if bwp.id in by_id:
             out.error("DUPLICATE-ID", f"duplicate BWP id {bwp.id}", loc)
-        seen.add(bwp.id)
         if bwp.id != 0 and not bwp.has_dedicated:
             out.error(
                 "BWP-DEDICATED",
@@ -463,10 +460,11 @@ def _check_direction(
             )
         span = bwp.geometry.span(cfg.point_a_hz)
         spans.append(span)
+        by_id.setdefault(bwp.id, span)
         if not channel.contains(span):
             out.error(
                 "BWP-IN-CHANNEL",
                 f"BWP #{bwp.id} extends outside the channel bandwidth",
                 loc,
             )
-    return spans
+    return spans, by_id

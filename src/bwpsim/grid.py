@@ -99,6 +99,11 @@ class HzSpan:
     def contains(self, inner: "HzSpan") -> bool:
         return self.low_hz <= inner.low_hz and inner.high_hz <= self.high_hz
 
+    def shares_center(self, other: "HzSpan") -> bool:
+        """Whether both spans have one center frequency: exact, as low + high
+        is twice the center in integer Hz."""
+        return self.low_hz + self.high_hz == other.low_hz + other.high_hz
+
 
 @dataclass(frozen=True)
 class BwpGeometry:
@@ -137,9 +142,9 @@ def tdd_pair_compatible(point_a_hz: int, dl: BwpGeometry, ul: BwpGeometry) -> bo
     """Whether a DL/UL geometry pair may share a BWP index on a TDD carrier.
 
     Index-linked TDD BWPs must sit on exactly the same center frequency;
-    their bandwidths may differ. Compared as exact rationals.
+    their bandwidths may differ.
     """
-    return dl.center_hz(point_a_hz) == ul.center_hz(point_a_hz)
+    return dl.span(point_a_hz).shares_center(ul.span(point_a_hz))
 
 
 def classify_frequency(f_mhz: float) -> FrequencyRange:

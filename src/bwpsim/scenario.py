@@ -15,10 +15,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections.abc import Mapping
-from enum import EnumMeta
+from enum import Enum, EnumMeta
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 from .config import CellConfig, UeCapability
 from .dci import DciEvent, DciFormat
@@ -27,10 +27,9 @@ from .trace import decode_json, parse_ms
 
 FORMAT_VERSION = "bwpsim/1"
 
-_REQUIRED = object()  # default of a field that must be present
+_REQUIRED = object()  # default of a field that must be present, and the value of an absent one
 _OPTIONAL = object()  # default of a field the constructor defaults: left out when absent
 
-_EXPECTED = {int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
 _TIME_TYPES = (int, float, str)  # the JSON types of a time
 
 
@@ -38,88 +37,101 @@ class ParseError(ValueError):
     """A scenario document that cannot be understood."""
 
 
-def _get(obj: Any, key: str, where: str, kind: Any, default: Any = _REQUIRED) -> Any:
-    """Read field `key` of the JSON object at path `where` as `kind` (see
-    `_read`). A missing field takes `default`; null does too, but only
-    where the default is None. Anything else is a ParseError naming the
-    field's path.
+class _Step(NamedTuple):
+    """How a field's JSON value is read, decided once per field: a value
+    of type `exact` is taken as it is, any other goes to `_read`.
     """
-    if type(obj) is not dict:
-        raise ParseError(f"{where or 'top level'}: expected an object, got {obj!r}")
+
+    exact: Optional[type]  # the JSON type taken as it is, if any
+    members: Optional[Mapping[str, Enum]] = None  # an Enum's members by value
+    takes: Optional[type] = None  # the JSON type `inner` reads, or None for any
+    inner: Optional[Callable[[Any, str], Any]] = None  # reader called as inner(value, path)
+    expected: str = ""  # what `_read` says a refused value should have been
+
+
+def _get(obj: dict, key: str, where: str, step: _Step, default: Any = _REQUIRED) -> Any:
+    """Read field `key` of the JSON object at path `where` by `step`, as
+    a `_reader` reads each of its fields."""
     value = obj.get(key, _REQUIRED)
-    if type(value) is kind:
-        return value
-    if type(value) is str and type(kind) is EnumMeta:
-        member = kind._value2member_map_.get(value)
-        if member is not None:  # else _read names the path
-            return member
+    return value if type(value) is step.exact else _read(value, where, key, step, default)
+
+
+def _read(value: Any, where: str, key: Any, step: _Step, default: Any = _REQUIRED) -> Any:
+    """Read a value that `step` does not take as it is: field `key` of the
+    JSON object at path `where`, or item `key` (an int) of the list there.
+    A missing field takes `default`; null does too, but only where the
+    default is None. A string that names a member of `step.members` by
+    value is that member, and a value of type `step.takes` is read as
+    step.inner(value, path). Only here is a value's path built and its
+    ParseError raised: for any other value, and for a reader's or a
+    constructor's TypeError, ValueError or OverflowError. A ParseError
+    from further in passes unchanged.
+    """
+    if type(value) is str and step.members is not None and value in step.members:
+        return step.members[value]
     if value is _REQUIRED:
         if default is _REQUIRED:
             raise ParseError(f"{where or 'top level'}: missing required field {key!r}")
         return default
     if value is None and default is None:
         return None
-    return _read(value, f"{where}.{key}" if where else key, kind)
-
-
-def _read(value: Any, path: str, kind: Any) -> Any:
-    """Read the JSON value at `path` as `kind`: an exact JSON type (int,
-    bool, str or dict; so `true` is not an integer), a one-item list
-    [item_kind] for a JSON list whose item i is read as item_kind at
-    `path[i]`, or a reader called as kind(value, path). A value of another
-    kind is a ParseError naming `path`; so is every value for an Enum
-    class, whose members `_get` has already matched by value. A reader's
-    or a constructor's TypeError, ValueError or OverflowError is a
-    ParseError at `path`; a ParseError from further in passes unchanged.
-    """
-    if type(value) is kind:
-        return value
-    if type(kind) is list:
-        if type(value) is not list:
-            raise ParseError(f"{path}: expected a list, got {value!r}")
-        return [_read(item, f"{path}[{i}]", kind[0]) for i, item in enumerate(value)]
-    if type(kind) is EnumMeta:
-        expected = "one of " + ", ".join(repr(e.value) for e in kind)
-    elif type(kind) is type:
-        expected = _EXPECTED[kind]
-    else:
+    path = f"{where}[{key}]" if type(key) is int else f"{where}.{key}" if where else key
+    if step.inner is not None and (step.takes is None or type(value) is step.takes):
         try:
-            return kind(value, path)
+            return step.inner(value, path)
         except ParseError:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
-    raise ParseError(f"{path}: expected {expected}, got {value!r}")
+    raise ParseError(f"{path}: expected {step.expected}, got {value!r}")
 
 
-def _time(value: Any, path: str) -> Fraction:
-    return parse_ms(value)
+def _enum(cls: type[Enum]) -> _Step:
+    return _Step(None, cls._value2member_map_, expected="one of " + ", ".join(repr(e.value) for e in cls))
 
 
-def _float(value: Any, path: str) -> float:
-    if type(value) is not float and type(value) is not int:
-        raise ParseError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+def _object(reader: Callable[[Any, str], Any]) -> _Step:
+    return _Step(None, takes=dict, inner=reader, expected="an object")
 
 
-def _kind(hint: Any) -> Any:
-    """The `_read` kind of a config type's field annotation."""
+def _list(item: _Step) -> _Step:
+    """A JSON list whose item i is read by `item` at `path[i]`."""
+
+    def read(value: list, path: str) -> list:
+        exact = item.exact
+        return [v if type(v) is exact else _read(v, path, i, item) for i, v in enumerate(value)]
+
+    return _Step(None, takes=list, inner=read, expected="a list")
+
+
+# the exact JSON types, each taken as it is
+_EXACT = {t: _Step(t, expected=e) for t, e in
+          ((int, "an integer"), (bool, "true or false"), (str, "a string"), (dict, "an object"))}
+_STR, _INT = _EXACT[str], _EXACT[int]
+_FLOAT = _Step(float, takes=int, inner=lambda value, path: float(value), expected="a number")
+_TIME = _Step(None, inner=lambda value, path: parse_ms(value))  # parse_ms names what it refuses
+
+
+def _step(hint: Any) -> _Step:
+    """The `_Step` of a config type's field annotation."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:
-        return _kind(args[0])
+        return _step(args[0])
     if origin is tuple or origin is frozenset:
-        return [_kind(args[0])]
+        return _list(_step(args[0]))
     if origin is Mapping:
-        return dict
+        return _EXACT[dict]
     if dataclasses.is_dataclass(hint):
-        return _reader(hint)
-    return _float if hint is float else hint
+        return _object(_reader(hint))
+    if isinstance(hint, EnumMeta):
+        return _enum(hint)
+    return _FLOAT if hint is float else _EXACT[hint]
 
 
 @functools.cache
 def _reader(cls: type) -> Callable[[Any, str], Any]:
     """The reader of a config type's document object: each field in order,
-    as its annotation's `_kind`; an absent field is left out for the
+    by its annotation's `_step`; an absent field is left out for the
     constructor to default. Built on first use, not at import: resolving
     the annotations is the costly part.
     """
@@ -130,12 +142,15 @@ def _reader(cls: type) -> Callable[[Any, str], Any]:
             default = _REQUIRED
         else:
             default = None if f.default is None else _OPTIONAL
-        plan.append((f.name, _kind(hints[f.name]), default))
+        step = _step(hints[f.name])
+        plan.append((f.name, step.exact, step, default))
 
-    def read(obj: Any, where: str) -> Any:
+    def read(obj: dict, where: str) -> Any:
         fields = {}
-        for key, kind, default in plan:
-            value = _get(obj, key, where, kind, default)
+        for key, exact, step, default in plan:
+            value = obj.get(key, _REQUIRED)
+            if type(value) is not exact:
+                value = _read(value, where, key, step, default)
             if value is not _OPTIONAL:
                 fields[key] = value
         return cls(**fields)
@@ -143,59 +158,69 @@ def _reader(cls: type) -> Callable[[Any, str], Any]:
     return read
 
 
-def _cell(obj: Any, where: str) -> tuple[str, CellConfig]:
-    cell_id = _get(obj, "cell_id", where, str)
+def _cell(obj: dict, where: str) -> tuple[str, CellConfig]:
+    cell_id = _get(obj, "cell_id", where, _STR)
     if not cell_id:
         raise ParseError(f"{where}.cell_id: expected a non-empty string")
     return cell_id, _reader(CellConfig)(obj, where)
 
 
-def _capability(obj: Any, where: str) -> UeCapability:
-    _get(obj, "max_rrc_bwps", where, int)  # required, though UeCapability defaults it
+def _capability(obj: dict, where: str) -> UeCapability:
+    _get(obj, "max_rrc_bwps", where, _INT)  # required, though UeCapability defaults it
     return _reader(UeCapability)(obj, where)
 
 
-def _events() -> list:
-    """The kind of one document's event list, [event].
+_KIND = _enum(EventKind)
+_FORMAT = _enum(DciFormat)
+
+
+def _events() -> _Step:
+    """The step of one document's event list.
 
     Events whose `at_ms` has one spelling (JSON type and value) share one
     Fraction, and DCIs of one (format, bits) pair share one DciEvent.
-    Only values that parsed are kept, and only while the kind lives.
+    Only values that parsed are kept, and only while the step lives.
     """
     times: dict[tuple[type, Any], Fraction] = {}
     dcis: dict[tuple[str, str | None], DciEvent] = {}
 
-    def event(obj: Any, where: str) -> SimEvent:
-        kind = _get(obj, "kind", where, EventKind)
-        raw = obj.get("at_ms")  # obj is a dict: _get checked it
+    def event(obj: dict, where: str) -> SimEvent:
+        kind = _get(obj, "kind", where, _KIND)
+        raw = obj.get("at_ms", _REQUIRED)
         spelling = (type(raw), raw)  # the type keeps a JSON true from reading as a cached 1
         at_ms = times.get(spelling) if type(raw) in _TIME_TYPES else None  # the rest do not hash or parse
         if at_ms is None:
-            at_ms = times[spelling] = _get(obj, "at_ms", where, _time)
-        cell = _get(obj, "cell", where, str)
+            at_ms = times[spelling] = _read(raw, where, "at_ms", _TIME)
+        cell = _get(obj, "cell", where, _STR)
         dci = first_dl = first_ul = None
         if kind is EventKind.DCI:
-            fmt = _get(obj, "format", where, DciFormat)
+            fmt = _get(obj, "format", where, _FORMAT)
             # the format's JSON string, as an Enum member hashes in Python
-            pair = (obj["format"], _get(obj, "bwp_indicator_bits", where, str, None))
+            pair = (obj["format"], _get(obj, "bwp_indicator_bits", where, _STR, None))
             dci = dcis.get(pair)
             if dci is None:
                 dci = dcis[pair] = DciEvent(fmt, pair[1])
         elif kind is EventKind.RRC_RECONFIG:
-            first_dl = _get(obj, "first_active_dl", where, int, None)
-            first_ul = _get(obj, "first_active_ul", where, int, None)
+            first_dl = _get(obj, "first_active_dl", where, _INT, None)
+            first_ul = _get(obj, "first_active_ul", where, _INT, None)
         return SimEvent(at_ms, cell, kind, dci, first_dl, first_ul)
 
-    return [event]
+    return _list(_object(event))
+
+
+_CELLS = _list(_object(_cell))
+_CAPABILITY = _object(_capability)
 
 
 def scenario_from_obj(obj: Any) -> Scenario:
     """Build a Scenario from a decoded bwpsim/1 document; raises ParseError."""
-    version = _get(obj, "version", "", str)
+    if type(obj) is not dict:
+        raise ParseError(f"top level: expected an object, got {obj!r}")
+    version = _get(obj, "version", "", _STR)
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported document version {version!r}, expected {FORMAT_VERSION!r}")
     cells: dict[str, CellConfig] = {}
-    for i, (cell_id, cell) in enumerate(_get(obj, "cells", "", [_cell])):
+    for i, (cell_id, cell) in enumerate(_get(obj, "cells", "", _CELLS)):
         if cell_id in cells:
             raise ParseError(f"cells[{i}]: duplicate cell_id {cell_id!r}")
         cells[cell_id] = cell
@@ -203,10 +228,10 @@ def scenario_from_obj(obj: Any) -> Scenario:
         raise ParseError("top level: at least one cell is required")
     return Scenario(
         cells=cells,
-        capability=_get(obj, "capability", "", _capability),
+        capability=_get(obj, "capability", "", _CAPABILITY),
         events=_get(obj, "events", "", _events(), []),
         # run() requires a horizon; validate-only documents may omit it
-        horizon_ms=_get(obj, "horizon_ms", "", _time, None),
+        horizon_ms=_get(obj, "horizon_ms", "", _TIME, None),
     )
 
 

@@ -19,6 +19,14 @@ def report_codes(cfg, cap, **kw):
 CAP4 = b.UeCapability(max_rrc_bwps=4)
 
 
+class _OneHzWider(b.BwpGeometry):
+    """A geometry whose span ends one Hz higher, so its center moves by half a Hz."""
+
+    def span(self, point_a_hz: int) -> b.HzSpan:
+        span = super().span(point_a_hz)
+        return b.HzSpan(span.low_hz, span.high_hz + 1)
+
+
 class TestRrcConfiguredCount:
     def test_option1_initial_plus_four(self):
         bwps = [make_bwp(0, 0, 24, dedicated=False)] + [make_bwp(i, 0, 50) for i in range(1, 5)]
@@ -87,6 +95,28 @@ class TestValidate:
         ul[1] = make_bwp(1, 0, 100 - 2)
         cfg = dataclasses.replace(cfg, ul_bwps=tuple(ul))
         assert "TDD-CENTER" in report_codes(cfg, CAP4)
+
+    @pytest.mark.parametrize("shifted_first", [False, True])
+    def test_tdd_center_pairs_the_first_ul_bwp_of_a_repeated_id(self, shifted_first):
+        # UL #1 twice, once on DL #1's center and once off it: only the first is paired
+        cfg = centered_cell(duplex=b.Duplex.TDD)
+        centered, shifted = cfg.ul_bwps[1], make_bwp(1, 0, 100 - 2)
+        pair = (shifted, centered) if shifted_first else (centered, shifted)
+        cfg = dataclasses.replace(cfg, ul_bwps=(cfg.ul_bwps[0], *pair, cfg.ul_bwps[2]))
+        assert cfg.ul_bwp(1) is pair[0]
+        codes = report_codes(cfg, CAP4)
+        assert "DUPLICATE-ID" in codes
+        assert ("TDD-CENTER" in codes) == shifted_first
+
+    def test_tdd_centers_half_a_hz_apart_differ(self):
+        # integer-Hz spans whose low + high sums differ by one: centers half a Hz apart
+        cfg = centered_cell(duplex=b.Duplex.TDD)
+        ul = cfg.ul_bwps[1]
+        g = ul.geometry
+        odd = dataclasses.replace(ul, common=b.BwpCommon(_OneHzWider(g.start_rb, g.n_rbs, g.numerology)))
+        cfg = dataclasses.replace(cfg, ul_bwps=(cfg.ul_bwps[0], odd, cfg.ul_bwps[2]))
+        findings = b.validate(cfg, CAP4).findings
+        assert [(f.rule_code, f.location) for f in findings] == [("TDD-CENTER", "ul_bwps[1]")]
 
     def test_tdd_id_sets_must_match(self):
         cfg = centered_cell(duplex=b.Duplex.TDD)

@@ -123,6 +123,11 @@ class TestTddPairing:
         assert dl.center_hz(0) == 18_000_000
         assert ul.center_hz(0) == 18_000_000
 
+    def test_spans_half_a_hz_apart_do_not_share_a_center(self):
+        # centers at 2.5 and 2 Hz, equal once halved and rounded down
+        assert not HzSpan(0, 5).shares_center(HzSpan(1, 3))
+        assert HzSpan(0, 5).shares_center(HzSpan(1, 4))
+
 
 class TestClassifyFrequency:
     @pytest.mark.parametrize(
@@ -168,6 +173,11 @@ def test_center_equals_span_midpoint(g, point_a):
 @given(g=geometries)
 def test_tdd_self_pairing(g):
     assert tdd_pair_compatible(0, g, g)
+
+
+@given(dl=geometries, ul=geometries, point_a=st.integers(0, 10**11))
+def test_tdd_pairing_is_equal_centers(dl, ul, point_a):
+    assert tdd_pair_compatible(point_a, dl, ul) == (dl.center_hz(point_a) == ul.center_hz(point_a))
 
 
 spans = st.builds(

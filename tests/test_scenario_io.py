@@ -259,6 +259,20 @@ FORMAT = [
 FIELDS = [(where, key, absent) for where, fields in FORMAT for key, absent in fields.items()]
 REQUIRED_FIELDS = [(where, key) for where, key, absent in FIELDS if absent == REQUIRED]
 DEFAULTED_FIELDS = [field for field in FIELDS if field[2] != REQUIRED]
+# the int fields of the docs' tables, and the enum fields with their types,
+# whose members' names are not their values
+INTEGER = {
+    "max_rrc_bwps", "point_a_hz", "low_hz", "high_hz", "id", "start_rb", "n_rbs", "mu", "first_active_dl",
+    "first_active_ul", "default_dl_bwp", "inactivity_timer_ms", "rrc_processing_delay_ms",
+}
+ENUMS = {
+    "switch_delay_type": b.DelayType, "cell_role": b.CellRole, "duplex": b.Duplex, "fr": b.FrequencyRange,
+    "cyclic_prefix": b.CyclicPrefix, "uplink_waveform": b.UplinkWaveform, "kind": b.EventKind,
+    "format": b.DciFormat,
+}
+INTEGER_FIELDS = [(where, key) for where, key, _ in FIELDS if key in INTEGER]
+MEMBER_NAMES = [(where, key, m.name) for where, key, _ in FIELDS if key in ENUMS
+                for m in ENUMS[key] if m.name != m.value]
 # the fields in which the docs let null mean absent
 NULLABLE = {
     "first_active_dl", "first_active_ul", "default_dl_bwp", "inactivity_timer_ms",
@@ -322,6 +336,17 @@ class TestFormatTable:
         else:
             with pytest.raises(ParseError, match=f"^{re.escape(json_path((*where, key)))}: "):
                 scenario_from_obj(mutated(doc, (*where, key), None))
+
+    @pytest.mark.parametrize("where,key", INTEGER_FIELDS, ids=field_ids(INTEGER_FIELDS))
+    def test_an_integer_field_refuses_true(self, where, key):
+        with pytest.raises(ParseError) as info:
+            scenario_from_obj(mutated(adaptation_doc(), (*where, key), True))
+        assert str(info.value) == f"{json_path((*where, key))}: expected an integer, got True"
+
+    @pytest.mark.parametrize("where,key,name", MEMBER_NAMES, ids=[f"{json_path(w)}:{k}={n}" for w, k, n in MEMBER_NAMES])
+    def test_an_enum_field_refuses_a_member_name(self, where, key, name):
+        with pytest.raises(ParseError, match=f"^{re.escape(json_path((*where, key)))}: expected one of "):
+            scenario_from_obj(mutated(adaptation_doc(), (*where, key), name))
 
     @pytest.mark.parametrize("where", list(dict.fromkeys(where for where, _ in REQUIRED_FIELDS)), ids=json_path)
     def test_fields_are_read_in_order(self, where):
