@@ -1,9 +1,10 @@
 """Numerology and resource-block frequency arithmetic for NR carriers.
 
 Everything here is a pure function over immutable values. Absolute
-frequencies are kept in integer Hz, and span midpoints are exact rationals
-(denominator at most 2), so center-frequency equality checks are exact and
-never depend on floating-point rounding.
+frequencies are kept in integer Hz, span midpoints are exact rationals
+(denominator at most 2), and two spans share a center when their low + high
+sums are equal, so center-frequency equality checks are exact and never
+depend on floating-point rounding.
 """
 
 from __future__ import annotations
