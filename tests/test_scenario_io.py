@@ -213,8 +213,24 @@ def test_unreadable_and_unparsable_files(tmp_path):
          "cells[0]: channel bandwidth must be a positive finite number of MHz, got -5.0"),
         (mutated(adaptation_doc(), ("events", 1, "bwp_indicator_bits"), 1),
          "events[1].bwp_indicator_bits: expected a string, got 1"),
+        (mutated(adaptation_doc(), ("cells", 0, "dl_bwps", 0, "common", "geometry", "numerology", "mu"), 7),
+         "cells[0].dl_bwps[0].common.geometry.numerology: mu must be an integer in [0, 4], got 7"),
+        (mutated(adaptation_doc(), ("cells", 0, "dl_bwps", 1, "common", "geometry", "n_rbs"), 0),
+         "cells[0].dl_bwps[1].common.geometry: n_rbs must be >= 1, got 0"),
+        (mutated(adaptation_doc(), ("events", 2), 5), "events[2]: expected an object, got 5"),
+        (mutated(adaptation_doc(), ("events", 1, "format"), "1_0"),
+         "events[1]: fallback format 1_0 cannot carry a BWP indicator"),
+        (mutated(adaptation_doc(), ("events", 0, "kind"), "RRC_RECONFIG"),
+         "events[0].kind: expected one of 'RrcReconfig', 'ScellActivate', 'Dci', 'RachStart', 'RachComplete',"
+         " 'DataDlAssignment', 'DataUlGrant', got 'RRC_RECONFIG'"),
+        (mutated(adaptation_doc(), ("events", 1, "format"), "FMT_1_1"),
+         "events[1].format: expected one of '0_0', '0_1', '1_0', '1_1', got 'FMT_1_1'"),
+        (mutated(adaptation_doc(), ("events", 3, "at_ms"), "35ms"),
+         "events[3].at_ms: not a decimal time value: '35ms'"),
     ],
-    ids=["not-an-object", "no-version", "list-item", "not-a-list", "nested-object", "constructor", "event-index"],
+    ids=["not-an-object", "no-version", "list-item", "not-a-list", "nested-object", "constructor", "event-index",
+         "nested-constructor", "geometry-constructor", "event-not-an-object", "fallback-dci-bits", "kind-by-name",
+         "format-by-name", "at-ms-string"],
 )
 def test_top_level_errors_say_so(obj, message):
     """Top-level errors say so; the others name the JSON path of the value
