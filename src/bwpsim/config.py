@@ -316,8 +316,9 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
         )
 
     channel = cfg.channel_span
-    dl_spans, dl_by_id = _check_direction(out, cfg, channel, "dl_bwps", cfg.dl_bwps)
-    _, ul_by_id = _check_direction(out, cfg, channel, "ul_bwps", cfg.ul_bwps)
+    numerologies: set[int] = set()
+    dl_spans, dl_by_id, dl_count = _check_direction(out, cfg, channel, "dl_bwps", cfg.dl_bwps, numerologies)
+    _, ul_by_id, ul_count = _check_direction(out, cfg, channel, "ul_bwps", cfg.ul_bwps, numerologies)
 
     if cfg.ul_bwps and 0 not in ul_by_id:
         out.error("INITIAL-BWP", "UL direction configured without BWP #0", "ul_bwps")
@@ -351,8 +352,7 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
             )
 
     limit = cap.max_rrc_bwps
-    for direction, bwps in (("dl_bwps", cfg.dl_bwps), ("ul_bwps", cfg.ul_bwps)):
-        count = rrc_configured_count(bwps)
+    for direction, count in (("dl_bwps", dl_count), ("ul_bwps", ul_count)):
         if count > limit:
             out.error(
                 "BWP-COUNT",
@@ -360,7 +360,6 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
                 direction,
             )
 
-    numerologies = {b.geometry.numerology.mu for b in (*cfg.dl_bwps, *cfg.ul_bwps)}
     if len(numerologies) > 1 and not cap.mixed_numerology_bwps:
         out.error(
             "MIXED-NUMEROLOGY",
@@ -428,26 +427,32 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
 
 
 def _check_direction(
-    out: _Collector, cfg: CellConfig, channel: HzSpan, direction: str, bwps: tuple[BwpConfig, ...]
-) -> tuple[list[HzSpan], dict[int, HzSpan]]:
-    """Check the rules of each BWP of one direction on its own. Returns their
-    spans, and by id the span of the first BWP of that id, as `CellConfig.dl_bwp`
-    and `ul_bwp` find it."""
+    out: _Collector, cfg: CellConfig, channel: HzSpan, direction: str, bwps: tuple[BwpConfig, ...], mus: set[int]
+) -> tuple[list[HzSpan], dict[int, HzSpan], int]:
+    """Check the rules of each BWP of one direction on its own, reading its
+    properties once, and add its mu to `mus`. Returns their spans, by id the
+    span of the first BWP of that id (as `CellConfig.dl_bwp` and `ul_bwp` find
+    it), and their `rrc_configured_count`."""
     by_id: dict[int, HzSpan] = {}
     spans = []
+    dedicated = 0
     for i, bwp in enumerate(bwps):
         loc = f"{direction}[{i}]"
         if not MIN_BWP_ID <= bwp.id <= MAX_BWP_ID:
             out.error("BWP-ID-RANGE", f"BWP id {bwp.id} outside [0, {MAX_BWP_ID}]", loc)
         if bwp.id in by_id:
             out.error("DUPLICATE-ID", f"duplicate BWP id {bwp.id}", loc)
-        if bwp.id != 0 and not bwp.has_dedicated:
+        if bwp.dedicated is not None:
+            dedicated += 1
+        elif bwp.id != 0:
             out.error(
                 "BWP-DEDICATED",
                 f"non-initial BWP #{bwp.id} lacks dedicated parameters",
                 loc,
             )
-        n = bwp.geometry.n_rbs
+        geometry = bwp.common.geometry
+        mus.add(geometry.numerology.mu)
+        n = geometry.n_rbs
         if not MIN_BWP_RBS <= n <= MAX_BWP_RBS:
             out.error(
                 "BWP-SIZE", f"{n} RBs outside [{MIN_BWP_RBS}, {MAX_BWP_RBS}]", loc
@@ -458,7 +463,7 @@ def _check_direction(
                 f"BWP #{bwp.id} is {n} RBs, below the RBG/PRG floor of {DEFAULT_RBG_FLOOR_RBS}",
                 loc,
             )
-        span = bwp.geometry.span(cfg.point_a_hz)
+        span = geometry.span(cfg.point_a_hz)
         spans.append(span)
         by_id.setdefault(bwp.id, span)
         if not channel.contains(span):
@@ -467,4 +472,4 @@ def _check_direction(
                 f"BWP #{bwp.id} extends outside the channel bandwidth",
                 loc,
             )
-    return spans, by_id
+    return spans, by_id, dedicated

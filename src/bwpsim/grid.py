@@ -131,8 +131,9 @@ class BwpGeometry:
             raise ValueError("extended cyclic prefix is only defined for 60 kHz (mu=2)")
 
     def span(self, point_a_hz: int) -> HzSpan:
-        low = point_a_hz + self.start_rb * self.numerology.rb_width_hz
-        return HzSpan(low, low + self.n_rbs * self.numerology.rb_width_hz)
+        rb_width = self.numerology.rb_width_hz
+        low = point_a_hz + self.start_rb * rb_width
+        return HzSpan(low, low + self.n_rbs * rb_width)
 
     def center_hz(self, point_a_hz: int) -> Fraction:
         span = self.span(point_a_hz)

@@ -31,6 +31,7 @@ _REQUIRED = object()  # default of a field that must be present, and the value o
 _OPTIONAL = object()  # default of a field the constructor defaults: left out when absent
 
 _TIME_TYPES = (int, float, str)  # the JSON types of a time
+_REFUSED = (TypeError, ValueError, OverflowError)  # what a constructor or conversion raises for a value
 
 
 class ParseError(ValueError):
@@ -39,13 +40,14 @@ class ParseError(ValueError):
 
 class _Step(NamedTuple):
     """How a field's JSON value is read, decided once per field: a value
-    of type `exact` is taken as it is, any other goes to `_read`.
+    of type `exact` is taken as it is, a value of type `takes` goes
+    straight to its reader `inner`, and any other goes to `_read`.
     """
 
     exact: Optional[type]  # the JSON type taken as it is, if any
     members: Optional[Mapping[str, Enum]] = None  # an Enum's members by value
-    takes: Optional[type] = None  # the JSON type `inner` reads, or None for any
-    inner: Optional[Callable[[Any, str], Any]] = None  # reader called as inner(value, path)
+    takes: Optional[type] = None  # the JSON type of a nested reader `inner`; None if `inner` converts any value
+    inner: Optional[Callable[[Any, str], Any]] = None  # called as inner(value, path)
     expected: str = ""  # what `_read` says a refused value should have been
 
 
@@ -57,15 +59,16 @@ def _get(obj: dict, key: str, where: str, step: _Step, default: Any = _REQUIRED)
 
 
 def _read(value: Any, where: str, key: Any, step: _Step, default: Any = _REQUIRED) -> Any:
-    """Read a value that `step` does not take as it is: field `key` of the
-    JSON object at path `where`, or item `key` (an int) of the list there.
-    A missing field takes `default`; null does too, but only where the
-    default is None. A string that names a member of `step.members` by
-    value is that member, and a value of type `step.takes` is read as
-    step.inner(value, path). Only here is a value's path built and its
-    ParseError raised: for any other value, and for a reader's or a
-    constructor's TypeError, ValueError or OverflowError. A ParseError
-    from further in passes unchanged.
+    """Read a value that `step` neither takes as it is nor hands straight
+    to a nested reader: field `key` of the JSON object at path `where`, or
+    item `key` (an int) of the list there. A missing field takes `default`;
+    null does too, but only where the default is None. A string that names
+    a member of `step.members` by value is that member, and a value of type
+    `step.takes` (any, if None) is read as step.inner(value, path). The
+    path is built here for these calls and refused values; `_reader` and
+    `_list` build a nested reader's. A reader's, a conversion's or a
+    constructor's TypeError, ValueError or OverflowError raises ParseError
+    at the path; a ParseError from further in passes unchanged.
     """
     if type(value) is str and step.members is not None and value in step.members:
         return step.members[value]
@@ -81,7 +84,7 @@ def _read(value: Any, where: str, key: Any, step: _Step, default: Any = _REQUIRE
             return step.inner(value, path)
         except ParseError:
             raise
-        except (TypeError, ValueError, OverflowError) as exc:
+        except _REFUSED as exc:
             raise ParseError(f"{path}: {exc}") from exc
     raise ParseError(f"{path}: expected {step.expected}, got {value!r}")
 
@@ -95,11 +98,13 @@ def _object(reader: Callable[[Any, str], Any]) -> _Step:
 
 
 def _list(item: _Step) -> _Step:
-    """A JSON list whose item i is read by `item` at `path[i]`."""
+    """A JSON list whose item i is read by `item` at `path[i]`, built here
+    for an item that goes straight to a nested reader."""
 
     def read(value: list, path: str) -> list:
-        exact = item.exact
-        return [v if type(v) is exact else _read(v, path, i, item) for i, v in enumerate(value)]
+        exact, takes, inner = item.exact, item.takes, item.inner
+        return [v if type(v) is exact else inner(v, f"{path}[{i}]") if type(v) is takes else _read(v, path, i, item)
+                for i, v in enumerate(value)]
 
     return _Step(None, takes=list, inner=read, expected="a list")
 
@@ -108,8 +113,16 @@ def _list(item: _Step) -> _Step:
 _EXACT = {t: _Step(t, expected=e) for t, e in
           ((int, "an integer"), (bool, "true or false"), (str, "a string"), (dict, "an object"))}
 _STR, _INT = _EXACT[str], _EXACT[int]
-_FLOAT = _Step(float, takes=int, inner=lambda value, path: float(value), expected="a number")
 _TIME = _Step(None, inner=lambda value, path: parse_ms(value))  # parse_ms names what it refuses
+
+
+def _number(value: Any, path: str) -> float:
+    if type(value) is int:  # a float field's int
+        return float(value)
+    raise TypeError(f"expected a number, got {value!r}")
+
+
+_FLOAT = _Step(float, inner=_number)
 
 
 def _step(hint: Any) -> _Step:
@@ -130,10 +143,13 @@ def _step(hint: Any) -> _Step:
 
 @functools.cache
 def _reader(cls: type) -> Callable[[Any, str], Any]:
-    """The reader of a config type's document object: each field in order,
-    by its annotation's `_step`; an absent field is left out for the
-    constructor to default. Built on first use, not at import: resolving
-    the annotations is the costly part.
+    """The reader of a config type's document object at path `where`:
+    each field in order, by its annotation's `_step`; an absent field is
+    left out for the constructor to default. A nested object or list goes
+    straight to its reader, with its path `where.key` built here; a
+    constructor's TypeError, ValueError or OverflowError raises the
+    ParseError of `where`. Built on first use, not at import: resolving the annotations
+    is the costly part.
     """
     hints = get_type_hints(cls)
     plan = []
@@ -143,17 +159,24 @@ def _reader(cls: type) -> Callable[[Any, str], Any]:
         else:
             default = None if f.default is None else _OPTIONAL
         step = _step(hints[f.name])
-        plan.append((f.name, step.exact, step, default))
+        plan.append((f.name, step.exact, step.takes, step.inner, step, default))
 
     def read(obj: dict, where: str) -> Any:
         fields = {}
-        for key, exact, step, default in plan:
+        for key, exact, takes, inner, step, default in plan:
             value = obj.get(key, _REQUIRED)
-            if type(value) is not exact:
-                value = _read(value, where, key, step, default)
+            kind = type(value)
+            if kind is not exact:
+                if kind is takes:
+                    value = inner(value, f"{where}.{key}")
+                else:
+                    value = _read(value, where, key, step, default)
             if value is not _OPTIONAL:
                 fields[key] = value
-        return cls(**fields)
+        try:
+            return cls(**fields)
+        except _REFUSED as exc:
+            raise ParseError(f"{where}: {exc}") from exc
 
     return read
 
@@ -180,26 +203,41 @@ def _events() -> _Step:
     Events whose `at_ms` has one spelling (JSON type and value) share one
     Fraction, and DCIs of one (format, bits) pair share one DciEvent.
     Only values that parsed are kept, and only while the step lives.
+    `kind`, `cell`, `format` and `bwp_indicator_bits` are read inline.
     """
     times: dict[tuple[type, Any], Fraction] = {}
     dcis: dict[tuple[str, str | None], DciEvent] = {}
+    kinds, formats = _KIND.members, _FORMAT.members
 
     def event(obj: dict, where: str) -> SimEvent:
-        kind = _get(obj, "kind", where, _KIND)
+        raw = obj.get("kind", _REQUIRED)
+        kind = kinds.get(raw) if type(raw) is str else None
+        if kind is None:
+            kind = _read(raw, where, "kind", _KIND)
         raw = obj.get("at_ms", _REQUIRED)
         spelling = (type(raw), raw)  # the type keeps a JSON true from reading as a cached 1
         at_ms = times.get(spelling) if type(raw) in _TIME_TYPES else None  # the rest do not hash or parse
         if at_ms is None:
             at_ms = times[spelling] = _read(raw, where, "at_ms", _TIME)
-        cell = _get(obj, "cell", where, _STR)
+        cell = obj.get("cell", _REQUIRED)
+        if type(cell) is not str:
+            cell = _read(cell, where, "cell", _STR)
         dci = first_dl = first_ul = None
         if kind is EventKind.DCI:
-            fmt = _get(obj, "format", where, _FORMAT)
-            # the format's JSON string, as an Enum member hashes in Python
-            pair = (obj["format"], _get(obj, "bwp_indicator_bits", where, _STR, None))
+            raw = obj.get("format", _REQUIRED)
+            fmt = formats.get(raw) if type(raw) is str else None
+            if fmt is None:
+                fmt = _read(raw, where, "format", _FORMAT)
+            bits = obj.get("bwp_indicator_bits")  # absent or null: none
+            if bits is not None and type(bits) is not str:
+                bits = _read(bits, where, "bwp_indicator_bits", _STR, None)
+            pair = (raw, bits)  # the format's JSON string, as an Enum member hashes in Python
             dci = dcis.get(pair)
             if dci is None:
-                dci = dcis[pair] = DciEvent(fmt, pair[1])
+                try:
+                    dci = dcis[pair] = DciEvent(fmt, bits)
+                except _REFUSED as exc:
+                    raise ParseError(f"{where}: {exc}") from exc
         elif kind is EventKind.RRC_RECONFIG:
             first_dl = _get(obj, "first_active_dl", where, _INT, None)
             first_ul = _get(obj, "first_active_ul", where, _INT, None)

@@ -212,12 +212,13 @@ class TestValidate:
         assert "BWP-DEDICATED" in report_codes(cfg, CAP4)
 
     def test_mixed_numerology_needs_capability(self):
-        cfg = centered_cell(duplex=b.Duplex.FDD)
-        dl = (*cfg.dl_bwps[:2], make_bwp(2, 12, 26, mu=1))
-        cfg = dataclasses.replace(cfg, dl_bwps=dl)
-        assert "MIXED-NUMEROLOGY" in report_codes(cfg, CAP4)
+        base = centered_cell(duplex=b.Duplex.FDD)
+        mixed = (*base.dl_bwps[:2], make_bwp(2, 12, 26, mu=1))
         mixed_cap = b.UeCapability(max_rrc_bwps=4, mixed_numerology_bwps=True)
-        assert "MIXED-NUMEROLOGY" not in report_codes(cfg, mixed_cap)
+        for direction in ("dl_bwps", "ul_bwps"):  # a numerology in one direction only counts too
+            cfg = dataclasses.replace(base, **{direction: mixed})
+            assert "MIXED-NUMEROLOGY" in report_codes(cfg, CAP4)
+            assert "MIXED-NUMEROLOGY" not in report_codes(cfg, mixed_cap)
 
     def test_bandwidth_restriction_gate(self):
         cfg = adaptation_cell()

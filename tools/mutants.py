@@ -7,9 +7,10 @@ Run from anywhere, with pytest and hypothesis installed:
 Each mutant names a file under src/, an exact `old` text that must occur
 there once, the `new` text that replaces it, and why the change is not
 equivalent. The runner copies the tier-1 tree (src/, tests/, fixtures/,
-demos/, docs/ and pyproject.toml) to a temporary directory, first checks that
-the unmutated copy passes, then applies one mutant at a time to a fresh
-copy of src/ and runs the tier-1 command with -x. A mutant the suite
+demos/, docs/, pyproject.toml, and perfbench/ and tools/, which a test
+runs) to a temporary directory, first checks that the unmutated copy
+passes, then applies one mutant at a time to a fresh copy of src/ and
+runs the tier-1 command with -x. A mutant the suite
 passes on is a survivor; a mutant run that takes longer than TIMEOUT_FACTOR
 times the baseline's wall time is stopped and counts as an error. Exit
 status 1 on any survivor or error, on an `old` text that no longer
@@ -29,7 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = Path(__file__).resolve().parent / "mutants.json"
-TREE = ("src", "tests", "fixtures", "demos", "docs", "pyproject.toml")
+TREE = ("src", "tests", "fixtures", "demos", "docs", "perfbench", "tools", "pyproject.toml")
 IGNORE = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
