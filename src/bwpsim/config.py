@@ -316,9 +316,9 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
         )
 
     channel = cfg.channel_span
-    numerologies: set[int] = set()
-    dl_spans, dl_by_id, dl_count = _check_direction(out, cfg, channel, "dl_bwps", cfg.dl_bwps, numerologies)
-    _, ul_by_id, ul_count = _check_direction(out, cfg, channel, "ul_bwps", cfg.ul_bwps, numerologies)
+    mus: set[int] = set()
+    dl_spans, dl_by_id, dl_count = _check_direction(out, cfg, channel, "dl_bwps", cfg.dl_bwps, mus)
+    _, ul_by_id, ul_count = _check_direction(out, cfg, channel, "ul_bwps", cfg.ul_bwps, mus)
 
     if cfg.ul_bwps and 0 not in ul_by_id:
         out.error("INITIAL-BWP", "UL direction configured without BWP #0", "ul_bwps")
@@ -360,10 +360,10 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
                 direction,
             )
 
-    if len(numerologies) > 1 and not cap.mixed_numerology_bwps:
+    if len(mus) > 1 and not cap.mixed_numerology_bwps:
         out.error(
             "MIXED-NUMEROLOGY",
-            f"{len(numerologies)} distinct numerologies but UE supports a single one",
+            f"{len(mus)} distinct numerologies but UE supports a single one",
             "dl_bwps",
         )
 

@@ -148,8 +148,8 @@ def _reader(cls: type) -> Callable[[Any, str], Any]:
     left out for the constructor to default. A nested object or list goes
     straight to its reader, with its path `where.key` built here; a
     constructor's TypeError, ValueError or OverflowError raises the
-    ParseError of `where`. Built on first use, not at import: resolving the annotations
-    is the costly part.
+    ParseError of `where`. Built on first use, not at import: resolving
+    the annotations is the costly part.
     """
     hints = get_type_hints(cls)
     plan = []
