@@ -28,7 +28,6 @@ from .trace import decode_json, parse_ms
 FORMAT_VERSION = "bwpsim/1"
 
 _REQUIRED = object()  # default of a field that must be present, and the value of an absent one
-_OPTIONAL = object()  # default of a field the constructor defaults: left out when absent
 
 _TIME_TYPES = (int, float, str)  # the JSON types of a time
 _REFUSED = (TypeError, ValueError, OverflowError)  # what a constructor or conversion raises for a value
@@ -41,37 +40,36 @@ class ParseError(ValueError):
 class _Step(NamedTuple):
     """How a field's JSON value is read, decided once per field: a value
     of type `exact` is taken as it is, a value of type `takes` goes
-    straight to its reader `inner`, and any other goes to `_read`.
+    straight to its reader `inner`, a string in `members` is that member,
+    and any other goes to `_read`.
     """
 
     exact: Optional[type]  # the JSON type taken as it is, if any
-    members: Optional[Mapping[str, Enum]] = None  # an Enum's members by value
+    members: Mapping[str, Enum] = {}  # an Enum's members by value; the one lookup of a member, never written
     takes: Optional[type] = None  # the JSON type of a nested reader `inner`; None if `inner` converts any value
     inner: Optional[Callable[[Any, str], Any]] = None  # called as inner(value, path)
     expected: str = ""  # what `_read` says a refused value should have been
 
 
 def _get(obj: dict, key: str, where: str, step: _Step, default: Any = _REQUIRED) -> Any:
-    """Read field `key` of the JSON object at path `where` by `step`, as
-    a `_reader` reads each of its fields."""
+    """Read field `key` of the JSON object at path `where` by `step`: a
+    value of type `step.exact` as it is, any other by `_read`."""
     value = obj.get(key, _REQUIRED)
     return value if type(value) is step.exact else _read(value, where, key, step, default)
 
 
 def _read(value: Any, where: str, key: Any, step: _Step, default: Any = _REQUIRED) -> Any:
-    """Read a value that `step` neither takes as it is nor hands straight
-    to a nested reader: field `key` of the JSON object at path `where`, or
-    item `key` (an int) of the list there. A missing field takes `default`;
-    null does too, but only where the default is None. A string that names
-    a member of `step.members` by value is that member, and a value of type
-    `step.takes` (any, if None) is read as step.inner(value, path). The
-    path is built here for these calls and refused values; `_reader` and
-    `_list` build a nested reader's. A reader's, a conversion's or a
-    constructor's TypeError, ValueError or OverflowError raises ParseError
-    at the path; a ParseError from further in passes unchanged.
+    """Read a value that `step` neither takes as it is, nor looks up in its
+    members, nor hands straight to a nested reader: field `key` of the JSON
+    object at path `where`, or item `key` (an int) of the list there. A
+    missing field takes `default`; null does too, but only where the
+    default is None. A value of type `step.takes` (any, if None) is read
+    as step.inner(value, path). The path is built here for these calls
+    and refused values; `_reader` and `_list` build a nested reader's. A
+    reader's, a conversion's or a constructor's TypeError, ValueError or
+    OverflowError raises ParseError at the path; a ParseError from further
+    in passes unchanged.
     """
-    if type(value) is str and step.members is not None and value in step.members:
-        return step.members[value]
     if value is _REQUIRED:
         if default is _REQUIRED:
             raise ParseError(f"{where or 'top level'}: missing required field {key!r}")
@@ -102,8 +100,9 @@ def _list(item: _Step) -> _Step:
     for an item that goes straight to a nested reader."""
 
     def read(value: list, path: str) -> list:
-        exact, takes, inner = item.exact, item.takes, item.inner
-        return [v if type(v) is exact else inner(v, f"{path}[{i}]") if type(v) is takes else _read(v, path, i, item)
+        exact, takes, inner, members = item.exact, item.takes, item.inner, item.members
+        return [v if type(v) is exact else inner(v, f"{path}[{i}]") if type(v) is takes
+                else members[v] if type(v) is str and v in members else _read(v, path, i, item)
                 for i, v in enumerate(value)]
 
     return _Step(None, takes=list, inner=read, expected="a list")
@@ -144,37 +143,40 @@ def _step(hint: Any) -> _Step:
 @functools.cache
 def _reader(cls: type) -> Callable[[Any, str], Any]:
     """The reader of a config type's document object at path `where`:
-    each field in order, by its annotation's `_step`; an absent field is
-    left out for the constructor to default. A nested object or list goes
-    straight to its reader, with its path `where.key` built here; a
-    constructor's TypeError, ValueError or OverflowError raises the
-    ParseError of `where`. Built on first use, not at import: resolving
-    the annotations is the costly part.
+    each field in order, by its annotation's `_step`, into the argument
+    list of the constructor, which takes them positionally. An absent
+    field takes the field's default, a new one from its factory if it has
+    one; a required field has none and goes to `_read`, which refuses it.
+    A nested object or list goes straight to its reader, with its path
+    `where.key` built here; a constructor's TypeError, ValueError or
+    OverflowError raises the ParseError of `where`. Built on first use,
+    not at import: resolving the annotations is the costly part.
     """
     hints = get_type_hints(cls)
     plan = []
     for f in dataclasses.fields(cls):
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            default = _REQUIRED
-        else:
-            default = None if f.default is None else _OPTIONAL
+        fresh = f.default_factory is not dataclasses.MISSING  # a new default for each object
+        default = f.default_factory if fresh else _REQUIRED if f.default is dataclasses.MISSING else f.default
         step = _step(hints[f.name])
-        plan.append((f.name, step.exact, step.takes, step.inner, step, default))
+        plan.append((f.name, step.exact, step.takes, step.inner, step.members, step, default, fresh))
 
     def read(obj: dict, where: str) -> Any:
-        fields = {}
-        for key, exact, takes, inner, step, default in plan:
+        values = []
+        for key, exact, takes, inner, members, step, default, fresh in plan:
             value = obj.get(key, _REQUIRED)
             kind = type(value)
             if kind is not exact:
                 if kind is takes:
                     value = inner(value, f"{where}.{key}")
-                else:
-                    value = _read(value, where, key, step, default)
-            if value is not _OPTIONAL:
-                fields[key] = value
+                elif kind is str and value in members:
+                    value = members[value]
+                elif value is _REQUIRED and default is not _REQUIRED:
+                    value = default() if fresh else default
+                elif value is not None or default is not None:  # null where the default is None stays None
+                    value = _read(value, where, key, step)
+            values.append(value)
         try:
-            return cls(**fields)
+            return cls(*values)
         except _REFUSED as exc:
             raise ParseError(f"{where}: {exc}") from exc
 
@@ -203,7 +205,8 @@ def _events() -> _Step:
     Events whose `at_ms` has one spelling (JSON type and value) share one
     Fraction, and DCIs of one (format, bits) pair share one DciEvent.
     Only values that parsed are kept, and only while the step lives.
-    `kind`, `cell`, `format` and `bwp_indicator_bits` are read inline.
+    `kind`, `cell`, `format`, `bwp_indicator_bits` and an `at_ms` of a
+    time's JSON type are read inline.
     """
     times: dict[tuple[type, Any], Fraction] = {}
     dcis: dict[tuple[str, str | None], DciEvent] = {}
@@ -215,10 +218,16 @@ def _events() -> _Step:
         if kind is None:
             kind = _read(raw, where, "kind", _KIND)
         raw = obj.get("at_ms", _REQUIRED)
-        spelling = (type(raw), raw)  # the type keeps a JSON true from reading as a cached 1
-        at_ms = times.get(spelling) if type(raw) in _TIME_TYPES else None  # the rest do not hash or parse
-        if at_ms is None:
-            at_ms = times[spelling] = _read(raw, where, "at_ms", _TIME)
+        if type(raw) in _TIME_TYPES:  # the rest do not hash or parse
+            spelling = (type(raw), raw)  # the type keeps a JSON true from reading as a cached 1
+            at_ms = times.get(spelling)
+            if at_ms is None:
+                try:
+                    at_ms = times[spelling] = parse_ms(raw)
+                except _REFUSED as exc:
+                    raise ParseError(f"{where}.at_ms: {exc}") from exc
+        else:
+            at_ms = _read(raw, where, "at_ms", _TIME)
         cell = obj.get("cell", _REQUIRED)
         if type(cell) is not str:
             cell = _read(cell, where, "cell", _STR)

@@ -19,5 +19,6 @@ def test_a_tree_against_itself_counts_the_same_calls():
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:5]}
     assert rows["old"] == rows["new"]
     assert all(int(calls.replace(",", "")) > 0 for calls in rows["old"])
-    assert rows["change"] == ["+0.0%", "+0.0%"]
+    assert lines[1].split() == ["parse", "python", "parse", "builtin", "validate", "python", "validate", "builtin"]
+    assert rows["change"] == ["+0.0%"] * 4
     assert len(lines) == 5 + 2 * 2 * 3  # the 3 most-called functions of each pass, in each tree

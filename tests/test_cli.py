@@ -10,7 +10,7 @@ import pytest
 
 from bwpsim.cli import main
 from support import NEEDS_DIGIT_LIMIT
-from test_scenario_io import BAD_FIELDS, adaptation_doc, mutated
+from test_scenario_io import BAD_FIELDS, adaptation_doc, mutated, without
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -191,6 +191,14 @@ def test_bad_documents_exit_2_without_traceback(tmp_path, capsys, command, path,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_missing_nested_field_is_named(tmp_path, capsys, command):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(without(adaptation_doc(), ("cells", 0, "dl_bwps", 1, "common", "geometry"), "n_rbs")))
+    assert main([command, str(doc)]) == 2
+    assert capsys.readouterr().err == "error: cells[0].dl_bwps[1].common.geometry: missing required field 'n_rbs'\n"
 
 
 @pytest.mark.parametrize(

@@ -356,6 +356,11 @@ def test_channel_must_be_positive_and_finite(mhz):
         dataclasses.replace(adaptation_cell(), channel_bandwidth_mhz=mhz)
 
 
+def test_a_one_hz_channel_is_constructed():
+    """1 Hz is the narrowest channel that does not round to nothing."""
+    assert dataclasses.replace(adaptation_cell(), channel_bandwidth_mhz=1e-6).channel_bandwidth_mhz == 1e-6
+
+
 def test_docs_list_every_rule_code_with_its_severity():
     """docs/file_formats.md's table and validate()'s docstring name the same
     codes, and mark the same ones as warnings."""

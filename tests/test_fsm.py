@@ -164,6 +164,14 @@ class TestRrcSwitch:
             m.on_rrc_reconfig(at(5), 4, 4)
         assert exc.value.reason == "InvalidTarget"
 
+    def test_unconfigured_first_active_dl_alone_rejected(self):
+        """An FDD RRC that names only a DL id, and not a configured one, is
+        rejected here; accepted, it would reach the switch delay lookup."""
+        m = machine(adaptation_cell())
+        assert rejection(lambda: m.on_rrc_reconfig(at(5), 3, None)) == (
+            "InvalidTarget", "first-active DL BWP #3 not configured")
+        assert m.state.switch_window is None and (m.state.active_dl, m.state.active_ul) == (0, 0)
+
     def test_first_active_ul_on_a_dl_only_cell_rejected(self):
         m = machine(dl_only_cell())
         assert rejection(lambda: m.on_rrc_reconfig(at(5), 1, 1)) == (
@@ -261,6 +269,19 @@ class TestDciSwitch:
             m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "10"))  # decodes to absent #2
         assert exc.value.reason == "TargetNotConfigured"
 
+
+    def test_the_width_counts_the_bwps_other_than_the_initial_one(self):
+        """Ids 0, 2 and 3 are two BWPs besides #0: the 2-bit field has no
+        codepoint 11, and 10 names #2."""
+        cfg = centered_cell()
+        bwps = (cfg.dl_bwps[0], make_bwp(2, 0, 100), make_bwp(3, 24, 52))
+        cfg = dataclasses.replace(cfg, dl_bwps=bwps, ul_bwps=bwps, default_dl_bwp=None,
+                                  first_active_dl=None, first_active_ul=None)
+        m = machine(cfg)
+        assert rejection(lambda: m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "11")))[0] == "InvalidCodepoint"
+        m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "10"))
+        tick_until(m, at(2), at(3))
+        assert m.state.active_dl == 2
 
     def test_each_direction_decodes_with_its_own_width(self):
         """Three DL BWPs take a 2-bit indicator, two UL BWPs a 1-bit one."""

@@ -1,5 +1,6 @@
 """Scenario document parsing and the exact-decimal time syntax."""
 
+import dataclasses
 import itertools
 import json
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bwpsim as b
-from bwpsim.scenario import ParseError, load_scenario, scenario_from_obj
+from bwpsim.scenario import ParseError, _read, _reader, load_scenario, scenario_from_obj
 from support import adaptation_scenario
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -44,6 +45,19 @@ def test_parsed_fields_match_document():
     assert scn.events[1].dci == b.DciEvent(b.DciFormat.FMT_1_1, "01")
 
 
+@dataclasses.dataclass(frozen=True)
+class Duplexes:
+    modes: tuple[b.Duplex, ...] = ()
+
+
+def test_a_list_reads_its_enum_items_as_members():
+    read = _reader(Duplexes)
+    assert read({"modes": ["TDD", "FDD"]}, "x").modes == [b.Duplex.TDD, b.Duplex.FDD]
+    with pytest.raises(ParseError) as info:
+        read({"modes": ["TDD", "tdd"]}, "x")
+    assert str(info.value) == "x.modes[1]: expected one of 'FDD', 'TDD', got 'tdd'"
+
+
 def test_version_is_checked():
     doc = adaptation_doc()
     doc["version"] = "bwpsim/99"
@@ -51,11 +65,40 @@ def test_version_is_checked():
         scenario_from_obj(doc)
 
 
-def test_missing_required_field():
+@pytest.mark.parametrize("where,key", [
+    (("cells", 0), "point_a_hz"),
+    (("cells", 0, "dl_bwps", 1, "common", "geometry"), "n_rbs"),
+])
+def test_missing_required_field(where, key):
+    with pytest.raises(ParseError) as info:
+        scenario_from_obj(without(adaptation_doc(), where, key))
+    assert str(info.value) == f"{json_path(where)}: missing required field {key!r}"
+
+
+def test_absent_link_params_are_distinct_empty_dicts():
     doc = adaptation_doc()
-    del doc["cells"][0]["point_a_hz"]
-    with pytest.raises(ParseError):
-        scenario_from_obj(doc)
+    for where in (("dl_bwps", 0, "common"), ("dl_bwps", 1, "common"), ("dl_bwps", 1, "dedicated")):
+        doc = without(doc, ("cells", 0, *where), "link_params")
+    bwps = scenario_from_obj(doc).cells["pcell"].dl_bwps
+    params = [bwps[0].common.link_params, bwps[1].common.link_params, bwps[1].dedicated.link_params]
+    assert params == [{}, {}, {}] and len({id(p) for p in params}) == 3
+
+
+@pytest.mark.parametrize("name", ["adaptation_fdd", "mixed_scs", "tdd"])
+def test_only_top_level_and_event_ids_reach_read(name, monkeypatch):
+    """On a valid document `_read` sees the top-level fields and an RRC
+    event's absent first-active ids: no config field (an Enum member, an
+    absent default) and no event time goes there."""
+    seen = []
+
+    def counting(value, where, key, *args):
+        seen.append((where, key))
+        return _read(value, where, key, *args)
+
+    monkeypatch.setattr("bwpsim.scenario._read", counting)
+    load_scenario(FIXTURES / f"{name}_scenario.json")
+    assert {key for where, key in seen if where == ""} == {"cells", "capability", "events", "horizon_ms"}
+    assert {key for where, key in seen if where != ""} <= {"first_active_dl", "first_active_ul"}
 
 
 def test_bad_enum_value():

@@ -13,8 +13,12 @@ unprofiled pass, so that readers built on first use are built, and then
 counts under cProfile the calls of one `scenario_from_obj` pass over every
 document and of one `validate` pass over every cell of the documents that
 parse. Counts repeat exactly from run to run, so unlike timings one run of
-each tree is enough to compare them. `--top N` also prints the N functions
-of each pass with the most calls, in each tree. Exit status 2 when a child
+each tree is enough to compare them. Calls of Python functions and calls
+of built-ins (C functions and methods, such as `dict.get` and
+`list.append`) are counted in separate columns: a built-in call costs far
+less than a Python one, so a change that trades one kind for the other
+moves their sum the wrong way. `--top N` also prints the N functions of
+each pass with the most calls, in each tree. Exit status 2 when a child
 fails, 0 otherwise.
 
 A count is the sum over the profiler's own entries, one per function.
@@ -53,6 +57,10 @@ def label(code):
     return f"{Path(code.co_filename).name}:{code.co_firstlineno}({code.co_name})"
 
 
+def python_calls(entries):
+    return sum(e.callcount for e in entries if not isinstance(e.code, str))
+
+
 def parse():
     scenarios = []
     for doc in docs:
@@ -75,8 +83,10 @@ out = {"documents": len(docs), "parsed": len(scenarios)}
 for name, call, args in (("parse", parse, ()), ("validate", check, (scenarios,))):
     prof = cProfile.Profile()
     prof.runcall(call, *args)
-    ranked = sorted(((e.callcount, label(e.code)) for e in prof.getstats()), key=lambda x: (-x[0], x[1]))
-    out[name] = {"calls": sum(nc for nc, _ in ranked), "top": ranked[:top]}
+    entries = prof.getstats()
+    ranked = sorted(((e.callcount, label(e.code)) for e in entries), key=lambda x: (-x[0], x[1]))
+    python = python_calls(entries)
+    out[name] = {"python": python, "builtin": sum(nc for nc, _ in ranked) - python, "top": ranked[:top]}
 print(json.dumps(out))
 """
 
@@ -110,12 +120,12 @@ def main(argv: list[str] | None = None) -> int:
     old, new = results["old"], results["new"]
     print(f"{args.workload}, seed {args.seed}, scale {args.scale}: "
           f"{new['documents']} documents, {new['parsed']} parse")
-    print(f"{'':>6} {'parse calls':>14} {'validate calls':>15}")
+    columns = [(p, kind) for p in ("parse", "validate") for kind in ("python", "builtin")]
+    print(f"{'':>6}" + "".join(f" {f'{p} {kind}':>16}" for p, kind in columns))
     for label, res in results.items():
-        print(f"{label:>6} {res['parse']['calls']:>14,} {res['validate']['calls']:>15,}")
-    moves = [f"{(new[p]['calls'] - old[p]['calls']) / old[p]['calls']:+.1%}" if old[p]["calls"] else "n/a"
-             for p in ("parse", "validate")]
-    print(f"{'change':>6} {moves[0]:>14} {moves[1]:>15}")
+        print(f"{label:>6}" + "".join(f" {res[p][kind]:>16,}" for p, kind in columns))
+    moves = [f"{(new[p][kind] - old[p][kind]) / old[p][kind]:+.1%}" if old[p][kind] else "n/a" for p, kind in columns]
+    print(f"{'change':>6}" + "".join(f" {move:>16}" for move in moves))
     for label, res in results.items():
         for name in ("parse", "validate"):
             for nc, fn in res[name]["top"]:
