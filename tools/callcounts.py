@@ -57,10 +57,6 @@ def label(code):
     return f"{Path(code.co_filename).name}:{code.co_firstlineno}({code.co_name})"
 
 
-def python_calls(entries):
-    return sum(e.callcount for e in entries if not isinstance(e.code, str))
-
-
 def parse():
     scenarios = []
     for doc in docs:
@@ -85,7 +81,7 @@ for name, call, args in (("parse", parse, ()), ("validate", check, (scenarios,))
     prof.runcall(call, *args)
     entries = prof.getstats()
     ranked = sorted(((e.callcount, label(e.code)) for e in entries), key=lambda x: (-x[0], x[1]))
-    python = python_calls(entries)
+    python = sum(e.callcount for e in entries if not isinstance(e.code, str))  # a built-in's code is a str
     out[name] = {"python": python, "builtin": sum(nc for nc, _ in ranked) - python, "top": ranked[:top]}
 print(json.dumps(out))
 """
