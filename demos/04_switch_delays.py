@@ -14,8 +14,8 @@ for delay_type in (DelayType.TYPE1, DelayType.TYPE2):
     for scs_from in SCS:
         row = [f"{scs_from:>7} |"]
         for scs_to in SCS:
-            spec = switch_delay_khz(scs_from, scs_to, delay_type)
-            row.append(f" {ms_str(spec.duration_ms):>5} ({spec.slots:>2})")
+            slots, duration_ms = switch_delay_khz(scs_from, scs_to, delay_type)
+            row.append(f" {ms_str(duration_ms):>5} ({slots:>2})")
         print("".join(row))
     print()
 

@@ -53,7 +53,6 @@ from .fsm import (
     CellStateMachine,
     EventRejection,
     SwitchCause,
-    SwitchDelaySpec,
     SwitchWindow,
     UnsupportedScs,
     switch_delay_khz,

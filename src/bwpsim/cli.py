@@ -80,11 +80,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_delay(args: argparse.Namespace) -> int:
-    spec = switch_delay_khz(args.scs_from, args.scs_to, DelayType(args.delay_type))
-    ms = ms_str(spec.duration_ms)
+    slots, duration_ms = switch_delay_khz(args.scs_from, args.scs_to, DelayType(args.delay_type))
+    ms = ms_str(duration_ms)
     if "." not in ms:
         ms += ".0"
-    print(f"{spec.slots} slots = {ms} ms")
+    print(f"{slots} slots = {ms} ms")
     return EXIT_OK
 
 

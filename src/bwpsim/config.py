@@ -163,28 +163,9 @@ class CellConfig:
     def tick_ms(self):
         return self.fr.tick_ms
 
-    def dl_bwp(self, bwp_id: int) -> BwpConfig:
-        return _lookup(self.dl_bwps, bwp_id, "DL")
-
-    def ul_bwp(self, bwp_id: int) -> BwpConfig:
-        return _lookup(self.ul_bwps, bwp_id, "UL")
-
-    def has_dl_bwp(self, bwp_id: int) -> bool:
-        return any(b.id == bwp_id for b in self.dl_bwps)
-
-    def has_ul_bwp(self, bwp_id: int) -> bool:
-        return any(b.id == bwp_id for b in self.ul_bwps)
-
     @property
     def has_uplink(self) -> bool:
         return bool(self.ul_bwps)
-
-
-def _lookup(bwps: Iterable[BwpConfig], bwp_id: int, direction: str) -> BwpConfig:
-    for b in bwps:
-        if b.id == bwp_id:
-            return b
-    raise KeyError(f"no {direction} BWP with id {bwp_id}")
 
 
 @dataclass(frozen=True)
@@ -241,10 +222,11 @@ def dci_switch_available(cfg: CellConfig, active_dl: int) -> bool:
 
     Only an Option 1 BWP #0 (no dedicated parameters) is limited to the
     fallback formats; leaving it takes RRC, timer expiry, or random access.
+    The first DL BWP #0 decides; a cell without one has no such limit.
     """
     if active_dl != 0:
         return True
-    return cfg.dl_bwp(0).has_dedicated
+    return next((b.has_dedicated for b in cfg.dl_bwps if b.id == 0), True)
 
 
 class _Collector:
@@ -431,8 +413,7 @@ def _check_direction(
 ) -> tuple[list[HzSpan], dict[int, HzSpan], int]:
     """Check the rules of each BWP of one direction on its own, reading its
     properties once, and add its mu to `mus`. Returns their spans, by id the
-    span of the first BWP of that id (as `CellConfig.dl_bwp` and `ul_bwp` find
-    it), and their `rrc_configured_count`."""
+    span of the first BWP of that id, and their `rrc_configured_count`."""
     by_id: dict[int, HzSpan] = {}
     spans = []
     dedicated = 0

@@ -72,6 +72,9 @@ from .trace import (
 class UnsupportedScs(Exception):
     """No switch-delay requirement exists for this subcarrier spacing."""
 
+    def __init__(self, scs_khz: int):
+        super().__init__(f"no switch delay requirement for {scs_khz} kHz")
+
 
 class EventRejection(Exception):
     """An event the machine refuses; the engine traces it and moves on."""
@@ -106,25 +109,19 @@ SWITCH_DELAY_SLOTS: dict[int, dict[DelayType, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class SwitchDelaySpec:
-    slots: int
-    duration_ms: Fraction
-
-
-def switch_delay_khz(from_scs_khz: int, to_scs_khz: int, delay_type: DelayType) -> SwitchDelaySpec:
-    """Delay budget for switching between two subcarrier spacings.
+def switch_delay_khz(from_scs_khz: int, to_scs_khz: int, delay_type: DelayType) -> tuple[int, Fraction]:
+    """(slots, duration in ms) of the delay budget for switching between two subcarrier spacings.
 
     The requirement of the smaller SCS governs when the two differ.
     Raises UnsupportedScs when either side is 240 kHz.
     """
     for scs in (from_scs_khz, to_scs_khz):
         if scs not in SWITCH_DELAY_SLOTS:
-            raise UnsupportedScs(f"no switch delay requirement for {scs} kHz")
+            raise UnsupportedScs(scs)
     governing = min(from_scs_khz, to_scs_khz)
     slots = SWITCH_DELAY_SLOTS[governing][delay_type]
     # a slot of the governing SCS lasts 15/scs ms
-    return SwitchDelaySpec(slots, Fraction(15 * slots, governing))
+    return slots, Fraction(15 * slots, governing)
 
 
 UNITS_PER_MS = 8  # a machine time is a whole number of eighths of a ms
@@ -190,14 +187,13 @@ class CellStateMachine:
     `cfg` and `cap` are fixed at construction: the machine derives its
     per-cell tables from them once (indicator contexts, each BWP's width
     and SCS by id, the default DL BWP, whether DL and UL switch as a pair,
-    switch delays by SCS pair) and never reads them back for those
-    values; its `RunStart` record comes from those tables too.
+    whether BWP #0 takes non-fallback DCI, the switch delay per governing
+    SCS) and never reads them back for those values or its `RunStart`.
     """
 
     def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability):
         self.cell = cell
         self.cfg = cfg
-        self.cap = cap
         self.tick = to_units(cfg.tick_ms)
         self.state = BwpState(active_dl=0, active_ul=0 if cfg.has_uplink else None)
         self._dl, self._ul = _by_id(cfg.dl_bwps), _by_id(cfg.ul_bwps)  # (n_rbs, scs_khz) by BWP id
@@ -207,7 +203,9 @@ class CellStateMachine:
         }
         self._default_dl = effective_default_dl(cfg)
         self._switch_as_pair = cfg.duplex is Duplex.TDD and cfg.has_uplink  # unpaired spectrum with UL
-        self._delays: dict[tuple[int, int], int] = {}  # eighths of a ms by (smaller, larger) SCS
+        self._nonfallback_on_bwp0 = dci_switch_available(cfg, 0)
+        self._delays = {scs: to_units(switch_delay_khz(scs, scs, cap.switch_delay_type)[1])
+                        for scs in SWITCH_DELAY_SLOTS}  # eighths of a ms by governing SCS
 
     def start_record(self) -> TraceRecord:
         """The cell's RunStart record: its state before any event."""
@@ -277,7 +275,7 @@ class CellStateMachine:
             raise EventRejection("DciDuringSwitchWindow", "no reception during a switch window")
         if dci.is_fallback:
             return self._timer_on_scheduling(now, dci.direction)
-        if not dci_switch_available(self.cfg, st.active_dl):
+        if st.active_dl == 0 and not self._nonfallback_on_bwp0:
             raise EventRejection(
                 "NonFallbackOnOption1Initial",
                 "BWP #0 without dedicated parameters only supports fallback DCI",
@@ -411,8 +409,7 @@ class CellStateMachine:
 
         Every trigger's window is timed here, through `_open_window`: the
         smallest SCS among the current and target BWPs of the moving
-        directions governs, and a 240 kHz BWP among them rejects the switch. Only an accepted pair's delay
-        is kept, so a 240 kHz switch is rejected every time.
+        directions governs, with its delay fixed at construction (none for 240 kHz).
         """
         st = self.state
         scs: list[int] = []
@@ -420,17 +417,10 @@ class CellStateMachine:
             scs += [self._dl[st.active_dl][1], self._dl[target_dl][1]]
         if target_ul is not None:
             scs += [self._ul[st.active_ul][1], self._ul[target_ul][1]]
-        # every SCS is 15*2**mu kHz with mu <= 4, so 240 kHz, the only one
-        # without a requirement, is always the largest
-        pair = (min(scs), max(scs))
-        delay = self._delays.get(pair)
-        if delay is None:
-            try:
-                spec = switch_delay_khz(*pair, self.cap.switch_delay_type)
-            except UnsupportedScs as exc:
-                raise EventRejection("UnsupportedScs", str(exc)) from exc
-            delay = self._delays[pair] = to_units(spec.duration_ms)
-        return delay
+        for s in scs:
+            if s not in self._delays:
+                raise EventRejection("UnsupportedScs", str(UnsupportedScs(s)))
+        return self._delays[min(scs)]
 
     def _open_window(
         self,

@@ -105,9 +105,9 @@ _encode = _one_shot_encoder()
 
 
 def ms_str(value: Fraction | int) -> str:
-    """Render a millisecond value as a minimal exact decimal string."""
+    """Render an int or Fraction millisecond value as a minimal exact decimal string."""
     if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)  # a float or Decimal
+        raise ValueError(f"{value!r} ms: a time must be an int or Fraction")
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)

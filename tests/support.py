@@ -135,10 +135,10 @@ def assert_machine_invariants(m, now) -> None:
     from bwpsim.config import effective_default_dl
 
     st = m.state
-    assert m.cfg.has_dl_bwp(st.active_dl)
+    assert st.active_dl in {x.id for x in m.cfg.dl_bwps}
     assert (st.active_ul is None) == (not m.cfg.has_uplink)
     if st.active_ul is not None:
-        assert m.cfg.has_ul_bwp(st.active_ul)
+        assert st.active_ul in {x.id for x in m.cfg.ul_bwps}
     if st.rach_in_progress:
         assert st.timer_expires_at is None
     if st.timer_expires_at is not None:

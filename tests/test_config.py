@@ -71,6 +71,12 @@ class TestDefaultAndDciAvailability:
         assert b.dci_switch_available(adaptation_cell(), 1)
         assert b.dci_switch_available(centered_cell(), 1)
 
+    def test_no_initial_bwp_no_limit(self):
+        """Only an Option 1 BWP #0 limits DCI; a cell without a DL BWP #0
+        (invalid, INITIAL-BWP) has none, and the answer is not a KeyError."""
+        cfg = adaptation_cell()
+        assert b.dci_switch_available(dataclasses.replace(cfg, dl_bwps=cfg.dl_bwps[1:]), 0)
+
 
 class TestValidate:
     def test_adaptation_config_is_clean(self):
@@ -103,7 +109,7 @@ class TestValidate:
         centered, shifted = cfg.ul_bwps[1], make_bwp(1, 0, 100 - 2)
         pair = (shifted, centered) if shifted_first else (centered, shifted)
         cfg = dataclasses.replace(cfg, ul_bwps=(cfg.ul_bwps[0], *pair, cfg.ul_bwps[2]))
-        assert cfg.ul_bwp(1) is pair[0]
+        assert next(u for u in cfg.ul_bwps if u.id == 1) is pair[0]
         codes = report_codes(cfg, CAP4)
         assert "DUPLICATE-ID" in codes
         assert ("TDD-CENTER" in codes) == shifted_first
@@ -345,7 +351,7 @@ def test_valid_under_weaker_capability_stays_valid():
 def test_valid_config_default_names_configured_bwp():
     for cfg in (adaptation_cell(), centered_cell(default_dl=None), centered_cell(duplex=b.Duplex.TDD)):
         if b.validate(cfg, CAP4).valid:
-            assert cfg.has_dl_bwp(b.effective_default_dl(cfg))
+            assert b.effective_default_dl(cfg) in {x.id for x in cfg.dl_bwps}
 
 
 @pytest.mark.parametrize("mhz", [0.0, 1e-7, -5.0, float("nan"), float("inf")])
@@ -376,11 +382,3 @@ def test_capability_self_consistency():
         b.UeCapability(max_rrc_bwps=3)
     with pytest.raises(ValueError):
         b.UeCapability(max_rrc_bwps=2, mixed_numerology_bwps=True)
-
-
-def test_lookup_of_an_unconfigured_bwp_is_a_key_error():
-    cfg = centered_cell()
-    with pytest.raises(KeyError, match="no DL BWP with id 3"):
-        cfg.dl_bwp(3)
-    with pytest.raises(KeyError, match="no UL BWP with id 3"):
-        cfg.ul_bwp(3)

@@ -846,47 +846,59 @@ def test_run_drives_the_machines_on_an_integer_clock(monkeypatch):
 
 
 def test_cell_tables_are_derived_once_per_machine(monkeypatch):
-    """A machine builds at most its two indicator contexts and looks up each
-    accepted (SCS pair, delay type) once, however many DCIs and switches it
-    handles; a 240 kHz switch is looked up, and rejected, every time. The
-    mixed-SCS golden decodes more DCIs than twice its cells."""
-    made, contexts, switches = [], [0], [0]
-    lookups = collections.Counter()
-    current = []
-    init, switch_delay = CellStateMachine.__init__, CellStateMachine._switch_delay
-    context, delay_khz = fsm.IndicatorContext, fsm.switch_delay_khz
+    """A machine builds at most its two indicator contexts, however many DCIs
+    it handles, and calls `switch_delay_khz` and `dci_switch_available` only
+    in `__init__`: once per governing SCS and once for BWP #0. The DCIs and
+    switches the runs handle, several 240 kHz switches rejected among them,
+    read the facts fixed there. The mixed-SCS golden decodes more DCIs than
+    twice its cells."""
+    made, contexts, building = [], [0], [False]
+    calls, late = collections.Counter(), collections.Counter()
+    events = collections.Counter()
+    init, on_dci, switch_delay = CellStateMachine.__init__, CellStateMachine.on_dci, CellStateMachine._switch_delay
+    context = fsm.IndicatorContext
 
     def counted_init(self, *args):
         made.append(self)
-        init(self, *args)
+        building[0] = True
+        try:
+            init(self, *args)
+        finally:
+            building[0] = False
 
     def counted_context(n):
         contexts[0] += 1
         return context(n)
 
-    def tracked_switch(self, *targets):
-        switches[0] += 1
-        current.append(self)
-        try:
-            return switch_delay(self, *targets)
-        finally:
-            current.pop()
+    def counted(name, method):
+        def call(*args):
+            events[name] += 1
+            return method(*args)
+        return call
 
-    def counted_delay(lo, hi, kind):
-        spec = delay_khz(lo, hi, kind)  # raises for 240 kHz, so only accepted pairs count
-        lookups[current[-1], lo, hi, kind] += 1
-        return spec
+    def watched(name, fn):
+        def call(*args):
+            (calls if building[0] else late)[name] += 1
+            return fn(*args)
+        return call
 
     monkeypatch.setattr(CellStateMachine, "__init__", counted_init)
-    monkeypatch.setattr(CellStateMachine, "_switch_delay", tracked_switch)
+    monkeypatch.setattr(CellStateMachine, "on_dci", counted("dci", on_dci))
+    monkeypatch.setattr(CellStateMachine, "_switch_delay", counted("switch", switch_delay))
     monkeypatch.setattr(fsm, "IndicatorContext", counted_context)
-    monkeypatch.setattr(fsm, "switch_delay_khz", counted_delay)
+    for name in ("switch_delay_khz", "dci_switch_available"):
+        monkeypatch.setattr(fsm, name, watched(name, getattr(fsm, name)))
     mixed_scs = scenario_from_obj(json.loads((FIXTURES / "mixed_scs_scenario.json").read_text()))
+    machines = 0
     for seed, scn in [("mixed_scs", mixed_scs),
                       *((seed, random_multicell_scenario(random.Random(seed))) for seed in range(100))]:
         made.clear()
         contexts[0] = 0
-        b.run(scn)
+        trace, _ = b.run(scn)
         assert contexts[0] <= 2 * len(made), seed
-    assert max(lookups.values()) == 1
-    assert switches[0] > len(lookups)  # some switches reuse a pair their cell has seen
+        machines += len(made)
+        events["240"] += sum(r.fields.get("reason") == "UnsupportedScs" for r in trace)
+    assert not late
+    assert calls == {"switch_delay_khz": len(fsm.SWITCH_DELAY_SLOTS) * machines, "dci_switch_available": machines}
+    assert events["dci"] > 0
+    assert events["switch"] > events["240"] > 1

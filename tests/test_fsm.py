@@ -70,9 +70,7 @@ class TestSwitchDelayTable:
     def test_equal_scs_pairs(self, scs, delay_type):
         slots1, slots2, slot_ms = DELAY_TABLE[scs]
         expected_slots = slots1 if delay_type is T1 else slots2
-        spec = b.switch_delay_khz(scs, scs, delay_type)
-        assert spec.slots == expected_slots
-        assert spec.duration_ms == expected_slots * slot_ms
+        assert b.switch_delay_khz(scs, scs, delay_type) == (expected_slots, expected_slots * slot_ms)
 
     @pytest.mark.parametrize("scs_from", sorted(DELAY_TABLE))
     @pytest.mark.parametrize("scs_to", sorted(DELAY_TABLE))
@@ -86,12 +84,9 @@ class TestSwitchDelayTable:
         )
 
     def test_240_khz_unsupported(self):
-        with pytest.raises(b.UnsupportedScs):
-            b.switch_delay_khz(240, 240, T1)
-        with pytest.raises(b.UnsupportedScs):
-            b.switch_delay_khz(240, 15, T1)
-        with pytest.raises(b.UnsupportedScs):
-            b.switch_delay_khz(15, 240, T2)
+        for pair, delay_type in [((240, 240), T1), ((240, 15), T1), ((15, 240), T2)]:
+            with pytest.raises(b.UnsupportedScs, match="^no switch delay requirement for 240 kHz$"):
+                b.switch_delay_khz(*pair, delay_type)
 
 
 class TestUnits:
@@ -244,6 +239,25 @@ class TestDciSwitch:
             m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "01"))
         assert exc.value.reason == "NonFallbackOnOption1Initial"
 
+    @pytest.mark.parametrize("dedicated_first", [True, False])
+    def test_nonfallback_on_bwp0_follows_its_first_entry(self, dedicated_first):
+        """With DL BWP #0 listed twice, once with dedicated parameters and
+        once without, the first entry decides whether non-fallback DCI runs
+        on it, as it decides the width in the RunStart record. The config is
+        invalid (DUPLICATE-ID), so only a direct caller meets it."""
+        cfg = centered_cell()
+        option2, option1 = cfg.dl_bwps[0], make_bwp(0, 30, 40, dedicated=False)
+        first, second = (option2, option1) if dedicated_first else (option1, option2)
+        cfg = dataclasses.replace(cfg, dl_bwps=(first, *cfg.dl_bwps[1:], second))
+        m = CellStateMachine("cell", cfg, b.UeCapability(max_rrc_bwps=4))
+        assert m.start_record().fields["dl_rbs"] == first.geometry.n_rbs
+        dci = b.DciEvent(b.DciFormat.FMT_1_1, "01")
+        if dedicated_first:
+            assert kinds(m.on_dci(at(2), dci)) == ["WindowOpen", "TimerStart"]
+        else:
+            assert rejection(lambda: m.on_dci(at(2), dci)) == (
+                "NonFallbackOnOption1Initial", "BWP #0 without dedicated parameters only supports fallback DCI")
+
     def test_codec_errors_surface_as_rejections(self):
         m = machine(centered_cell())
         with pytest.raises(EventRejection) as exc:
@@ -298,8 +312,8 @@ class TestDciSwitch:
         assert exc.value.reason == "LengthMismatch"
 
     def test_240_khz_switch_is_rejected_after_a_smaller_pair_was_accepted(self):
-        """60 -> 120 kHz is accepted and its delay kept; 60 -> 240 kHz shares
-        the smaller SCS but is rejected, every time it is tried."""
+        """60 -> 120 kHz is accepted with the 60 kHz delay; 60 -> 240 kHz
+        shares the smaller SCS but is rejected, every time it is tried."""
         cfg = spread_cell(fr=b.FrequencyRange.FR2, mus=(2, 3, 4), widths=(1, 1, 1), duplex=b.Duplex.FDD,
                           role=b.CellRole.PCELL, default_dl=None, timer_ms=None, prach_on=frozenset({0}),
                           first_active=None, rrc_delay_ms=10, initial_dedicated=True)
@@ -316,7 +330,8 @@ class TestDciSwitch:
         for t in (3, 4):
             with pytest.raises(EventRejection) as exc:
                 m.on_dci(at(t), b.DciEvent(b.DciFormat.FMT_1_1, "10"))  # 60 -> 240 kHz
-            assert exc.value.reason == "UnsupportedScs"
+            assert (exc.value.reason, exc.value.detail) == (
+                "UnsupportedScs", "no switch delay requirement for 240 kHz")
         assert m.state.switch_window is None and m.state.active_dl == 0
 
 

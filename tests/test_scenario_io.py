@@ -34,11 +34,12 @@ def test_parsed_fields_match_document():
     scn = load_scenario(FIXTURES / "adaptation_fdd_scenario.json")
     cfg = scn.cells["pcell"]
     assert cfg.duplex is b.Duplex.FDD
-    assert cfg.dl_bwp(1).geometry.n_rbs == 270
-    assert cfg.dl_bwp(0).dedicated is None
-    assert cfg.ul_bwp(1).dedicated.uplink_waveform is b.UplinkWaveform.CP_OFDM
-    assert cfg.ul_bwp(2).dedicated.uplink_waveform is b.UplinkWaveform.DFT_S_OFDM
-    assert cfg.dl_bwp(1).common.link_params == {"pdcch": "wideband"}
+    dl, ul = ({x.id: x for x in bwps} for bwps in (cfg.dl_bwps, cfg.ul_bwps))
+    assert dl[1].geometry.n_rbs == 270
+    assert dl[0].dedicated is None
+    assert ul[1].dedicated.uplink_waveform is b.UplinkWaveform.CP_OFDM
+    assert ul[2].dedicated.uplink_waveform is b.UplinkWaveform.DFT_S_OFDM
+    assert dl[1].common.link_params == {"pdcch": "wideband"}
     assert scn.capability.max_rrc_bwps == 4
     assert scn.horizon_ms == F(80)
     assert scn.events[0].kind is b.EventKind.RRC_RECONFIG
@@ -505,9 +506,12 @@ class TestTimeSyntax:
             assert b.ms_str(F(k, per_ms)) == reference(k, per_ms), (k, per_ms)
             assert b.ms_str(k) == reference(k, 1), k
 
-    def test_ms_str_takes_floats_and_decimals(self):
-        assert b.ms_str(0.5) == "0.5"
-        assert b.ms_str(Decimal("-2.250")) == "-2.25"
+    @pytest.mark.parametrize("value", [0.5, 0.1, Decimal("-2.250")])
+    def test_ms_str_refuses_floats_and_decimals(self, value):
+        """A float is not written as its binary expansion (0.1 would be
+        '0.1000000000000000055...'), nor a Decimal as its digits."""
+        with pytest.raises(ValueError, match=r"ms: a time must be an int or Fraction"):
+            b.ms_str(value)
 
     def test_non_decimal_fraction_has_no_string(self):
         with pytest.raises(ValueError):

@@ -58,7 +58,7 @@ def tick_run(scenario: Scenario) -> tuple[list[TraceRecord], int]:
         trace.append(TraceRecord(Fraction(0), cid, RUN_START, {
             "active_dl": m.state.active_dl,
             "active_ul": m.state.active_ul,
-            "dl_rbs": cfg.dl_bwp(m.state.active_dl).geometry.n_rbs,
+            "dl_rbs": next(x for x in cfg.dl_bwps if x.id == m.state.active_dl).geometry.n_rbs,
             "default_dl": effective_default_dl(cfg),
         }))
 
