@@ -72,6 +72,11 @@ class Severity(Enum):
     WARNING = "Warning"
 
 
+# Read once: on CPython 3.11 `Severity.ERROR` goes through `EnumType.__getattr__`, ten times a global's cost.
+_UNASSIGNED, _TDD, _SCELL = FrequencyRange.UNASSIGNED, Duplex.TDD, CellRole.SCELL
+_ERROR, _WARNING = Severity.ERROR, Severity.WARNING
+
+
 @dataclass(frozen=True)
 class BwpCommon:
     """Cell-specific part of a BWP configuration."""
@@ -143,7 +148,7 @@ class CellConfig:
     prach_configured_on: frozenset[int] = frozenset({0})
 
     def __post_init__(self) -> None:
-        if self.fr is FrequencyRange.UNASSIGNED:
+        if self.fr is _UNASSIGNED:
             raise ValueError("cell must sit in FR1 or FR2")
         width_hz = self.channel_bandwidth_mhz * 1_000_000
         if not (math.isfinite(width_hz) and round(width_hz) > 0):
@@ -194,7 +199,7 @@ class ValidationReport:
 
     @property
     def has_errors(self) -> bool:
-        return any(f.severity is Severity.ERROR for f in self.findings)
+        return any(f.severity is _ERROR for f in self.findings)
 
     def codes(self) -> tuple[str, ...]:
         return tuple(f.rule_code for f in self.findings)
@@ -234,10 +239,10 @@ class _Collector:
         self.findings: list[Finding] = []
 
     def error(self, code: str, message: str, location: str) -> None:
-        self.findings.append(Finding(code, Severity.ERROR, message, location))
+        self.findings.append(Finding(code, _ERROR, message, location))
 
     def warning(self, code: str, message: str, location: str) -> None:
-        self.findings.append(Finding(code, Severity.WARNING, message, location))
+        self.findings.append(Finding(code, _WARNING, message, location))
 
 
 def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
@@ -307,7 +312,7 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
     if 0 not in dl_by_id:
         out.error("INITIAL-BWP", "DL direction has no BWP #0", "dl_bwps")
 
-    if cfg.duplex is Duplex.TDD and cfg.ul_bwps:
+    if cfg.duplex is _TDD and cfg.ul_bwps:
         if dl_by_id.keys() != ul_by_id.keys():
             out.error(
                 "TDD-PAIR-IDS",
@@ -391,7 +396,7 @@ def validate(cfg: CellConfig, cap: UeCapability) -> ValidationReport:
             f"first-active UL BWP #{cfg.first_active_ul} is not configured",
             "first_active_ul",
         )
-    if cfg.cell_role is CellRole.SCELL and cfg.first_active_dl is None:
+    if cfg.cell_role is _SCELL and cfg.first_active_dl is None:
         out.error(
             "SCELL-FIRST-ACTIVE",
             "SCells must configure a first-active DL BWP",

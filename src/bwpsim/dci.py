@@ -51,6 +51,11 @@ class DciFormat(Enum):
         return Direction.UL_GRANT
 
 
+# (direction, is_fallback) by format value, worked out once: on CPython 3.11 the properties read
+# members through `EnumType.__getattr__`, ten times a global's cost, and a member hashes in Python.
+_FACTS = {fmt._value_: (fmt.direction, fmt.is_fallback) for fmt in DciFormat}
+
+
 @dataclass(frozen=True)
 class DciEvent:
     """One received DCI. Fallback formats never carry indicator bits.
@@ -67,13 +72,14 @@ class DciEvent:
         fmt = self.format
         if type(fmt) is not DciFormat:
             raise ValueError(f"DCI format must be a DciFormat, got {fmt!r}")
-        object.__setattr__(self, "direction", fmt.direction)
-        object.__setattr__(self, "is_fallback", fmt.is_fallback)
+        direction, is_fallback = _FACTS[fmt._value_]
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "is_fallback", is_fallback)
         bits = self.bwp_indicator_bits
         if bits is not None:
             if len(bits) > 2 or any(c not in "01" for c in bits):
                 raise ValueError(f"indicator bits must be a 0/1 string of length <= 2, got {bits!r}")
-            if self.is_fallback:
+            if is_fallback:
                 raise ValueError(f"fallback format {fmt.value} cannot carry a BWP indicator")
 
 

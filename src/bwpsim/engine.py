@@ -75,6 +75,9 @@ class EventKind(Enum):
     DATA_UL_GRANT = "DataUlGrant"
 
 
+# Read once: on CPython 3.11 `EventKind.DCI` goes through `EnumType.__getattr__`, ten times a global's cost.
+_KIND_DCI, _DL, _UL = EventKind.DCI, Direction.DL_ASSIGNMENT, Direction.UL_GRANT
+
 # How each kind is delivered: its phase in the same-time order (ticks run
 # before all phases, and one phase keeps input order) and its handler.
 _DELIVERY: dict[EventKind, tuple[int, Callable[[CellStateMachine, SimEvent, int], list[TraceRecord]]]] = {
@@ -83,8 +86,8 @@ _DELIVERY: dict[EventKind, tuple[int, Callable[[CellStateMachine, SimEvent, int]
     EventKind.RACH_START: (2, lambda m, ev, now: m.on_rach_start(now)),
     EventKind.RACH_COMPLETE: (2, lambda m, ev, now: m.on_rach_complete(now)),
     EventKind.DCI: (3, lambda m, ev, now: m.on_dci(now, ev.dci)),
-    EventKind.DATA_DL_ASSIGNMENT: (4, lambda m, ev, now: m.on_data(now, Direction.DL_ASSIGNMENT)),
-    EventKind.DATA_UL_GRANT: (4, lambda m, ev, now: m.on_data(now, Direction.UL_GRANT)),
+    EventKind.DATA_DL_ASSIGNMENT: (4, lambda m, ev, now: m.on_data(now, _DL)),
+    EventKind.DATA_UL_GRANT: (4, lambda m, ev, now: m.on_data(now, _UL)),
 }
 
 
@@ -98,7 +101,7 @@ class SimEvent:
     first_active_ul: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind is EventKind.DCI and self.dci is None:
+        if self.kind is _KIND_DCI and self.dci is None:
             raise ValueError("DCI events need a DciEvent payload")
 
 
@@ -239,12 +242,6 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
 
     trace = [m.start_record() for m in machines.values()]
     tallies = {rec.cell: _CellTally(rec) for rec in trace}
-
-    def emit(records: Iterable[TraceRecord]) -> None:
-        for rec in records:
-            trace.append(rec)
-            tallies[rec.cell].add(rec)
-
     event_times = sorted(events_at, reverse=True)  # the next one is last
     never = end + 1
     due = dict.fromkeys(machines, never)  # each cell's deadline
@@ -265,15 +262,23 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
         if next_due == now:  # some cell is due: tick those, in document order
             for cid, m in machines.items():
                 if due[cid] == now:
-                    emit(m.on_tick(now))
+                    tally = tallies[cid]
+                    for rec in m.on_tick(now):
+                        trace.append(rec)
+                        tally.add(rec)
                     refresh(cid, now)
         if event_times and event_times[-1] == now:
             for ev in events_at[event_times.pop()]:
-                emit(_dispatch(machines[ev.cell], ev, now))
+                tally = tallies[ev.cell]
+                for rec in _dispatch(machines[ev.cell], ev, now):
+                    trace.append(rec)
+                    tally.add(rec)
                 refresh(ev.cell, now)
 
-    for m in machines.values():
-        emit(m.on_tick(end))  # windows ending after the last tick
+    for cid, m in machines.items():
+        for rec in m.on_tick(end):  # windows ending after the last tick
+            trace.append(rec)
+            tallies[cid].add(rec)
 
     cell_metrics = {}
     for cid in machines:
@@ -293,7 +298,7 @@ def _dispatch(machine: CellStateMachine, ev: SimEvent, now: int) -> list[TraceRe
     try:
         return _DELIVERY[ev.kind][1](machine, ev, now)
     except EventRejection as rej:
-        return [rejection_record(now, ev.cell, ev.kind.value, rej)]
+        return [rejection_record(now, ev.cell, ev.kind._value_, rej)]
 
 
 def _payload(rec: TraceRecord, **kinds: type) -> list:
@@ -314,9 +319,9 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
 
     Independent of the engine's own bookkeeping: only the records are
     consulted. Raises MalformedTrace on a time that is not an int or
-    Fraction, out-of-order timestamps, records for unknown cells, a missing
-    RunStart/RunEnd bracket, or a RunStart or StateChange payload field of
-    the wrong type.
+    Fraction (a bool is not one), out-of-order timestamps, records for
+    unknown cells, a missing RunStart/RunEnd bracket, or a RunStart or
+    StateChange payload field of the wrong type.
     """
     tallies: dict[str, _CellTally] = {}
     cells: dict[str, CellMetrics] = {}
@@ -325,7 +330,7 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
     for rec in trace:
         if rec.at_ms is not last_t:
             # the writer's check raises; testing here first spares a valid time the call
-            if not isinstance(rec.at_ms, (int, Fraction)):
+            if not isinstance(rec.at_ms, (int, Fraction)) or type(rec.at_ms) is bool:
                 _exact_time(rec.at_ms, "{} for cell {!r}", rec.record, rec.cell, error=MalformedTrace)
             if last_t is not None and rec.at_ms < last_t:
                 raise MalformedTrace(

@@ -100,6 +100,10 @@ class SwitchCause(Enum):
     RACH_INITIATED = "RachInitiated"
 
 
+# Read once: on CPython 3.11 `SwitchCause.DCI` goes through `EnumType.__getattr__`, ten times a global's cost.
+_BY_RRC, _BY_SCELL_ACTIVATION, _BY_DCI, _BY_EXPIRY, _BY_RACH = SwitchCause  # in definition order
+_DL, _UL = Direction.DL_ASSIGNMENT, Direction.UL_GRANT
+
 # Switch delay requirement in slots of the governing SCS, per delay type.
 SWITCH_DELAY_SLOTS: dict[int, dict[DelayType, int]] = {
     15: {DelayType.TYPE1: 1, DelayType.TYPE2: 3},
@@ -184,26 +188,35 @@ class CellStateMachine:
     records carry ms. A direct caller passes each time as `to_units(ms)`,
     `8 * ms` as an int, and reads the records' `at_ms`.
 
-    `cfg` and `cap` are fixed at construction: the machine derives its
-    per-cell tables from them once (indicator contexts, each BWP's width
-    and SCS by id, the default DL BWP, whether DL and UL switch as a pair,
-    whether BWP #0 takes non-fallback DCI, the switch delay per governing
-    SCS) and never reads them back for those values or its `RunStart`.
+    `cfg` and `cap` are read only in `__init__`, which refuses a cell without
+    DL BWP #0 (ValueError) and derives the per-cell facts once: indicator
+    contexts, each BWP's width and SCS by id, the default DL BWP, whether the
+    cell has UL BWPs, is paired (FDD), is an SpCell, switches DL and UL as a
+    pair and lets BWP #0 take non-fallback DCI, its PRACH BWPs, an SCell's
+    first-active pair, the timer and RRC delay in eighths of a ms, and the
+    switch delay per governing SCS.
     """
 
     def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability):
         self.cell = cell
-        self.cfg = cfg
         self.tick = to_units(cfg.tick_ms)
-        self.state = BwpState(active_dl=0, active_ul=0 if cfg.has_uplink else None)
         self._dl, self._ul = _by_id(cfg.dl_bwps), _by_id(cfg.ul_bwps)  # (n_rbs, scs_khz) by BWP id
-        self._indicator = {
-            direction: IndicatorContext(sum(1 for b in bwps if b.id != 0))
-            for direction, bwps in ((Direction.DL_ASSIGNMENT, cfg.dl_bwps), (Direction.UL_GRANT, cfg.ul_bwps))
-        }
+        if 0 not in self._dl:
+            raise ValueError(f"cell {cell!r} has no DL BWP #0 to start on")
+        self._has_ul = bool(cfg.ul_bwps)
+        self.state = BwpState(active_dl=0, active_ul=0 if self._has_ul else None)
+        self._dl_indicator, self._ul_indicator = (
+            IndicatorContext(sum(1 for b in bwps if b.id != 0)) for bwps in (cfg.dl_bwps, cfg.ul_bwps))
         self._default_dl = effective_default_dl(cfg)
-        self._switch_as_pair = cfg.duplex is Duplex.TDD and cfg.has_uplink  # unpaired spectrum with UL
+        self._paired = cfg.duplex is Duplex.FDD
+        self._spcell = cfg.cell_role.is_spcell
+        self._switch_as_pair = cfg.duplex is Duplex.TDD and self._has_ul  # unpaired spectrum with UL
         self._nonfallback_on_bwp0 = dci_switch_available(cfg, 0)
+        self._prach_on = cfg.prach_configured_on
+        self._scell_first_active = (cfg.first_active_dl, cfg.first_active_ul if self._has_ul else None)
+        self._timer_ms = timer = cfg.inactivity_timer_ms
+        self._timer = None if timer is None else to_units(timer)  # eighths of a ms
+        self._rrc_delay = to_units(cfg.rrc_processing_delay_ms)
         self._delays = {scs: to_units(switch_delay_khz(scs, scs, cap.switch_delay_type)[1])
                         for scs in SWITCH_DELAY_SLOTS}  # eighths of a ms by governing SCS
 
@@ -235,8 +248,7 @@ class CellStateMachine:
         if st.switch_window is not None:
             raise EventRejection("EventDuringSwitchWindow", "RRC during an open switch window")
         if scell_activation:
-            first_active_dl = self.cfg.first_active_dl
-            first_active_ul = self.cfg.first_active_ul if self.cfg.has_uplink else None
+            first_active_dl, first_active_ul = self._scell_first_active
         if first_active_dl is None and first_active_ul is None:
             return []
         if self._switch_as_pair:
@@ -246,20 +258,15 @@ class CellStateMachine:
             paired = ids.pop()
             first_active_dl = paired
             first_active_ul = paired
-        if first_active_ul is not None and not self.cfg.has_uplink:
+        if first_active_ul is not None and not self._has_ul:
             raise EventRejection("InvalidTarget", "first-active UL on a cell without UL BWPs")
         if first_active_dl is not None and first_active_dl not in self._dl:
             raise EventRejection("InvalidTarget", f"first-active DL BWP #{first_active_dl} not configured")
         if first_active_ul is not None and first_active_ul not in self._ul:
             raise EventRejection("InvalidTarget", f"first-active UL BWP #{first_active_ul} not configured")
 
-        cause = (
-            SwitchCause.FIRST_ACTIVE_ON_SCELL_ACTIVATION
-            if scell_activation
-            else SwitchCause.RRC_RECONFIG
-        )
-        extra = to_units(self.cfg.rrc_processing_delay_ms)
-        return [self._open_window(now, first_active_dl, first_active_ul, cause, extra)]
+        cause = _BY_SCELL_ACTIVATION if scell_activation else _BY_RRC
+        return [self._open_window(now, first_active_dl, first_active_ul, cause, self._rrc_delay)]
 
     def on_dci(self, now: int, dci: DciEvent) -> list[TraceRecord]:
         """Process one DCI: possibly a switch, possibly a timer restart.
@@ -280,11 +287,11 @@ class CellStateMachine:
                 "NonFallbackOnOption1Initial",
                 "BWP #0 without dedicated parameters only supports fallback DCI",
             )
-        to_ul = dci.direction is Direction.UL_GRANT
-        if to_ul and not self.cfg.has_uplink:
+        to_ul = dci.direction is _UL
+        if to_ul and not self._has_ul:
             raise EventRejection("NoUplinkConfigured", "UL grant on a DL-only cell")
         try:
-            target = decode_indicator(dci.bwp_indicator_bits or "", self._indicator[dci.direction])
+            target = decode_indicator(dci.bwp_indicator_bits or "", self._ul_indicator if to_ul else self._dl_indicator)
         except IndicatorError as exc:
             raise EventRejection(type(exc).__name__, str(exc)) from exc
         current = st.active_ul if to_ul else st.active_dl
@@ -303,7 +310,7 @@ class CellStateMachine:
             target_ul is not None and target_ul not in self._ul
         ):
             raise EventRejection("TargetNotConfigured", f"{what} #{target} not configured")
-        records = [self._open_window(now, target_dl, target_ul, SwitchCause.DCI)]
+        records = [self._open_window(now, target_dl, target_ul, _BY_DCI)]
         return records + self._try_arm_timer(now)
 
     def on_tick(self, now: int) -> list[TraceRecord]:
@@ -348,27 +355,25 @@ class CellStateMachine:
         st = self.state
         if st.switch_window is not None:
             raise EventRejection("EventDuringSwitchWindow", "RACH start during a switch window")
-        if not self.cfg.has_uplink:
+        if not self._has_ul:
             raise EventRejection("NoUplinkConfigured", "random access needs an UL BWP")
 
         target_ul: Optional[int] = None
-        if st.active_ul not in self.cfg.prach_configured_on:
+        if st.active_ul not in self._prach_on:
             target_ul = 0
         new_ul = target_ul if target_ul is not None else st.active_ul
         target_dl: Optional[int] = None
         if self._switch_as_pair:
             if target_ul is not None:
                 target_dl = target_ul
-        elif self.cfg.cell_role.is_spcell and st.active_dl != new_ul:
+        elif self._spcell and st.active_dl != new_ul:
             target_dl = new_ul
         if target_dl is not None and target_dl not in self._dl:
             raise EventRejection("InvalidTarget", f"no DL BWP #{target_dl} to align with the UL BWP")
 
         records: list[TraceRecord] = []  # the window first: a rejected switch leaves the state alone
         if target_dl is not None or target_ul is not None:
-            records.append(
-                self._open_window(now, target_dl, target_ul, SwitchCause.RACH_INITIATED)
-            )
+            records.append(self._open_window(now, target_dl, target_ul, _BY_RACH))
         st.rach_in_progress = True
         st.timer_expires_at = None
         return records
@@ -388,8 +393,8 @@ class CellStateMachine:
         st = self.state
         if st.switch_window is not None:
             raise EventRejection("DataDuringSwitchWindow", "no data service during a switch window")
-        if direction is Direction.UL_GRANT:
-            if not self.cfg.has_uplink:
+        if direction is _UL:
+            if not self._has_ul:
                 raise EventRejection("NoUplinkConfigured", "UL data on a DL-only cell")
             n_rbs = self._ul[st.active_ul][0]
             tag = "ul"
@@ -439,7 +444,7 @@ class CellStateMachine:
             end_ms=ms_str(_ms(end)),
             target_dl=target_dl,
             target_ul=target_ul,
-            cause=cause.value,
+            cause=cause._value_,
         )
 
     def _close_due_windows(self, now: int) -> list[TraceRecord]:
@@ -454,7 +459,8 @@ class CellStateMachine:
             if w.target_ul is not None:
                 st.active_ul = w.target_ul
             st.switch_window = None
-            records.append(self._rec(t, WINDOW_CLOSE, cause=w.cause.value))
+            cause = w.cause._value_
+            records.append(self._rec(t, WINDOW_CLOSE, cause=cause))
             if (st.active_dl, st.active_ul) != (old_dl, old_ul):
                 records.append(
                     self._rec(
@@ -464,7 +470,7 @@ class CellStateMachine:
                         old_ul=old_ul,
                         new_dl=st.active_dl,
                         new_ul=st.active_ul,
-                        cause=w.cause.value,
+                        cause=cause,
                         new_dl_rbs=self._dl[st.active_dl][0],
                     )
                 )
@@ -473,7 +479,7 @@ class CellStateMachine:
                 st.timer_expires_at = None
             elif w.expiry_pending:
                 records.append(self._open_expiry_window(t))
-            elif st.timer_expires_at is None or w.cause is not SwitchCause.DCI:
+            elif st.timer_expires_at is None or w.cause is not _BY_DCI:
                 # activation of a non-default BWP restarts the timer; for a
                 # DCI-driven switch the restart at reception already governs
                 records += self._try_arm_timer(t)
@@ -483,24 +489,24 @@ class CellStateMachine:
         default = self._default_dl
         target_ul = default if self._switch_as_pair else None
         try:
-            return self._open_window(now, default, target_ul, SwitchCause.TIMER_EXPIRY)
+            return self._open_window(now, default, target_ul, _BY_EXPIRY)
         except EventRejection as rej:
             # a 240 kHz BWP cannot be switched; record the stuck expiry
             return rejection_record(now, self.cell, TIMER_EXPIRY, rej)
 
     def _timer_on_scheduling(self, now: int, direction: Direction) -> list[TraceRecord]:
-        if self.cfg.duplex is Duplex.FDD and direction is not Direction.DL_ASSIGNMENT:
+        if self._paired and direction is not _DL:
             return []
         return self._try_arm_timer(now)
 
     def _try_arm_timer(self, now: int) -> list[TraceRecord]:
         st = self.state
-        value = self.cfg.inactivity_timer_ms
+        value = self._timer
         if value is None or st.rach_in_progress or st.active_dl == self._default_dl:
             return []
         was_running = st.timer_expires_at is not None
         tick = self.tick
         # the first whole period ends at the first tick boundary a full tick
         # after arming; the last of value/tick periods ends value - tick later
-        st.timer_expires_at = _ceil_to(now + tick, tick) + to_units(value) - tick
-        return [self._rec(now, TIMER_RESTART if was_running else TIMER_START, value_ms=value)]
+        st.timer_expires_at = _ceil_to(now + tick, tick) + value - tick
+        return [self._rec(now, TIMER_RESTART if was_running else TIMER_START, value_ms=self._timer_ms)]

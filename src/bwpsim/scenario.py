@@ -197,6 +197,8 @@ def _capability(obj: dict, where: str) -> UeCapability:
 
 _KIND = _enum(EventKind)
 _FORMAT = _enum(DciFormat)
+# Read once: on CPython 3.11 `EventKind.DCI` goes through `EnumType.__getattr__`, ten times a global's cost.
+_DCI, _RRC_RECONFIG = EventKind.DCI, EventKind.RRC_RECONFIG
 
 
 def _events() -> _Step:
@@ -232,7 +234,7 @@ def _events() -> _Step:
         if type(cell) is not str:
             cell = _read(cell, where, "cell", _STR)
         dci = first_dl = first_ul = None
-        if kind is EventKind.DCI:
+        if kind is _DCI:
             raw = obj.get("format", _REQUIRED)
             fmt = formats.get(raw) if type(raw) is str else None
             if fmt is None:
@@ -247,7 +249,7 @@ def _events() -> _Step:
                     dci = dcis[pair] = DciEvent(fmt, bits)
                 except _REFUSED as exc:
                     raise ParseError(f"{where}: {exc}") from exc
-        elif kind is EventKind.RRC_RECONFIG:
+        elif kind is _RRC_RECONFIG:
             first_dl = _get(obj, "first_active_dl", where, _INT, None)
             first_ul = _get(obj, "first_active_ul", where, _INT, None)
         return SimEvent(at_ms, cell, kind, dci, first_dl, first_ul)

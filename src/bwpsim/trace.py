@@ -105,8 +105,8 @@ _encode = _one_shot_encoder()
 
 
 def ms_str(value: Fraction | int) -> str:
-    """Render an int or Fraction millisecond value as a minimal exact decimal string."""
-    if not isinstance(value, (int, Fraction)):
+    """Render an int or Fraction millisecond value, not a bool, as a minimal exact decimal string."""
+    if not isinstance(value, (int, Fraction)) or type(value) is bool:
         raise ValueError(f"{value!r} ms: a time must be an int or Fraction")
     num, den = value.numerator, value.denominator
     if den == 1:
@@ -134,8 +134,8 @@ def ms_str(value: Fraction | int) -> str:
 
 def _exact_time(value: Any, what: str, *args: Any, error: type[Exception] = ValueError) -> Fraction | int:
     """`value`, the time of `what.format(*args)`, refused with `error` unless
-    it is an int or Fraction; the message is formatted only then."""
-    if not isinstance(value, (int, Fraction)):
+    it is an int or Fraction, and not a bool; the message is formatted only then."""
+    if not isinstance(value, (int, Fraction)) or type(value) is bool:
         raise error(f"{what.format(*args)} at {value!r} ms: a time must be an int or Fraction")
     return value
 
@@ -241,7 +241,12 @@ def read_trace(lines: Iterable[str]) -> list[TraceRecord]:
         if not line:
             continue
         try:
-            obj = decode_json(line)
+            try:
+                obj, end = _scan(line, 0)  # as decode_json scans it: strip() left no JSON whitespace at either end
+            except StopIteration:
+                end = -1
+            if end != len(line):
+                obj = decode_json(line)  # raises its own error for this line
         except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, deep nesting
             raise MalformedTrace(f"line {lineno}: not valid JSON: {exc}") from exc
         try:

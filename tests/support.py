@@ -126,8 +126,9 @@ def centered_cell(
     )
 
 
-def assert_machine_invariants(m, now) -> None:
-    """Structural invariants that must hold in every reachable state.
+def assert_machine_invariants(m, cfg, now) -> None:
+    """Structural invariants that must hold in every reachable state of
+    machine `m`, built from config `cfg`.
 
     `now` is the time of the last handled tick or event; a running timer
     is never overdue there.
@@ -135,17 +136,17 @@ def assert_machine_invariants(m, now) -> None:
     from bwpsim.config import effective_default_dl
 
     st = m.state
-    assert st.active_dl in {x.id for x in m.cfg.dl_bwps}
-    assert (st.active_ul is None) == (not m.cfg.has_uplink)
+    assert st.active_dl in {x.id for x in cfg.dl_bwps}
+    assert (st.active_ul is None) == (not cfg.has_uplink)
     if st.active_ul is not None:
-        assert st.active_ul in {x.id for x in m.cfg.ul_bwps}
+        assert st.active_ul in {x.id for x in cfg.ul_bwps}
     if st.rach_in_progress:
         assert st.timer_expires_at is None
     if st.timer_expires_at is not None:
         assert st.timer_expires_at > now
-        assert m.cfg.inactivity_timer_ms is not None
-        assert st.active_dl != effective_default_dl(m.cfg)
-    if m.cfg.duplex is b.Duplex.TDD and m.cfg.has_uplink and st.switch_window is None:
+        assert cfg.inactivity_timer_ms is not None
+        assert st.active_dl != effective_default_dl(cfg)
+    if cfg.duplex is b.Duplex.TDD and cfg.has_uplink and st.switch_window is None:
         assert st.active_dl == st.active_ul
 
 

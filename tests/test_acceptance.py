@@ -154,7 +154,7 @@ def test_criterion_05_counting_rule():
     assert codes.count("BWP-COUNT") == 1  # the id-range finding is separate
 
 
-def _random_machine(rng: random.Random) -> CellStateMachine:
+def _random_machine(rng: random.Random) -> tuple[CellStateMachine, b.CellConfig]:
     fr, mu = rng.choice(
         [(b.FrequencyRange.FR1, 0), (b.FrequencyRange.FR1, 1),
          (b.FrequencyRange.FR1, 2), (b.FrequencyRange.FR2, 3)]
@@ -169,11 +169,11 @@ def _random_machine(rng: random.Random) -> CellStateMachine:
         first_active=rng.choice([None, 1, 2]),
     )
     cap = b.UeCapability(max_rrc_bwps=4, switch_delay_type=rng.choice(list(b.DelayType)))
-    return CellStateMachine("c", cfg, cap)
+    return CellStateMachine("c", cfg, cap), cfg
 
 
 def _walk_machine(rng: random.Random, steps: int = 25):
-    m = _random_machine(rng)
+    m, cfg = _random_machine(rng)
     now = 0
     tick = m.tick
     records = []
@@ -201,8 +201,8 @@ def _walk_machine(rng: random.Random, steps: int = 25):
         except EventRejection:
             recs = []
         records.extend(recs)
-        assert_machine_invariants(m, now)
-    return m, records
+        assert_machine_invariants(m, cfg, now)
+    return cfg, records
 
 
 def test_criterion_06_timer_properties():
@@ -215,8 +215,8 @@ def test_criterion_06_timer_properties():
     # 1000 randomized event sequences against the machine invariants
     rng = random.Random(0xBEEF)
     for _ in range(1000):
-        m, records = _walk_machine(rng)
-        default = effective_default_dl(m.cfg)
+        cfg, records = _walk_machine(rng)
+        default = effective_default_dl(cfg)
         for rec in records:
             # every expiry-driven switch targets and lands on the default
             if rec.record == "WindowOpen" and rec.fields["cause"] == "TimerExpiry":

@@ -1,7 +1,9 @@
 """Engine runs: determinism, trace structure, metrics, error paths."""
 
 import collections
+import cProfile
 import dataclasses
+import enum
 import io
 import json
 import random
@@ -20,6 +22,7 @@ from support import (
     adaptation_scenario,
     centered_cell,
     random_asymmetric_scenario,
+    random_event,
     random_multicell_scenario,
     random_scenario,
 )
@@ -132,7 +135,7 @@ def test_synthetic_trace_proxy_oracle():
     assert cm.switch_count_by_cause["TimerExpiry"] == 1
 
 
-@pytest.mark.parametrize("at_ms", [0.1, Decimal("2.5")], ids=["float", "decimal"])
+@pytest.mark.parametrize("at_ms", [0.1, Decimal("2.5"), True], ids=["float", "decimal", "bool"])
 def test_metrics_refuse_a_time_that_is_not_an_int_or_fraction(at_ms):
     """As the trace writer does, rather than write a float's binary expansion."""
     exact = b.CellMetrics({}, 0, F(1, 2), 3)
@@ -352,6 +355,14 @@ class TestReplayRejectsMalformedTraces:
         with pytest.raises(b.MalformedTrace, match=f"^{record} for cell 'pcell' at .*int or Fraction"):
             b.replay_metrics(trace)
 
+    def test_a_bool_is_not_a_time(self):
+        """A bool is an int to isinstance, but `parse_ms` refuses `true`,
+        and so does replay: False in place of RunStart's 0."""
+        trace = self._base()
+        trace[0].at_ms = False
+        with pytest.raises(b.MalformedTrace, match="^RunStart for cell 'pcell' at False ms: a time must be"):
+            b.replay_metrics(trace)
+
     @pytest.mark.parametrize(
         "record,name,value",
         [
@@ -408,8 +419,11 @@ class TestReadTrace:
             ('{"at_ms": "1", "cell": "c", "record": "R"} x', "Extra data: line 1 column 44 (char 43)"),
             ('{"at_ms": "1", "cell": "c", "record": "R"}{}', "Extra data: line 1 column 43 (char 42)"),
             ('{"at_ms": }', "Expecting value: line 1 column 11 (char 10)"),
+            ('x{"at_ms": "1", "cell": "c", "record": "R"}', "Expecting value: line 1 column 1 (char 0)"),
+            ('\ufeff{"at_ms": "1", "cell": "c", "record": "R"}',
+             "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
         ],
-        ids=["trailing-text", "second-object", "missing-value"],
+        ids=["trailing-text", "second-object", "missing-value", "no-value", "byte-order-mark"],
     )
     def test_bad_json_keeps_json_s_message_after_its_line(self, line, message):
         lines = self._lines()
@@ -523,7 +537,7 @@ class TestWriteTrace:
         records = [b.TraceRecord(t, f"c{k}", "R", {"k": k}) for k, t in enumerate(times)]
         assert written(records) == "".join(r.to_json() + "\n" for r in records)
 
-    @pytest.mark.parametrize("at_ms", [0.1, Decimal("2.5")], ids=["float", "decimal"])
+    @pytest.mark.parametrize("at_ms", [0.1, Decimal("2.5"), True], ids=["float", "decimal", "bool"])
     def test_a_time_that_is_not_an_int_or_fraction_is_refused(self, at_ms):
         """Rather than a float's binary expansion (0.1 would be written as
         0.1000000000000000055...), a ValueError naming the record, as replay does."""
@@ -902,3 +916,40 @@ def test_cell_tables_are_derived_once_per_machine(monkeypatch):
     assert calls == {"switch_delay_khz": len(fsm.SWITCH_DELAY_SLOTS) * machines, "dci_switch_available": machines}
     assert events["dci"] > 0
     assert events["switch"] > events["240"] > 1
+
+
+def test_fixed_facts_are_looked_up_per_cell_not_per_event():
+    """`run()` calls the Enum `value` descriptor, the `DciFormat`,
+    `CellConfig` and `CellRole` properties only per cell (validation and
+    machine construction): their calls, counted by cProfile, are the same
+    for a random multicell scenario and for its cells with twice the events."""
+    watched = {vars(enum.Enum)["value"].fget.__code__: "Enum.value"}
+    for cls in (b.DciFormat, b.CellConfig, b.CellRole):
+        watched.update({p.fget.__code__: f"{cls.__name__}.{name}"
+                        for name, p in vars(cls).items() if isinstance(p, property)})
+
+    def counted_run(scn):
+        prof = cProfile.Profile()
+        trace, _ = prof.runcall(b.run, scn)
+        calls = collections.Counter()
+        for entry in prof.getstats():
+            if entry.code in watched:
+                calls[watched[entry.code]] += entry.callcount
+        return trace, calls
+
+    for seed in range(3):
+        rng = random.Random(seed)
+        scn = random_multicell_scenario(rng)
+        end = int(scn.horizon_ms)
+        events = []
+        for n in (150, 300):
+            while len(events) < n:
+                cell = rng.choice(list(scn.cells))
+                tick = scn.cells[cell].tick_ms
+                events.append(random_event(rng, tick * rng.randint(0, int(end / tick)), cell, scn.cells[cell]))
+            trace, calls = counted_run(dataclasses.replace(scn, events=list(events)))
+            if n == 150:
+                base, base_records = calls, len(trace)
+        assert len(trace) > base_records, seed
+        assert calls == base, seed
+        assert calls["CellConfig.channel_span"] == len(scn.cells), seed  # the counter sees each validate

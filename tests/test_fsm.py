@@ -119,6 +119,15 @@ def test_start_record_is_the_state_before_any_event():
         "active_dl": 0, "active_ul": None, "dl_rbs": 24, "default_dl": 0}
 
 
+def test_a_cell_without_dl_bwp0_is_refused_at_construction():
+    """Every machine starts on DL BWP #0, so a cell without one is a
+    ValueError naming it, not a KeyError in `start_record()`."""
+    cfg = centered_cell()
+    no_bwp0 = dataclasses.replace(cfg, dl_bwps=cfg.dl_bwps[1:])
+    with pytest.raises(ValueError, match=r"^cell 'pcell' has no DL BWP #0 to start on$"):
+        CellStateMachine("pcell", no_bwp0, b.UeCapability(max_rrc_bwps=4))
+
+
 class TestRrcSwitch:
     def test_first_active_switch_with_processing_delay(self):
         m = machine(adaptation_cell())
@@ -668,4 +677,4 @@ def test_random_op_sequences_hold_invariants(duplex, fr_mu, timer_ms, default_dl
                 m.on_data(now, op[1])
         except EventRejection:
             pass
-        assert_machine_invariants(m, now)
+        assert_machine_invariants(m, cfg, now)

@@ -506,10 +506,11 @@ class TestTimeSyntax:
             assert b.ms_str(F(k, per_ms)) == reference(k, per_ms), (k, per_ms)
             assert b.ms_str(k) == reference(k, 1), k
 
-    @pytest.mark.parametrize("value", [0.5, 0.1, Decimal("-2.250")])
+    @pytest.mark.parametrize("value", [0.5, 0.1, Decimal("-2.250"), True, False])
     def test_ms_str_refuses_floats_and_decimals(self, value):
         """A float is not written as its binary expansion (0.1 would be
-        '0.1000000000000000055...'), nor a Decimal as its digits."""
+        '0.1000000000000000055...'), nor a Decimal as its digits, nor a
+        bool as 1 or 0: `parse_ms` refuses `true` too."""
         with pytest.raises(ValueError, match=r"ms: a time must be an int or Fraction"):
             b.ms_str(value)
 

@@ -1,4 +1,4 @@
-"""Call counts: how many calls one parse pass and one validate pass make.
+"""Call counts: how many calls one parse, validate and run pass make.
 
 Run from anywhere, with the standard library only:
 
@@ -12,14 +12,20 @@ outputs, and decodes each document's JSON text once. It then makes one
 unprofiled pass, so that readers built on first use are built, and then
 counts under cProfile the calls of one `scenario_from_obj` pass over every
 document and of one `validate` pass over every cell of the documents that
-parse. Counts repeat exactly from run to run, so unlike timings one run of
-each tree is enough to compare them. Calls of Python functions and calls
-of built-ins (C functions and methods, such as `dict.get` and
-`list.append`) are counted in separate columns: a built-in call costs far
-less than a Python one, so a change that trades one kind for the other
-moves their sum the wrong way. `--top N` also prints the N functions of
-each pass with the most calls, in each tree. Exit status 2 when a child
-fails, 0 otherwise.
+parse. On a workload that runs its documents (`ca_dense`, `idle_horizon`)
+it also counts one `run()` pass over each parsed document. Counts repeat
+exactly from run to run, so unlike timings one run of each tree is enough
+to compare them. Calls of Python functions and calls of built-ins (C
+functions and methods, such as `dict.get` and `list.append`) are counted
+in separate columns: a built-in call costs far less than a Python one, so
+a change that trades one kind for the other moves their sum the wrong way.
+`--top N` also prints the N functions of each pass with the most calls, in
+each tree. Exit status 2 when a child fails, 0 otherwise.
+
+cProfile sees calls only. Reading an attribute is not one, so it does not
+see an Enum class-attribute read such as `EventKind.DCI`, which on CPython
+3.11 goes through `EnumType.__getattr__` and costs about ten times a module
+global's read; a saving of that kind can only be sized by timings.
 
 A count is the sum over the profiler's own entries, one per function.
 `pstats` totals are not used: pstats keys a function by file, line and
@@ -42,7 +48,7 @@ from pathlib import Path
 
 root, workload, seed, scale, top = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3]), float(sys.argv[4]), int(sys.argv[5])
 sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-from bwpsim import ParseError, scenario_from_obj, validate
+from bwpsim import ParseError, run, scenario_from_obj, validate
 from gate import Tally
 from workloads import WORKLOADS
 
@@ -73,10 +79,19 @@ def check(scenarios):
             validate(cfg, sc.capability)
 
 
+def run_all(scenarios):
+    for sc in scenarios:
+        run(sc)
+
+
 scenarios = parse()
-check(scenarios)
-out = {"documents": len(docs), "parsed": len(scenarios)}
-for name, call, args in (("parse", parse, ()), ("validate", check, (scenarios,))):
+passes = [("parse", parse, ()), ("validate", check, (scenarios,))]
+if all(op.kind == "run" for op in w.ops):
+    passes.append(("run", run_all, (scenarios,)))
+for _, call, args in passes[1:]:
+    call(*args)
+out = {"documents": len(docs), "parsed": len(scenarios), "passes": [name for name, _, _ in passes]}
+for name, call, args in passes:
     prof = cProfile.Profile()
     prof.runcall(call, *args)
     entries = prof.getstats()
@@ -100,7 +115,7 @@ def count(tree: Path, workload: str, seed: int, scale: float, top: int) -> dict 
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="count the calls of one parse and one validate pass in two trees")
+    parser = argparse.ArgumentParser(description="count the calls of one parse, validate and run pass in two trees")
     parser.add_argument("old", type=Path, help="source tree of the parent, e.g. a git archive")
     parser.add_argument("new", type=Path, help="source tree of the change")
     parser.add_argument("--workload", default="validate_corpus", help="a perfbench workload")
@@ -116,14 +131,14 @@ def main(argv: list[str] | None = None) -> int:
     old, new = results["old"], results["new"]
     print(f"{args.workload}, seed {args.seed}, scale {args.scale}: "
           f"{new['documents']} documents, {new['parsed']} parse")
-    columns = [(p, kind) for p in ("parse", "validate") for kind in ("python", "builtin")]
+    columns = [(p, kind) for p in new["passes"] for kind in ("python", "builtin")]
     print(f"{'':>6}" + "".join(f" {f'{p} {kind}':>16}" for p, kind in columns))
     for label, res in results.items():
         print(f"{label:>6}" + "".join(f" {res[p][kind]:>16,}" for p, kind in columns))
     moves = [f"{(new[p][kind] - old[p][kind]) / old[p][kind]:+.1%}" if old[p][kind] else "n/a" for p, kind in columns]
     print(f"{'change':>6}" + "".join(f" {move:>16}" for move in moves))
     for label, res in results.items():
-        for name in ("parse", "validate"):
+        for name in res["passes"]:
             for nc, fn in res[name]["top"]:
                 print(f"{label} {name}: {nc:>9,} {fn}")
     return 0
