@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .config import CellConfig, UeCapability, validate
@@ -48,6 +49,7 @@ from .trace import (
     STATE_CHANGE,
     MalformedTrace,
     TraceRecord,
+    _NO_TIME,
     _exact_time,
     ms_str,
 )
@@ -78,9 +80,10 @@ class EventKind(Enum):
 # Read once: on CPython 3.11 `EventKind.DCI` goes through `EnumType.__getattr__`, ten times a global's cost.
 _KIND_DCI, _DL, _UL = EventKind.DCI, Direction.DL_ASSIGNMENT, Direction.UL_GRANT
 
-# How each kind is delivered: its phase in the same-time order (ticks run
-# before all phases, and one phase keeps input order) and its handler.
-_DELIVERY: dict[EventKind, tuple[int, Callable[[CellStateMachine, SimEvent, int], list[TraceRecord]]]] = {
+# How each kind is delivered, by the kind's value (a str hashes in C, a member
+# in Python): its phase in the same-time order (ticks run before all phases,
+# and one phase keeps input order) and its handler.
+_DELIVERY: dict[str, tuple[int, Callable[..., list[TraceRecord]]]] = {kind._value_: how for kind, how in {
     EventKind.RRC_RECONFIG: (1, lambda m, ev, now: m.on_rrc_reconfig(now, ev.first_active_dl, ev.first_active_ul)),
     EventKind.SCELL_ACTIVATE: (1, lambda m, ev, now: m.on_rrc_reconfig(now, scell_activation=True)),
     EventKind.RACH_START: (2, lambda m, ev, now: m.on_rach_start(now)),
@@ -88,7 +91,7 @@ _DELIVERY: dict[EventKind, tuple[int, Callable[[CellStateMachine, SimEvent, int]
     EventKind.DCI: (3, lambda m, ev, now: m.on_dci(now, ev.dci)),
     EventKind.DATA_DL_ASSIGNMENT: (4, lambda m, ev, now: m.on_data(now, _DL)),
     EventKind.DATA_UL_GRANT: (4, lambda m, ev, now: m.on_data(now, _UL)),
-}
+}.items()}
 
 
 @dataclass(frozen=True)
@@ -178,14 +181,19 @@ class _CellTally:
             self.on_default += dt
         self.last_t = t_den
 
+    KINDS = frozenset({STATE_CHANGE, EVENT_REJECTED})  # those that move a metric: `add` gets no other
+
     def add(self, rec: TraceRecord) -> None:
-        """Fold one record in: the only place that decides which records move the metrics."""
+        """Fold in one record of a kind in KINDS."""
         if rec.record == STATE_CHANGE:
-            new_dl, new_dl_rbs, cause = _payload(rec, new_dl=int, new_dl_rbs=int, cause=str)
+            fields = rec.fields
+            new_dl, new_dl_rbs, cause = fields.get("new_dl"), fields.get("new_dl_rbs"), fields.get("cause")
+            if type(new_dl) is not int or type(new_dl_rbs) is not int or type(cause) is not str:
+                _payload(rec, new_dl=int, new_dl_rbs=int, cause=str)  # raises its error for the field
             self.integrate_to(rec.at_ms)
             self.active_dl, self.dl_rbs = new_dl, new_dl_rbs
             self.switches[cause] = self.switches.get(cause, 0) + 1
-        elif rec.record == EVENT_REJECTED:
+        else:  # EVENT_REJECTED
             self.rejected += 1
 
     def finish(self, t: Fraction) -> CellMetrics:
@@ -224,24 +232,29 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
         raise ScenarioInvalid(f"horizon {horizon} ms has no finite decimal form") from None
     end = to_units(horizon)  # the last eighth at or before the horizon
     machines = {cid: CellStateMachine(cid, cfg, scenario.capability) for cid, cfg in scenario.cells.items()}
-    events_at: dict[int, list[SimEvent]] = {}  # by time in eighths
+    events_at: dict[int, list[tuple[int, SimEvent]]] = {}  # (phase, event) by time in eighths
+    last_ms = _NO_TIME
     for ev in scenario.events:
         if ev.cell not in scenario.cells:
             raise ScenarioInvalid(f"event references unknown cell {ev.cell!r}")
-        at, rest = divmod(ev.at_ms.numerator * UNITS_PER_MS, ev.at_ms.denominator)
-        if at < 0 or at >= end and ev.at_ms > horizon:
-            raise ScenarioInvalid(f"event at {ev.at_ms} ms outside [0, {horizon}] ms")
+        if ev.at_ms is not last_ms:  # once per run of events that share a time object
+            last_ms = ev.at_ms
+            at, rest = divmod(ev.at_ms.numerator * UNITS_PER_MS, ev.at_ms.denominator)
+            if at < 0 or at >= end and ev.at_ms > horizon:
+                raise ScenarioInvalid(f"event at {ev.at_ms} ms outside [0, {horizon}] ms")
         if rest or at % machines[ev.cell].tick:
             raise EventMisaligned(
                 f"event at {ev.at_ms} ms is off the {scenario.cells[ev.cell].tick_ms} ms grid of cell {ev.cell!r}"
             )
-        events_at.setdefault(at, []).append(ev)
+        events_at.setdefault(at, []).append((_DELIVERY[ev.kind._value_][0], ev))
     for same_time in events_at.values():
         if len(same_time) > 1:
-            same_time.sort(key=lambda ev: _DELIVERY[ev.kind][0])  # stable: input order
+            same_time.sort(key=itemgetter(0))  # stable: input order
 
     trace = [m.start_record() for m in machines.values()]
+    keys = [0] * len(trace)  # each record's time in eighths, to sort the trace by
     tallies = {rec.cell: _CellTally(rec) for rec in trace}
+    moves = _CellTally.KINDS
     event_times = sorted(events_at, reverse=True)  # the next one is last
     never = end + 1
     due = dict.fromkeys(machines, never)  # each cell's deadline
@@ -262,41 +275,48 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
         if next_due == now:  # some cell is due: tick those, in document order
             for cid, m in machines.items():
                 if due[cid] == now:
-                    tally = tallies[cid]
-                    for rec in m.on_tick(now):
-                        trace.append(rec)
-                        tally.add(rec)
+                    _tick(m, now, trace, keys, tallies[cid])
                     refresh(cid, now)
         if event_times and event_times[-1] == now:
-            for ev in events_at[event_times.pop()]:
-                tally = tallies[ev.cell]
+            for _, ev in events_at[event_times.pop()]:
                 for rec in _dispatch(machines[ev.cell], ev, now):
                     trace.append(rec)
-                    tally.add(rec)
+                    keys.append(now)  # an event's records are all at `now`
+                    if rec.record in moves:
+                        tallies[ev.cell].add(rec)
                 refresh(ev.cell, now)
 
     for cid, m in machines.items():
-        for rec in m.on_tick(end):  # windows ending after the last tick
-            trace.append(rec)
-            tallies[cid].add(rec)
+        _tick(m, end, trace, keys, tallies[cid])  # windows ending after the last tick
 
+    # stable: same-time order is preserved
+    trace = list(map(trace.__getitem__, sorted(range(len(trace)), key=keys.__getitem__)))
     cell_metrics = {}
     for cid in machines:
         cell_metrics[cid] = tallies[cid].finish(horizon)
-        trace.append(TraceRecord(horizon, cid, RUN_END, {}))
-
-    # stable: same-time order is preserved; every record time but RunEnd's is
-    # a whole eighth, and RunEnd, appended last, stays after the records of `end`
-    trace.sort(key=lambda rec: to_units(rec.at_ms))
+        trace.append(TraceRecord(horizon, cid, RUN_END, {}))  # after every record: `end` <= horizon
     metrics = RunMetrics(total_time_ms=horizon, cells=cell_metrics)
     return trace, metrics
+
+
+def _tick(m: CellStateMachine, now: int, trace: list[TraceRecord], keys: list[int], tally: _CellTally) -> None:
+    """Tick m at `now`: its records go to `trace`, their times in eighths (a
+    commit can lie before `now`) to `keys`, and those that move a metric to `tally`."""
+    last = _NO_TIME
+    for rec in m.on_tick(now):
+        trace.append(rec)
+        if rec.at_ms is not last:
+            last, at = rec.at_ms, to_units(rec.at_ms)
+        keys.append(at)
+        if rec.record in _CellTally.KINDS:
+            tally.add(rec)
 
 
 def _dispatch(machine: CellStateMachine, ev: SimEvent, now: int) -> list[TraceRecord]:
     """Deliver ev to its cell's machine at `now`, ev's time in eighths of a
     ms; a rejection is traced at `now`, as the machine's records are."""
     try:
-        return _DELIVERY[ev.kind][1](machine, ev, now)
+        return _DELIVERY[ev.kind._value_][1](machine, ev, now)
     except EventRejection as rej:
         return [rejection_record(now, ev.cell, ev.kind._value_, rej)]
 
@@ -327,6 +347,7 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
     cells: dict[str, CellMetrics] = {}
     horizon: Optional[Fraction] = None
     last_t: Optional[Fraction] = None
+    moves = _CellTally.KINDS
     for rec in trace:
         if rec.at_ms is not last_t:
             # the writer's check raises; testing here first spares a valid time the call
@@ -347,8 +368,9 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
             raise MalformedTrace(f"record for cell {rec.cell!r} before its RunStart")
         if rec.cell in cells:
             raise MalformedTrace(f"record for cell {rec.cell!r} after its RunEnd")
-        tally.add(rec)
-        if rec.record == RUN_END:
+        if rec.record in moves:
+            tally.add(rec)
+        elif rec.record == RUN_END:
             cells[rec.cell] = tally.finish(rec.at_ms)
             if horizon is None:
                 horizon = rec.at_ms

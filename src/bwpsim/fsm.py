@@ -104,12 +104,13 @@ class SwitchCause(Enum):
 _BY_RRC, _BY_SCELL_ACTIVATION, _BY_DCI, _BY_EXPIRY, _BY_RACH = SwitchCause  # in definition order
 _DL, _UL = Direction.DL_ASSIGNMENT, Direction.UL_GRANT
 
-# Switch delay requirement in slots of the governing SCS, per delay type.
-SWITCH_DELAY_SLOTS: dict[int, dict[DelayType, int]] = {
-    15: {DelayType.TYPE1: 1, DelayType.TYPE2: 3},
-    30: {DelayType.TYPE1: 2, DelayType.TYPE2: 5},
-    60: {DelayType.TYPE1: 3, DelayType.TYPE2: 9},
-    120: {DelayType.TYPE1: 6, DelayType.TYPE2: 18},
+# Switch delay requirement in slots of the governing SCS, per delay type by
+# its value (a str hashes in C, a member in Python).
+SWITCH_DELAY_SLOTS: dict[int, dict[str, int]] = {
+    15: {"type1": 1, "type2": 3},
+    30: {"type1": 2, "type2": 5},
+    60: {"type1": 3, "type2": 9},
+    120: {"type1": 6, "type2": 18},
 }
 
 
@@ -123,7 +124,7 @@ def switch_delay_khz(from_scs_khz: int, to_scs_khz: int, delay_type: DelayType) 
         if scs not in SWITCH_DELAY_SLOTS:
             raise UnsupportedScs(scs)
     governing = min(from_scs_khz, to_scs_khz)
-    slots = SWITCH_DELAY_SLOTS[governing][delay_type]
+    slots = SWITCH_DELAY_SLOTS[governing][delay_type._value_]
     # a slot of the governing SCS lasts 15/scs ms
     return slots, Fraction(15 * slots, governing)
 

@@ -5,6 +5,9 @@ golden traces can be diffed byte-for-byte. Timestamps are exact rationals
 rendered as minimal decimal strings. Every time of a run is a whole
 eighth of a ms, except the horizon that `RunEnd` carries, which is a
 decimal; so the rendering is always finite and round-trips exactly.
+Times of denominator 2, 4 or 8 are rendered from a table of the eight
+fraction digit strings of k/8, and a plain `digits[.digits]` string whose
+fraction is one of them is parsed from the same table, without `Decimal`.
 
 The records of one time share one `Fraction`, both those `run()` emits,
 across all its cells and rejections included, and those `read_trace`
@@ -16,6 +19,7 @@ compares times only where the object changes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -41,11 +45,19 @@ DATA_SERVED = "DataServed"
 # +-400 still admits every finite float (5e-324 .. 1.8e308).
 MAX_EXPONENT = 400
 
+# A time string: ASCII digits with an optional sign, point and exponent;
+# `Decimal` alone would also take "1_0", " 2.5 " and non-ASCII digits. `re`
+# compiles it on first use, so an import that reads no such string skips that.
+_DECIMAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# The fraction digits of k/8 for k = 0..7, and the eighths k that each spells.
+_EIGHTHS = ("", "125", "25", "375", "5", "625", "75", "875")
+_EIGHTH_OF = {digits: k for k, digits in enumerate(_EIGHTHS)}
+
 
 # A record's payload is a tree of JSON values, so no cycle check.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(", ", ": "), check_circular=False)
 _HEADER = ("at_ms", "cell", "record")
-_NO_TIME = object()  # the time before the first record's
+_NO_TIME = object()  # no time: the one before the first record's or event's
 
 
 class MalformedTrace(Exception):
@@ -111,6 +123,9 @@ def ms_str(value: Fraction | int) -> str:
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
+    if den == 2 or den == 4 or den == 8:  # every time of a run but the horizon
+        whole, k = divmod(abs(num) * (8 // den), 8)
+        return f"{'-' if num < 0 else ''}{whole}.{_EIGHTHS[k]}"
     if den & (den - 1) == 0:  # den = 2**k, and num / 2**k = num * 5**k / 10**k
         digits = den.bit_length() - 1
         scaled = abs(num) * 5**digits
@@ -142,17 +157,25 @@ def _exact_time(value: Any, what: str, *args: Any, error: type[Exception] = Valu
 
 def parse_ms(value: Any) -> Fraction:
     """Parse a millisecond value from JSON: exactly an int, a decimal float
-    or a string, so `true` or a `Fraction` is not a time value.
+    or a decimal string, so `true` or a `Fraction` is not a time value.
 
     Floats go through their decimal repr so '0.3' means exactly 3/10 and
     can be checked against the tick grid rather than silently rounded.
-    Another type, NaN, infinities, non-decimal strings and decimals whose
-    exponent lies outside +-MAX_EXPONENT raise ValueError.
+    A string is ASCII `[+-]digits[.digits]` or `[+-].digits`, with an
+    optional exponent `e[+-]digits`. Another type, NaN, infinities, other
+    strings and decimals whose exponent lies outside +-MAX_EXPONENT raise
+    ValueError.
     """
     kind = type(value)
     if kind is int:
         return Fraction(value)
-    if kind is not str and kind is not float:
+    if kind is str:
+        whole, point, part = value.partition(".")
+        k = _EIGHTH_OF.get(part) if point else 0
+        # a whole part within the exponent bound, so int() takes it
+        if k is not None and whole.isascii() and whole.isdigit() and len(whole) <= MAX_EXPONENT:
+            return Fraction(int(whole) * 8 + k, 8)
+    elif kind is not float:
         raise ValueError(f"not a time value: {value!r}")
     try:
         dec = Decimal(value if kind is str else repr(value))
@@ -160,6 +183,8 @@ def parse_ms(value: Any) -> Fraction:
         raise ValueError(f"not a decimal time value: {value!r}") from None
     if not dec.is_finite():
         raise ValueError(f"not a finite time value: {value!r}")
+    if kind is str and re.fullmatch(_DECIMAL, value) is None:  # a finite value that `Decimal` alone takes
+        raise ValueError(f"not a decimal time value: {value!r}")
     if abs(dec.adjusted()) > MAX_EXPONENT:
         raise ValueError(f"decimal exponent outside +-{MAX_EXPONENT}: {value!r}")
     return Fraction(*dec.as_integer_ratio())
@@ -194,19 +219,19 @@ class TraceRecord:
     @classmethod
     def from_obj(cls, obj: Any) -> "TraceRecord":
         """The record of a decoded JSON object, which is left as it is."""
-        return _record(dict(obj) if isinstance(obj, dict) else obj, parse_ms)
+        return _record(dict(obj) if isinstance(obj, dict) else obj)
 
 
-def _record(obj: Any, parse_at: Callable[[Any], Fraction]) -> TraceRecord:
-    """TraceRecord.from_obj, taking its time from `parse_at(obj["at_ms"])`;
-    `obj`, less its header keys, becomes the record's fields."""
+def _record(obj: Any) -> TraceRecord:
+    """TraceRecord.from_obj, except that `obj`, less its header keys,
+    becomes the record's fields."""
     if not isinstance(obj, dict):
         raise MalformedTrace("expected an object")
     cell, record = obj.get("cell"), obj.get("record")
     if type(cell) is not str or type(record) is not str:
         raise MalformedTrace(f"bad trace record {obj!r}: cell and record must be strings")
     try:
-        at_ms = parse_at(obj.get("at_ms"))
+        at_ms = parse_ms(obj.get("at_ms"))
     except ValueError as exc:
         raise MalformedTrace(f"bad trace record {obj!r}: at_ms: {exc}") from exc
     del obj["at_ms"], obj["cell"], obj["record"]
@@ -220,21 +245,18 @@ def write_trace(records: Iterable[TraceRecord], out: TextIO) -> None:
     for rec in records:
         if rec.at_ms is not last:
             last, at_ms = rec.at_ms, rec._at_ms_str()
-        out.write(_encode(rec._obj(at_ms)) + "\n")
+        fields = rec.fields
+        obj = {"at_ms": at_ms, "cell": rec.cell, "record": rec.record, **fields}
+        if len(obj) != len(_HEADER) + len(fields):
+            rec._obj(at_ms)  # raises its error for the header key the payload reuses
+        out.write(_encode(obj) + "\n")
 
 
 def read_trace(lines: Iterable[str]) -> list[TraceRecord]:
     """The records of a JSON-lines trace; consecutive lines whose `at_ms`
     is spelled alike share one parsed Fraction."""
-    last: tuple[Any, Fraction] = (_NO_TIME, Fraction(0))
-
-    def parse_at(raw: Any) -> Fraction:
-        nonlocal last
-        # the type check keeps a JSON true from reading as a cached 1
-        if raw != last[0] or type(raw) is not type(last[0]):
-            last = (raw, parse_ms(raw))
-        return last[1]
-
+    last_raw: Any = _NO_TIME
+    at_ms = Fraction(0)
     records = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -249,8 +271,19 @@ def read_trace(lines: Iterable[str]) -> list[TraceRecord]:
                 obj = decode_json(line)  # raises its own error for this line
         except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, deep nesting
             raise MalformedTrace(f"line {lineno}: not valid JSON: {exc}") from exc
+        raw = obj.get("at_ms") if type(obj) is dict else None
+        # the common line: a string header and the last line's time spelled
+        # alike; the type check keeps a JSON true from reading as a cached 1
+        if raw == last_raw and type(raw) is type(last_raw):
+            cell, record = obj.get("cell"), obj.get("record")
+            if type(cell) is str and type(record) is str:
+                del obj["at_ms"], obj["cell"], obj["record"]
+                records.append(TraceRecord(at_ms, cell, record, obj))
+                continue
         try:
-            records.append(_record(obj, parse_at))
+            rec = _record(obj)
         except MalformedTrace as exc:
             raise MalformedTrace(f"line {lineno}: {exc}") from exc
+        last_raw, at_ms = raw, rec.at_ms
+        records.append(rec)
     return records

@@ -462,6 +462,15 @@ class TestReadTrace:
         lines = [f'{{"at_ms": {t}, "cell": "c", "record": "R"}}' for t in ("5", "5.0", '"5"', '"5.000"')]
         assert [r.at_ms for r in b.read_trace(lines)] == [F(5)] * 4
 
+    @pytest.mark.parametrize("text", ["1_0", " 2.5 ", "\u0663", "\uff11.\uff15"])
+    def test_a_lenient_time_string_names_its_line(self, text):
+        """A time string outside the ASCII decimal grammar is refused, also
+        where `Decimal` would read it."""
+        lines = self._lines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "at_ms": text})
+        with pytest.raises(b.MalformedTrace, match=f"^line 2: .*at_ms: not a decimal time value: {re.escape(repr(text))}$"):
+            b.read_trace(lines)
+
     @pytest.mark.parametrize("bad", ['"2.5x"', "NaN", "true", "null"])
     def test_bad_time_after_a_cached_one_names_its_line(self, bad):
         """1 is read first, so a JSON true (equal to 1 in Python) cannot pass as it."""
@@ -918,6 +927,33 @@ def test_cell_tables_are_derived_once_per_machine(monkeypatch):
     assert events["switch"] > events["240"] > 1
 
 
+def _profiled_run(scn, watched):
+    """run(scn) under cProfile: its trace, and the calls of each code object
+    in `watched`, counted under its name there."""
+    prof = cProfile.Profile()
+    trace, _ = prof.runcall(b.run, scn)
+    calls = collections.Counter()
+    for entry in prof.getstats():
+        if entry.code in watched:
+            calls[watched[entry.code]] += entry.callcount
+    return trace, calls
+
+
+def _grown_scenarios(seed):
+    """A random multicell scenario with 150 random events, and the same with 150 more."""
+    rng = random.Random(seed)
+    scn = random_multicell_scenario(rng)
+    end = int(scn.horizon_ms)
+    events, grown = [], []
+    for n in (150, 300):
+        while len(events) < n:
+            cell = rng.choice(list(scn.cells))
+            tick = scn.cells[cell].tick_ms
+            events.append(random_event(rng, tick * rng.randint(0, int(end / tick)), cell, scn.cells[cell]))
+        grown.append(dataclasses.replace(scn, events=list(events)))
+    return grown
+
+
 def test_fixed_facts_are_looked_up_per_cell_not_per_event():
     """`run()` calls the Enum `value` descriptor, the `DciFormat`,
     `CellConfig` and `CellRole` properties only per cell (validation and
@@ -928,28 +964,24 @@ def test_fixed_facts_are_looked_up_per_cell_not_per_event():
         watched.update({p.fget.__code__: f"{cls.__name__}.{name}"
                         for name, p in vars(cls).items() if isinstance(p, property)})
 
-    def counted_run(scn):
-        prof = cProfile.Profile()
-        trace, _ = prof.runcall(b.run, scn)
-        calls = collections.Counter()
-        for entry in prof.getstats():
-            if entry.code in watched:
-                calls[watched[entry.code]] += entry.callcount
-        return trace, calls
-
     for seed in range(3):
-        rng = random.Random(seed)
-        scn = random_multicell_scenario(rng)
-        end = int(scn.horizon_ms)
-        events = []
-        for n in (150, 300):
-            while len(events) < n:
-                cell = rng.choice(list(scn.cells))
-                tick = scn.cells[cell].tick_ms
-                events.append(random_event(rng, tick * rng.randint(0, int(end / tick)), cell, scn.cells[cell]))
-            trace, calls = counted_run(dataclasses.replace(scn, events=list(events)))
-            if n == 150:
-                base, base_records = calls, len(trace)
-        assert len(trace) > base_records, seed
+        few, many = _grown_scenarios(seed)
+        base_trace, base = _profiled_run(few, watched)
+        trace, calls = _profiled_run(many, watched)
+        assert len(trace) > len(base_trace), seed
         assert calls == base, seed
-        assert calls["CellConfig.channel_span"] == len(scn.cells), seed  # the counter sees each validate
+        assert calls["CellConfig.channel_span"] == len(many.cells), seed  # the counter sees each validate
+
+
+def test_run_hashes_no_enum_member_and_converts_a_time_per_run_of_records():
+    """`run()` keys its delivery table by each event kind's value and sorts
+    the trace by the eighths of a ms it already holds, converting a tick's
+    record time once per run of records that share it: under cProfile it
+    calls `Enum.__hash__` never, and `fsm.to_units` fewer times than it
+    makes records, for random multicell scenarios of 150 and 300 events."""
+    watched = {vars(enum.Enum)["__hash__"].__code__: "Enum.__hash__", fsm.to_units.__code__: "to_units"}
+    for seed in range(3):
+        for scn in _grown_scenarios(seed):
+            trace, calls = _profiled_run(scn, watched)
+            assert calls["Enum.__hash__"] == 0, seed
+            assert 0 < calls["to_units"] < len(trace), (seed, calls["to_units"], len(trace))

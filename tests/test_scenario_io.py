@@ -506,6 +506,37 @@ class TestTimeSyntax:
             assert b.ms_str(F(k, per_ms)) == reference(k, per_ms), (k, per_ms)
             assert b.ms_str(k) == reference(k, 1), k
 
+    def test_parse_ms_matches_a_decimal_reference(self):
+        """Every spelling of k/8 ms parses to `Fraction(Decimal(text))`: the
+        minimal one that `ms_str` writes, which the eighths table reads, and
+        those that go through `Decimal`, so the two paths cannot drift apart."""
+        spellings = ["1.50", "007.5", "+1.5", ".5", "-.5", "1.", "15e-1", "1.5E0", "0.125e1", "+0", "-0", "00"]
+        for k in range(-300, 301):
+            text = b.ms_str(F(k, 8))
+            sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
+            spellings += [text, f"{sign}00{digits}", f"{text}0" if "." in text else f"{text}.", f"+{text}" * (not sign)]
+        for text in filter(None, spellings):
+            value = b.parse_ms(text)
+            assert type(value) is F and value == F(Decimal(text)), text
+
+    @pytest.mark.parametrize(
+        "text", ["1_0", " 2.5 ", "2.5\n", "\u0663", "\uff11.\uff15", "1.\u0665", "", ".", "+", "1e", "e1", "1.5.5",
+                 "0x10", "1/2", "1e+", "--1"],
+    )
+    def test_time_strings_are_ascii_decimals(self, text):
+        """Only `[+-]digits[.digits]` or `[+-].digits`, with an optional
+        exponent, in ASCII: not the underscores, surrounding whitespace and
+        non-ASCII digits that `Decimal` takes. NaN and the infinities stay
+        "not a finite time value"."""
+        with pytest.raises(ValueError, match=f"^not a decimal time value: {re.escape(repr(text))}$"):
+            b.parse_ms(text)
+
+    @pytest.mark.parametrize("text", ["1_0", " 2.5 ", "\u0663", "\uff11.\uff15"])
+    def test_a_lenient_time_string_is_a_parse_error_at_its_path(self, text):
+        for path, where in ((("events", 3, "at_ms"), r"events\[3\]\.at_ms"), (("horizon_ms",), "horizon_ms")):
+            with pytest.raises(ParseError, match=f"^{where}: not a decimal time value: {re.escape(repr(text))}$"):
+                scenario_from_obj(mutated(adaptation_doc(), path, text))
+
     @pytest.mark.parametrize("value", [0.5, 0.1, Decimal("-2.250"), True, False])
     def test_ms_str_refuses_floats_and_decimals(self, value):
         """A float is not written as its binary expansion (0.1 would be
@@ -545,3 +576,5 @@ class TestTimeSyntax:
         assert b.parse_ms("-9.99e-400") == F(-999, 10**402)
         with pytest.raises(ValueError):
             b.parse_ms("1e401")
+        with pytest.raises(ValueError, match="^not a decimal time value"):
+            b.parse_ms("1e" + "9" * 20)  # past the exponent that `Decimal` itself can hold

@@ -65,7 +65,7 @@ def tick_run(scenario: Scenario) -> tuple[list[TraceRecord], int]:
     step = min((m.tick for m in machines.values()), default=UNITS_PER_MS)
     strides = [(cid, machines[cid].tick // step) for cid in cell_order]
     events_at: dict[int, list] = {}
-    for ev in sorted(scenario.events, key=lambda ev: _DELIVERY[ev.kind][0]):  # stable: input order
+    for ev in sorted(scenario.events, key=lambda ev: _DELIVERY[ev.kind._value_][0]):  # stable: input order
         events_at.setdefault(to_units(ev.at_ms) // step, []).append(ev)
 
     reached = 0
