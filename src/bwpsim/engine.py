@@ -19,9 +19,10 @@ byte-identical traces.
 The clock counts whole eighths of a ms, as the cells' state machines
 do: ticks, switch delays and timer values are whole eighths, so every
 time of a run is an int. Each event time is converted once, and a time
-becomes exact `Fraction` ms only in a trace record or the metrics. The
-horizon only bounds the run: the loop stops at the last eighth at or
-before it, and only `RunEnd` and the metrics carry it exactly.
+becomes exact `Fraction` ms only in a trace record, the event's own where
+there is one and else once per run, or in the metrics. The horizon only
+bounds the run: the loop stops at the last eighth at or before it, and
+only `RunEnd` and the metrics carry it exactly.
 
 Metrics are computed twice on purpose: once online while the run emits
 records, and once by `replay_metrics` walking a finished trace. The two
@@ -41,7 +42,7 @@ from typing import Callable, Iterable, Optional
 
 from .config import CellConfig, UeCapability, validate
 from .dci import DciEvent, Direction
-from .fsm import UNITS_PER_MS, CellStateMachine, EventRejection, SwitchCause, rejection_record, to_units
+from .fsm import UNITS_PER_MS, CellStateMachine, EventRejection, SwitchCause, Times, to_units
 from .trace import (
     EVENT_REJECTED,
     RUN_END,
@@ -226,12 +227,15 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     horizon = Fraction(scenario.horizon_ms)
     if horizon < 0:
         raise ScenarioInvalid("horizon must be >= 0 ms")
-    try:
-        ms_str(horizon)  # every time of the run is decimal if the horizon is
-    except ValueError:
-        raise ScenarioInvalid(f"horizon {horizon} ms has no finite decimal form") from None
+    # the run's other times are whole eighths, so they are decimal if the horizon
+    # is: if its denominator, 2**a * 5**b, divides a power of ten
+    if 10 ** horizon.denominator.bit_length() % horizon.denominator:
+        raise ScenarioInvalid(f"horizon {horizon} ms has no finite decimal form")
     end = to_units(horizon)  # the last eighth at or before the horizon
     machines = {cid: CellStateMachine(cid, cfg, scenario.capability) for cid, cfg in scenario.cells.items()}
+    times = Times()  # one Fraction per record time of the run, an event's own where it has one
+    for m in machines.values():
+        m._times = times
     events_at: dict[int, list[tuple[int, SimEvent]]] = {}  # (phase, event) by time in eighths
     last_ms = _NO_TIME
     for ev in scenario.events:
@@ -242,6 +246,8 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
             at, rest = divmod(ev.at_ms.numerator * UNITS_PER_MS, ev.at_ms.denominator)
             if at < 0 or at >= end and ev.at_ms > horizon:
                 raise ScenarioInvalid(f"event at {ev.at_ms} ms outside [0, {horizon}] ms")
+            if type(last_ms) is Fraction:  # not an int; a time off the eighths is refused below
+                times.setdefault(at, last_ms)
         if rest or at % machines[ev.cell].tick:
             raise EventMisaligned(
                 f"event at {ev.at_ms} ms is off the {scenario.cells[ev.cell].tick_ms} ms grid of cell {ev.cell!r}"
@@ -318,7 +324,7 @@ def _dispatch(machine: CellStateMachine, ev: SimEvent, now: int) -> list[TraceRe
     try:
         return _DELIVERY[ev.kind._value_][1](machine, ev, now)
     except EventRejection as rej:
-        return [rejection_record(now, ev.cell, ev.kind._value_, rej)]
+        return [machine.rejection_record(now, ev.kind._value_, rej)]
 
 
 def _payload(rec: TraceRecord, **kinds: type) -> list:
@@ -346,18 +352,20 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
     tallies: dict[str, _CellTally] = {}
     cells: dict[str, CellMetrics] = {}
     horizon: Optional[Fraction] = None
-    last_t: Optional[Fraction] = None
+    last_t = _NO_TIME
+    last_num, last_den = -1, 0  # -1/0: before every time
     moves = _CellTally.KINDS
     for rec in trace:
         if rec.at_ms is not last_t:
             # the writer's check raises; testing here first spares a valid time the call
             if not isinstance(rec.at_ms, (int, Fraction)) or type(rec.at_ms) is bool:
                 _exact_time(rec.at_ms, "{} for cell {!r}", rec.record, rec.cell, error=MalformedTrace)
-            if last_t is not None and rec.at_ms < last_t:
+            num, den = rec.at_ms.numerator, rec.at_ms.denominator
+            if num * last_den < last_num * den:  # in ints: Fraction's < tests an ABC
                 raise MalformedTrace(
                     f"timestamps decrease at {rec.at_ms} ms (after {last_t} ms)"
                 )
-            last_t = rec.at_ms
+            last_t, last_num, last_den = rec.at_ms, num, den
         if rec.record == RUN_START:
             if rec.cell in tallies:
                 raise MalformedTrace(f"duplicate RunStart for cell {rec.cell!r}")

@@ -29,7 +29,10 @@ Timing semantics:
 Time: a machine counts whole eighths of a ms. Every tick, switch delay
 (whole slots of at most 120 kHz) and timer value ((half-)subframes) is a
 whole number of eighths, so every time it handles, stores or returns is
-an int; only the records carry exact rational ms (`Fraction`).
+an int; only the records carry exact rational ms (`Fraction`), from one
+table by eighths that `run()` shares among a run's machines and seeds
+with its events' parsed times: the records of one time share the event's
+object, or one made once. A window's `end_ms` is rendered from eighths.
 
 Ties at one timestamp resolve in a fixed order (tick commits, then RRC,
 then RACH, then DCI, then data), which the engine enforces; every method
@@ -38,7 +41,6 @@ here is synchronous and the whole machine is single-owner mutable state.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -65,7 +67,7 @@ from .trace import (
     WINDOW_CLOSE,
     WINDOW_OPEN,
     TraceRecord,
-    ms_str,
+    _EIGHTHS,
 )
 
 
@@ -83,13 +85,6 @@ class EventRejection(Exception):
         self.reason = reason
         self.detail = detail
         super().__init__(f"{reason}: {detail}" if detail else reason)
-
-
-def rejection_record(t: int, cell: str, event_kind: str, rej: EventRejection) -> TraceRecord:
-    """The EventRejected trace record for one event refused at `t` eighths of a ms."""
-    return TraceRecord(
-        _ms(t), cell, EVENT_REJECTED, {"event_kind": event_kind, "reason": rej.reason, "detail": rej.detail}
-    )
 
 
 class SwitchCause(Enum):
@@ -137,12 +132,12 @@ def to_units(ms: Fraction | int) -> int:
     return ms.numerator * UNITS_PER_MS // ms.denominator
 
 
-@functools.lru_cache(maxsize=8)
-def _ms(t: int) -> Fraction:
-    """A time in eighths of a ms as exact ms, as the records carry it. The
-    records of one time share one Fraction across all cells of a run; the
-    bound keeps the cache from growing with the run."""
-    return Fraction(t, UNITS_PER_MS)
+class Times(dict):
+    """Record times: exact ms by whole eighths of a ms, each made once."""
+
+    def __missing__(self, t: int) -> Fraction:
+        at = self[t] = Fraction(t, UNITS_PER_MS)
+        return at
 
 
 def _by_id(bwps: tuple[BwpConfig, ...]) -> dict[int, tuple[int, int]]:
@@ -200,6 +195,7 @@ class CellStateMachine:
 
     def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability):
         self.cell = cell
+        self._times = Times()  # run() gives all machines of a run one table
         self.tick = to_units(cfg.tick_ms)
         self._dl, self._ul = _by_id(cfg.dl_bwps), _by_id(cfg.ul_bwps)  # (n_rbs, scs_khz) by BWP id
         if 0 not in self._dl:
@@ -404,11 +400,15 @@ class CellStateMachine:
             tag = "dl"
         return [self._rec(now, DATA_SERVED, direction=tag, n_rbs=n_rbs)]
 
+    def rejection_record(self, t: int, event_kind: str, rej: EventRejection) -> TraceRecord:
+        """The EventRejected trace record for one event refused at `t` eighths of a ms."""
+        return self._rec(t, EVENT_REJECTED, event_kind=event_kind, reason=rej.reason, detail=rej.detail)
+
     # ------------------------------------------------------------------
     # internals
 
     def _rec(self, t: int, kind: str, **fields) -> TraceRecord:
-        return TraceRecord(_ms(t), self.cell, kind, fields)
+        return TraceRecord(self._times[t], self.cell, kind, fields)
 
     def _switch_delay(self, target_dl: Optional[int], target_ul: Optional[int]) -> int:
         """Delay budget in eighths of a ms for moving to the targets; None leaves a direction alone.
@@ -439,10 +439,11 @@ class CellStateMachine:
         """Open a switch window `extra` eighths of a ms past its delay budget; return its WindowOpen."""
         end = now + extra + self._switch_delay(target_dl, target_ul)
         self.state.switch_window = SwitchWindow(end, _ceil_to(end, self.tick), target_dl, target_ul, cause)
+        whole, k = divmod(end, UNITS_PER_MS)  # end >= now >= 0
         return self._rec(
             now,
             WINDOW_OPEN,
-            end_ms=ms_str(_ms(end)),
+            end_ms=f"{whole}.{_EIGHTHS[k]}" if k else str(whole),
             target_dl=target_dl,
             target_ul=target_ul,
             cause=cause._value_,
@@ -493,7 +494,7 @@ class CellStateMachine:
             return self._open_window(now, default, target_ul, _BY_EXPIRY)
         except EventRejection as rej:
             # a 240 kHz BWP cannot be switched; record the stuck expiry
-            return rejection_record(now, self.cell, TIMER_EXPIRY, rej)
+            return self.rejection_record(now, TIMER_EXPIRY, rej)
 
     def _timer_on_scheduling(self, now: int, direction: Direction) -> list[TraceRecord]:
         if self._paired and direction is not _DL:

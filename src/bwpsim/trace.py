@@ -8,12 +8,15 @@ decimal; so the rendering is always finite and round-trips exactly.
 Times of denominator 2, 4 or 8 are rendered from a table of the eight
 fraction digit strings of k/8, and a plain `digits[.digits]` string whose
 fraction is one of them is parsed from the same table, without `Decimal`.
+A window's `end_ms`, kept in whole eighths, is rendered from the table too.
 
 The records of one time share one `Fraction`, both those `run()` emits,
 across all its cells and rejections included, and those `read_trace`
 reads back, so a time is rendered once per run of records that carry it
 and parsed once per run of lines that spell it alike, and replay
-compares times only where the object changes.
+compares times, in ints, only where the object changes. A run makes
+each of its times a `Fraction` once, and at an event's time its records
+share the event's own parsed `Fraction`.
 """
 
 from __future__ import annotations
@@ -244,7 +247,13 @@ def write_trace(records: Iterable[TraceRecord], out: TextIO) -> None:
     last: Any = _NO_TIME
     for rec in records:
         if rec.at_ms is not last:
-            last, at_ms = rec.at_ms, rec._at_ms_str()
+            last = rec.at_ms
+            # as a run's record times are: exact, >= 0 and of denominator 1, 2, 4 or 8
+            if type(last) is Fraction and (num := last.numerator) >= 0 and 8 % (den := last.denominator) == 0:
+                whole, k = divmod(num * (8 // den), 8)
+                at_ms = f"{whole}.{_EIGHTHS[k]}" if k else str(whole)
+            else:
+                at_ms = rec._at_ms_str()
         fields = rec.fields
         obj = {"at_ms": at_ms, "cell": rec.cell, "record": rec.record, **fields}
         if len(obj) != len(_HEADER) + len(fields):

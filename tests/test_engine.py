@@ -363,6 +363,38 @@ class TestReplayRejectsMalformedTraces:
         with pytest.raises(b.MalformedTrace, match="^RunStart for cell 'pcell' at False ms: a time must be"):
             b.replay_metrics(trace)
 
+    def test_a_first_time_that_is_not_a_time(self):
+        """The first record's time is checked too, not only a time that differs from the one before."""
+        trace = self._base()
+        trace[0].at_ms = None
+        with pytest.raises(b.MalformedTrace, match="^RunStart for cell 'pcell' at None ms: a time must be"):
+            b.replay_metrics(trace)
+
+    def test_a_bool_is_not_a_time_after_a_time(self):
+        """True, between the times 0 and 20, is refused as a time rather than compared as 1."""
+        trace = self._base()
+        trace[1].at_ms = True
+        with pytest.raises(b.MalformedTrace, match="^WindowOpen for cell 'pcell' at True ms: a time must be"):
+            b.replay_metrics(trace)
+
+    @pytest.mark.parametrize("before,after", [(F(32), 31), (32, F(63, 2))], ids=["fraction-int", "int-fraction"])
+    def test_a_decrease_across_an_int_and_a_fraction(self, before, after):
+        trace = self._base()
+        trace[1].at_ms, trace[2].at_ms = before, after
+        message = re.escape(f"timestamps decrease at {after} ms (after {before} ms)")
+        with pytest.raises(b.MalformedTrace, match=f"^{message}$"):
+            b.replay_metrics(trace)
+
+    def test_equal_times_of_different_types_replay(self):
+        """An int and a Fraction of one value, 31 and Fraction(31) on
+        consecutive records, are one time: the trace replays to its metrics."""
+        trace, metrics = b.run(adaptation_scenario())
+        for rec in trace[2::2]:
+            rec.at_ms = int(rec.at_ms) if rec.at_ms.denominator == 1 else rec.at_ms
+        assert [type(r.at_ms) for r in trace[2:5]] == [int, F, int]
+        assert trace[2].at_ms == trace[3].at_ms == trace[4].at_ms == 31
+        assert b.replay_metrics(trace) == metrics
+
     @pytest.mark.parametrize(
         "record,name,value",
         [
@@ -539,8 +571,9 @@ class TestWriteTrace:
 
     @pytest.mark.parametrize(
         "times",
-        [[F(5, 2)] * 3, [F(5, 2), F(5, 2), F(10, 4)], [3, 3, F(3)]],
-        ids=["one-fraction", "equal-fractions", "int-time"],
+        [[F(5, 2)] * 3, [F(5, 2), F(5, 2), F(10, 4)], [3, 3, F(3)],
+         [F(0), F(1, 8), F(7, 4), F(10**30 + 3, 8), F(-5, 2), F(9, 16), F(7, 10), 3, F(-3)]],
+        ids=["one-fraction", "equal-fractions", "int-time", "eighths-and-others"],
     )
     def test_bytes_are_the_records_json_lines(self, times):
         records = [b.TraceRecord(t, f"c{k}", "R", {"k": k}) for k, t in enumerate(times)]
@@ -555,6 +588,11 @@ class TestWriteTrace:
         for render in (rec.to_obj, rec.to_json, lambda: written([rec])):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 render()
+
+    def test_a_non_decimal_time_after_eighths_is_refused(self):
+        records = [b.TraceRecord(t, "c", r, {}) for t, r in ((F(1, 2), "R"), (F(1, 3), "S"))]
+        with pytest.raises(ValueError, match="^1/3 has no finite decimal representation$"):
+            written(records)
 
     def test_an_inexact_time_after_exact_ones_is_refused(self):
         """The writer checks a time each time the time object changes."""
@@ -985,3 +1023,70 @@ def test_run_hashes_no_enum_member_and_converts_a_time_per_run_of_records():
             trace, calls = _profiled_run(scn, watched)
             assert calls["Enum.__hash__"] == 0, seed
             assert 0 < calls["to_units"] < len(trace), (seed, calls["to_units"], len(trace))
+
+
+def test_records_at_an_event_s_time_carry_that_event_s_parsed_time():
+    """run() seeds its table of record times with each event's own `at_ms`,
+    the first event's in input order where several name one time: every
+    record at an event's time, but RunEnd with the horizon, carries that
+    object, so a time is one Fraction across the whole trace."""
+    for seed in range(3):
+        for scn in _grown_scenarios(seed):
+            first = {}
+            for ev in scn.events:
+                first.setdefault(ev.at_ms, ev.at_ms)
+            trace, _ = b.run(scn)
+            at_events = [r for r in trace if r.record != RUN_END and r.at_ms in first]
+            assert len(at_events) > len(scn.events) // 2, seed
+            for rec in at_events:
+                assert rec.at_ms is first[rec.at_ms], (seed, rec)
+
+
+def test_run_makes_fewer_fractions_than_record_times():
+    """A record time becomes a Fraction once per run, and not at all when an
+    event's parsed time names it: under cProfile, `Fraction.__new__` runs
+    beyond what a run of the same cells without events makes (validation,
+    the machines, the metrics) at most once per record time that no event
+    names, fewer times than the trace has distinct times."""
+    watched = {F.__new__.__code__: "Fraction"}
+    for seed in range(3):
+        for scn in _grown_scenarios(seed):
+            _, base = _profiled_run(dataclasses.replace(scn, events=[]), watched)
+            trace, calls = _profiled_run(scn, watched)
+            times = {r.at_ms for r in trace}
+            made = calls["Fraction"] - base["Fraction"]
+            assert made <= len(times - {ev.at_ms for ev in scn.events}) < len(times), (seed, made, len(times))
+
+
+def test_window_end_is_rendered_from_eighths():
+    """`_open_window` renders `end_ms` without `ms_str`, which run() never
+    calls; each rendering is the exact time its window commits at."""
+    watched = {b.ms_str.__code__: "ms_str"}
+    opened = 0
+    for seed in range(3):
+        for scn in _grown_scenarios(seed):
+            trace, calls = _profiled_run(scn, watched)
+            assert calls["ms_str"] == 0, seed
+            pending = {}
+            for rec in trace:
+                if rec.record == "WindowOpen":
+                    pending[rec.cell] = rec.fields["end_ms"]
+                    opened += 1
+                elif rec.record == "WindowClose":
+                    assert b.ms_str(rec.at_ms) == pending.pop(rec.cell), (seed, rec)
+    assert opened > 10
+
+
+def test_int_event_times_still_give_fraction_record_times():
+    """A library SimEvent may carry an int time; the table is seeded only
+    with Fractions, so the records at that time carry a Fraction all the same."""
+    scn = b.Scenario(cells={"c": centered_cell()}, capability=CAP4,
+                     events=[_fallback_dl_dci(10, "c"), b.SimEvent(10, "c", b.EventKind.DATA_UL_GRANT),
+                             b.SimEvent(0, "c", b.EventKind.DATA_DL_ASSIGNMENT)],
+                     horizon_ms=F(40))
+    trace, metrics = b.run(scn)
+    assert [(r.at_ms, r.record) for r in trace if r.at_ms in (0, 10)] == [
+        (0, RUN_START), (0, "DataServed"), (10, "TimerStart"), (10, "DataServed")]
+    assert {type(r.at_ms) for r in trace} == {F}
+    assert written(trace) == written(b.run(dataclasses.replace(scn, events=[
+        dataclasses.replace(ev, at_ms=F(ev.at_ms)) for ev in scn.events]))[0])

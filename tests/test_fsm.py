@@ -91,11 +91,12 @@ class TestSwitchDelayTable:
 
 class TestUnits:
     def test_units_round_trip_to_ms(self):
+        times = fsm.Times()
         for k in (0, 1, 3, 7, 8, 9, 61, 10**6, 8 * 10**300 + 5):
             x = F(k, UNITS_PER_MS)
             assert to_units(x) == k
-            assert fsm._ms(to_units(x)) == x
-            assert fsm._ms(k) is fsm._ms(k)  # the records of one time share one Fraction
+            assert times[to_units(x)] == x and type(times[k]) is F
+            assert times[k] is times[k]  # the records of one time share one Fraction
         assert to_units(5) == 5 * UNITS_PER_MS
 
     def test_off_grid_times_round_down(self):

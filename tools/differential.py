@@ -26,8 +26,8 @@ Then each tree runs the whole corpus in one child interpreter of its own,
 and hashes for each input: the parse outcome (the Scenario's repr, or the
 error), each cell's validation findings, the written trace and metrics
 JSON of `run()` (or its error), and the exit code (or the error) and
-stdout of `cli.main` for `run` and for `validate`. The first input whose digests
-differ is printed with the digest that differs, and the exit status is 1;
+stdout of `cli.main` for `run` and for `validate`. Every input whose digests
+differ is printed with each digest that differs, and the exit status is 1;
 0 when every digest agrees, 2 when a child fails. Only the standard
 library is used here; the corpus child also imports the tree's tests and
 perfbench generators, and through `tests/support.py`, pytest.
@@ -276,12 +276,30 @@ def main(argv: list[str] | None = None) -> int:
             _child(work / side, "digest_child", tree, corpus, results[side])
         old_lines = results["old"].read_text(encoding="utf-8").splitlines()
         new_lines = results["new"].read_text(encoding="utf-8").splitlines()
+    return report(old_lines, new_lines)
+
+
+def differences(old_lines: list[str], new_lines: list[str]) -> list[str]:
+    """One line for each input whose digests differ, naming every digest
+    that differs; the two trees' digest lines are of one corpus, in order."""
+    found = []
     for a, z in zip(old_lines, new_lines, strict=True):
         a, z = json.loads(a), json.loads(z)
-        for key in DIGESTS:
-            if a[key] != z[key]:
-                print(f"{a['name']}: the {key} digest differs ({a[key][:12]} old, {z[key][:12]} new)")
-                return 1
+        differ = [f"the {key} digest differs ({a[key][:12]} old, {z[key][:12]} new)"
+                  for key in DIGESTS if a[key] != z[key]]
+        if differ:
+            found.append(f"{a['name']}: {'; '.join(differ)}")
+    return found
+
+
+def report(old_lines: list[str], new_lines: list[str]) -> int:
+    """Print every difference and return the exit status: 1 if any input differs, else 0."""
+    found = differences(old_lines, new_lines)
+    for line in found:
+        print(line)
+    if found:
+        print(f"{len(found)} of {len(new_lines)} inputs differ")
+        return 1
     print(f"{len(new_lines)} inputs: the same parse, findings, run and cli digests")
     return 0
 
