@@ -16,13 +16,10 @@ produced: an FR2 cell's 2.25 ms commit (handled at 2.5) precedes an FR1
 cell's (handled at 3). Running the same scenario twice produces
 byte-identical traces.
 
-The clock counts whole eighths of a ms, as the cells' state machines
-do: ticks, switch delays and timer values are whole eighths, so every
-time of a run is an int. Each event time is converted once, and a time
-becomes exact `Fraction` ms only in a trace record, the event's own where
-there is one and else once per run, or in the metrics. The horizon only
-bounds the run: the loop stops at the last eighth at or before it, and
-only `RunEnd` and the metrics carry it exactly.
+The clock counts whole eighths of a ms, as the cells' machines do,
+since ticks, switch delays and timer values are whole eighths. The
+horizon only bounds the run: the loop stops at the last eighth at or
+before it, and only `RunEnd` and the metrics carry it exactly.
 
 Metrics are computed twice on purpose: once online while the run emits
 records, and once by `replay_metrics` walking a finished trace. The two
@@ -42,17 +39,20 @@ from typing import Callable, Iterable, Optional
 
 from .config import CellConfig, UeCapability, validate
 from .dci import DciEvent, Direction
-from .fsm import UNITS_PER_MS, CellStateMachine, EventRejection, SwitchCause, Times, to_units
+from .fsm import SWITCH_CAUSES, CellStateMachine, EventRejection
 from .trace import (
     EVENT_REJECTED,
     RUN_END,
     RUN_START,
     STATE_CHANGE,
+    UNITS_PER_MS,
     MalformedTrace,
+    Times,
     TraceRecord,
     _NO_TIME,
     _exact_time,
     ms_str,
+    to_units,
 )
 
 
@@ -161,7 +161,7 @@ class _CellTally:
         self.last_t = 0
         self.proxy = 0
         self.on_default = 0
-        self.switches: dict[str, int] = {c.value: 0 for c in SwitchCause}
+        self.switches: dict[str, int] = dict.fromkeys(SWITCH_CAUSES, 0)
         self.rejected = 0
 
     def integrate_to(self, t: Fraction) -> None:

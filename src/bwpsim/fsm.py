@@ -26,13 +26,9 @@ Timing semantics:
 * 240 kHz BWPs take part in frequency math but have no switch-delay
   requirement, so any switch involving one is rejected.
 
-Time: a machine counts whole eighths of a ms. Every tick, switch delay
-(whole slots of at most 120 kHz) and timer value ((half-)subframes) is a
-whole number of eighths, so every time it handles, stores or returns is
-an int; only the records carry exact rational ms (`Fraction`), from one
-table by eighths that `run()` shares among a run's machines and seeds
-with its events' parsed times: the records of one time share the event's
-object, or one made once. A window's `end_ms` is rendered from eighths.
+Time: a machine counts whole eighths of a ms, since every tick, switch
+delay and timer value is a whole number of them; its records carry
+exact ms.
 
 Ties at one timestamp resolve in a fixed order (tick commits, then RRC,
 then RACH, then DCI, then data), which the engine enforces; every method
@@ -42,7 +38,6 @@ here is synchronous and the whole machine is single-owner mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
@@ -64,10 +59,13 @@ from .trace import (
     TIMER_EXPIRY,
     TIMER_RESTART,
     TIMER_START,
+    UNITS_PER_MS,  # not used here; callers read it as fsm.UNITS_PER_MS
     WINDOW_CLOSE,
     WINDOW_OPEN,
+    Times,
     TraceRecord,
-    _EIGHTHS,
+    eighths_str,
+    to_units,
 )
 
 
@@ -87,7 +85,7 @@ class EventRejection(Exception):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
-class SwitchCause(Enum):
+class SwitchCause:
     RRC_RECONFIG = "RrcReconfig"
     FIRST_ACTIVE_ON_SCELL_ACTIVATION = "FirstActiveOnScellActivation"
     DCI = "Dci"
@@ -95,8 +93,8 @@ class SwitchCause(Enum):
     RACH_INITIATED = "RachInitiated"
 
 
-# Read once: on CPython 3.11 `SwitchCause.DCI` goes through `EnumType.__getattr__`, ten times a global's cost.
-_BY_RRC, _BY_SCELL_ACTIVATION, _BY_DCI, _BY_EXPIRY, _BY_RACH = SwitchCause  # in definition order
+SWITCH_CAUSES = (SwitchCause.RRC_RECONFIG, SwitchCause.FIRST_ACTIVE_ON_SCELL_ACTIVATION, SwitchCause.DCI,
+                 SwitchCause.TIMER_EXPIRY, SwitchCause.RACH_INITIATED)
 _DL, _UL = Direction.DL_ASSIGNMENT, Direction.UL_GRANT
 
 # Switch delay requirement in slots of the governing SCS, per delay type by
@@ -124,22 +122,6 @@ def switch_delay_khz(from_scs_khz: int, to_scs_khz: int, delay_type: DelayType) 
     return slots, Fraction(15 * slots, governing)
 
 
-UNITS_PER_MS = 8  # a machine time is a whole number of eighths of a ms
-
-
-def to_units(ms: Fraction | int) -> int:
-    """A time or duration in ms as whole eighths of a ms, rounded down."""
-    return ms.numerator * UNITS_PER_MS // ms.denominator
-
-
-class Times(dict):
-    """Record times: exact ms by whole eighths of a ms, each made once."""
-
-    def __missing__(self, t: int) -> Fraction:
-        at = self[t] = Fraction(t, UNITS_PER_MS)
-        return at
-
-
 def _by_id(bwps: tuple[BwpConfig, ...]) -> dict[int, tuple[int, int]]:
     """(n_rbs, scs_khz) by BWP id; the first BWP of a repeated id wins."""
     table: dict[int, tuple[int, int]] = {}
@@ -161,7 +143,7 @@ class SwitchWindow:
     commit_at: int  # the first tick of the cell's grid at or after end_ms
     target_dl: Optional[int]
     target_ul: Optional[int]
-    cause: SwitchCause
+    cause: str  # a SwitchCause
     expiry_pending: bool = False  # the timer fired while this window was open
 
 
@@ -262,7 +244,7 @@ class CellStateMachine:
         if first_active_ul is not None and first_active_ul not in self._ul:
             raise EventRejection("InvalidTarget", f"first-active UL BWP #{first_active_ul} not configured")
 
-        cause = _BY_SCELL_ACTIVATION if scell_activation else _BY_RRC
+        cause = SwitchCause.FIRST_ACTIVE_ON_SCELL_ACTIVATION if scell_activation else SwitchCause.RRC_RECONFIG
         return [self._open_window(now, first_active_dl, first_active_ul, cause, self._rrc_delay)]
 
     def on_dci(self, now: int, dci: DciEvent) -> list[TraceRecord]:
@@ -307,7 +289,7 @@ class CellStateMachine:
             target_ul is not None and target_ul not in self._ul
         ):
             raise EventRejection("TargetNotConfigured", f"{what} #{target} not configured")
-        records = [self._open_window(now, target_dl, target_ul, _BY_DCI)]
+        records = [self._open_window(now, target_dl, target_ul, SwitchCause.DCI)]
         return records + self._try_arm_timer(now)
 
     def on_tick(self, now: int) -> list[TraceRecord]:
@@ -370,7 +352,7 @@ class CellStateMachine:
 
         records: list[TraceRecord] = []  # the window first: a rejected switch leaves the state alone
         if target_dl is not None or target_ul is not None:
-            records.append(self._open_window(now, target_dl, target_ul, _BY_RACH))
+            records.append(self._open_window(now, target_dl, target_ul, SwitchCause.RACH_INITIATED))
         st.rach_in_progress = True
         st.timer_expires_at = None
         return records
@@ -433,20 +415,19 @@ class CellStateMachine:
         now: int,
         target_dl: Optional[int],
         target_ul: Optional[int],
-        cause: SwitchCause,
+        cause: str,
         extra: int = 0,
     ) -> TraceRecord:
         """Open a switch window `extra` eighths of a ms past its delay budget; return its WindowOpen."""
         end = now + extra + self._switch_delay(target_dl, target_ul)
         self.state.switch_window = SwitchWindow(end, _ceil_to(end, self.tick), target_dl, target_ul, cause)
-        whole, k = divmod(end, UNITS_PER_MS)  # end >= now >= 0
         return self._rec(
             now,
             WINDOW_OPEN,
-            end_ms=f"{whole}.{_EIGHTHS[k]}" if k else str(whole),
+            end_ms=eighths_str(end),  # end >= now >= 0
             target_dl=target_dl,
             target_ul=target_ul,
-            cause=cause._value_,
+            cause=cause,
         )
 
     def _close_due_windows(self, now: int) -> list[TraceRecord]:
@@ -461,7 +442,7 @@ class CellStateMachine:
             if w.target_ul is not None:
                 st.active_ul = w.target_ul
             st.switch_window = None
-            cause = w.cause._value_
+            cause = w.cause
             records.append(self._rec(t, WINDOW_CLOSE, cause=cause))
             if (st.active_dl, st.active_ul) != (old_dl, old_ul):
                 records.append(
@@ -481,7 +462,7 @@ class CellStateMachine:
                 st.timer_expires_at = None
             elif w.expiry_pending:
                 records.append(self._open_expiry_window(t))
-            elif st.timer_expires_at is None or w.cause is not _BY_DCI:
+            elif st.timer_expires_at is None or w.cause != SwitchCause.DCI:
                 # activation of a non-default BWP restarts the timer; for a
                 # DCI-driven switch the restart at reception already governs
                 records += self._try_arm_timer(t)
@@ -491,7 +472,7 @@ class CellStateMachine:
         default = self._default_dl
         target_ul = default if self._switch_as_pair else None
         try:
-            return self._open_window(now, default, target_ul, _BY_EXPIRY)
+            return self._open_window(now, default, target_ul, SwitchCause.TIMER_EXPIRY)
         except EventRejection as rej:
             # a 240 kHz BWP cannot be switched; record the stuck expiry
             return self.rejection_record(now, TIMER_EXPIRY, rej)

@@ -2,13 +2,18 @@
 
 One record per line when serialized (JSON objects with sorted keys), so
 golden traces can be diffed byte-for-byte. Timestamps are exact rationals
-rendered as minimal decimal strings. Every time of a run is a whole
-eighth of a ms, except the horizon that `RunEnd` carries, which is a
-decimal; so the rendering is always finite and round-trips exactly.
-Times of denominator 2, 4 or 8 are rendered from a table of the eight
-fraction digit strings of k/8, and a plain `digits[.digits]` string whose
-fraction is one of them is parsed from the same table, without `Decimal`.
-A window's `end_ms`, kept in whole eighths, is rendered from the table too.
+rendered as minimal decimal strings.
+
+Every time of a run is a whole eighth of a ms, except the horizon that
+`RunEnd` carries, which is a decimal: ticks and timer values are whole
+(half-)subframes, and switch delays whole slots of at most 120 kHz
+(TS 38.133). So the engine and the cell machines count time in ints of
+`UNITS_PER_MS` to the ms (`to_units`), and a run's records carry exact
+`Fraction` ms from one `Times` table. `eighths_str` renders a time of n
+eighths, a window's `end_ms` included, from a table of the fraction
+digits of k/8, from which `parse_ms` reads such a string back without
+`Decimal`; `ms_str` renders every other time. Rendering is always
+finite and round-trips exactly.
 
 The records of one time share one `Fraction`, both those `run()` emits,
 across all its cells and rejections included, and those `read_trace`
@@ -26,7 +31,6 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from json.decoder import WHITESPACE, JSONDecodeError
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Iterable, TextIO
 
@@ -55,6 +59,26 @@ _DECIMAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # The fraction digits of k/8 for k = 0..7, and the eighths k that each spells.
 _EIGHTHS = ("", "125", "25", "375", "5", "625", "75", "875")
 _EIGHTH_OF = {digits: k for k, digits in enumerate(_EIGHTHS)}
+UNITS_PER_MS = 8  # a run's time unit: whole eighths of a ms
+
+
+def to_units(ms: Fraction | int) -> int:
+    """A time or duration in ms as whole eighths of a ms, rounded down."""
+    return ms.numerator * UNITS_PER_MS // ms.denominator
+
+
+def eighths_str(n: int) -> str:
+    """The minimal decimal string of n >= 0 whole eighths of a ms."""
+    whole, k = divmod(n, UNITS_PER_MS)
+    return f"{whole}.{_EIGHTHS[k]}" if k else str(whole)
+
+
+class Times(dict):
+    """Record times: exact ms by whole eighths of a ms, each made once."""
+
+    def __missing__(self, t: int) -> Fraction:
+        at = self[t] = Fraction(t, UNITS_PER_MS)
+        return at
 
 
 # A record's payload is a tree of JSON values, so no cycle check.
@@ -81,28 +105,14 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 _scan = _DECODER.scan_once  # json's C scanner where it has one
-_space = WHITESPACE.match
 
 
 def decode_json(text: str) -> Any:
     """`json.loads(text)`, except that a key repeated within one object is
-    a ValueError naming it rather than a silent choice of its last value.
-
-    `_DECODER.decode` without its two Python frames: the scanner is called
-    directly, and whitespace is matched only at a leading whitespace
-    character or after a value that ends before the text does. The same
-    values and errors."""
+    a ValueError naming it rather than a silent choice of its last value."""
     if text.startswith("\ufeff"):
         return json.loads(text)  # raises json's own error for a byte order mark
-    try:
-        obj, end = _scan(text, _space(text).end() if text[:1] in " \t\n\r" else 0)
-    except StopIteration as err:
-        raise JSONDecodeError("Expecting value", text, err.value) from None
-    if end != len(text):
-        end = _space(text, end).end()
-        if end != len(text):
-            raise JSONDecodeError("Extra data", text, end)
-    return obj
+    return _DECODER.decode(text)
 
 
 def _one_shot_encoder(make: Any = c_make_encoder) -> Callable[[Any], str]:
@@ -126,25 +136,18 @@ def ms_str(value: Fraction | int) -> str:
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
-    if den == 2 or den == 4 or den == 8:  # every time of a run but the horizon
-        whole, k = divmod(abs(num) * (8 // den), 8)
-        return f"{'-' if num < 0 else ''}{whole}.{_EIGHTHS[k]}"
-    if den & (den - 1) == 0:  # den = 2**k, and num / 2**k = num * 5**k / 10**k
-        digits = den.bit_length() - 1
-        scaled = abs(num) * 5**digits
-    else:
-        twos = fives = 0
-        d = den
-        while d % 2 == 0:
-            d //= 2
-            twos += 1
-        while d % 5 == 0:
-            d //= 5
-            fives += 1
-        if d != 1:
-            raise ValueError(f"{value} has no finite decimal representation")
-        digits = max(twos, fives)
-        scaled = abs(num) * 10**digits // den
+    twos = fives = 0
+    d = den
+    while d % 2 == 0:
+        d //= 2
+        twos += 1
+    while d % 5 == 0:
+        d //= 5
+        fives += 1
+    if d != 1:
+        raise ValueError(f"{value} has no finite decimal representation")
+    digits = max(twos, fives)
+    scaled = abs(num) * 10**digits // den
     # num and den are coprime, so the last digit is not 0
     whole, part = divmod(scaled, 10**digits)
     return f"{'-' if num < 0 else ''}{whole}.{part:0{digits}d}"
@@ -250,8 +253,7 @@ def write_trace(records: Iterable[TraceRecord], out: TextIO) -> None:
             last = rec.at_ms
             # as a run's record times are: exact, >= 0 and of denominator 1, 2, 4 or 8
             if type(last) is Fraction and (num := last.numerator) >= 0 and 8 % (den := last.denominator) == 0:
-                whole, k = divmod(num * (8 // den), 8)
-                at_ms = f"{whole}.{_EIGHTHS[k]}" if k else str(whole)
+                at_ms = eighths_str(num * (8 // den))
             else:
                 at_ms = rec._at_ms_str()
         fields = rec.fields
@@ -273,7 +275,7 @@ def read_trace(lines: Iterable[str]) -> list[TraceRecord]:
             continue
         try:
             try:
-                obj, end = _scan(line, 0)  # as decode_json scans it: strip() left no JSON whitespace at either end
+                obj, end = _scan(line, 0)  # strip() left no JSON whitespace at either end
             except StopIteration:
                 end = -1
             if end != len(line):

@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 
 from bwpsim.engine import CellMetrics, RunMetrics
-from bwpsim.fsm import SwitchCause
+from bwpsim.fsm import SWITCH_CAUSES
 from bwpsim.trace import EVENT_REJECTED, RUN_END, RUN_START, STATE_CHANGE, TIMER_START, TraceRecord
 
 
@@ -34,7 +34,7 @@ def reference_metrics(trace: list[TraceRecord]) -> RunMetrics:
                 "default": rec.fields["default_dl"], "dl": rec.fields["active_dl"],
                 "rbs": rec.fields["dl_rbs"], "last": Fraction(0), "proxy": Fraction(0),
                 "on_default": Fraction(0), "rejected": 0,
-                "switches": {c.value: 0 for c in SwitchCause},
+                "switches": dict.fromkeys(SWITCH_CAUSES, 0),
             }
             continue
         cell = open_cells[rec.cell]
@@ -76,7 +76,6 @@ def mixed_denominator_trace(rng: random.Random) -> list[TraceRecord]:
             "active_dl": dl, "active_ul": 0, "dl_rbs": widths[cid][dl], "default_dl": rng.randrange(4),
         }))
     t = Fraction(0)
-    causes = [c.value for c in SwitchCause]
     for _ in range(rng.randint(0, 40)):
         t += step()
         cid = rng.choice(cells)
@@ -84,7 +83,7 @@ def mixed_denominator_trace(rng: random.Random) -> list[TraceRecord]:
         fields = {}
         if kind == STATE_CHANGE:
             dl = rng.randrange(4)
-            fields = {"new_dl": dl, "new_dl_rbs": widths[cid][dl], "cause": rng.choice(causes)}
+            fields = {"new_dl": dl, "new_dl_rbs": widths[cid][dl], "cause": rng.choice(SWITCH_CAUSES)}
         elif kind == EVENT_REJECTED:
             fields = {"event_kind": "Dci", "reason": "WindowOpen", "detail": ""}
         trace.append(TraceRecord(t, cid, kind, fields))

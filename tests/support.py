@@ -7,14 +7,11 @@ import random
 import sys
 from fractions import Fraction
 
-import pytest
-
 import bwpsim as b
 from bwpsim.fsm import to_units
 
 # Python's limit on the digits of an int parsed from a string, 3.10.7 and later
-NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                                       reason="this Python has no int digit limit")
+HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
 
 
 def at(ms: Fraction | int) -> int:

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 from bwpsim.cli import main
-from support import NEEDS_DIGIT_LIMIT
+from support import HAS_DIGIT_LIMIT
 from test_scenario_io import BAD_FIELDS, adaptation_doc, mutated, without
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="this Python has no int digit limit")
 
 
 class TestDelay:

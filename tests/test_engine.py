@@ -17,7 +17,7 @@ import pytest
 
 import bwpsim as b
 from support import (
-    NEEDS_DIGIT_LIMIT,
+    HAS_DIGIT_LIMIT,
     adaptation_cell,
     adaptation_scenario,
     centered_cell,
@@ -35,6 +35,7 @@ from bwpsim.trace import RUN_END, RUN_START, STATE_CHANGE
 
 CAP4 = b.UeCapability(max_rrc_bwps=4)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="this Python has no int digit limit")
 
 
 def written(trace):

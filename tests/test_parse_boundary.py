@@ -180,8 +180,8 @@ def _outcome(decode, text):
 def decode(request, monkeypatch):
     """decode_json as it is here, and as on a Python whose json has no C scanner."""
     if request.param == "py-scanner":
-        monkeypatch.setattr(trace, "_scan", json.scanner.py_make_scanner(trace._DECODER))
-    assert (type(trace._scan).__module__ == "_json") == (request.param == "c-scanner")
+        monkeypatch.setattr(trace._DECODER, "scan_once", json.scanner.py_make_scanner(trace._DECODER))
+    assert (type(trace._DECODER.scan_once).__module__ == "_json") == (request.param == "c-scanner")
     return trace.decode_json
 
 

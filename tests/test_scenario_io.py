@@ -12,6 +12,7 @@ import pytest
 
 import bwpsim as b
 from bwpsim.scenario import ParseError, _read, _reader, load_scenario, scenario_from_obj
+from bwpsim.trace import eighths_str
 from support import adaptation_scenario
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -494,8 +495,8 @@ class TestTimeSyntax:
 
     @pytest.mark.parametrize("per_ms", [1, 2, 4, 8, 40, 80, 1000, 2**10 * 5**3])
     def test_ms_str_matches_a_decimal_reference(self, per_ms):
-        """k/per_ms as a Fraction, and k as an int, render as Decimal does, so
-        the paths for denominators 1, 2**k and the rest cannot drift apart."""
+        """k/per_ms as a Fraction, and k as an int, render as Decimal does, and
+        so do k >= 0 whole eighths, so `ms_str` and `eighths_str` cannot drift apart."""
 
         def reference(num, den):
             with localcontext() as ctx:
@@ -505,6 +506,8 @@ class TestTimeSyntax:
         for k in [*range(-300, 301), 10**30 + 1, -(10**30) - 7]:
             assert b.ms_str(F(k, per_ms)) == reference(k, per_ms), (k, per_ms)
             assert b.ms_str(k) == reference(k, 1), k
+            if per_ms == 8 and k >= 0:
+                assert eighths_str(k) == reference(k, 8), k
 
     def test_parse_ms_matches_a_decimal_reference(self):
         """Every spelling of k/8 ms parses to `Fraction(Decimal(text))`: the

@@ -1,6 +1,6 @@
 """Same-bytes differential: two source trees, one corpus, the same digests.
 
-Run from anywhere, with the test extras (pytest) installed:
+Run from anywhere, on Python 3.10 or later, with nothing installed:
 
     git archive HEAD | tar -x -C /tmp/parent
     python tools/differential.py /tmp/parent .
@@ -29,8 +29,8 @@ JSON of `run()` (or its error), and the exit code (or the error) and
 stdout of `cli.main` for `run` and for `validate`. Every input whose digests
 differ is printed with each digest that differs, and the exit status is 1;
 0 when every digest agrees, 2 when a child fails. Only the standard
-library is used here; the corpus child also imports the tree's tests and
-perfbench generators, and through `tests/support.py`, pytest.
+library is used here; the corpus child also imports the tree's
+`tests/support.py` and perfbench generators, which need no more.
 """
 
 from __future__ import annotations
