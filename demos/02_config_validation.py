@@ -3,8 +3,6 @@
 Every broken rule becomes a finding with a stable code; nothing raises.
 """
 
-import dataclasses
-
 from bwpsim import (
     BwpCommon,
     BwpConfig,
@@ -52,15 +50,11 @@ print("RRC-configured DL BWPs (Option 1 #0 not counted):",
       rrc_configured_count(cell.dl_bwps))
 
 variants = {
-    "five dedicated BWPs": dataclasses.replace(
-        cell, dl_bwps=tuple(bwp(i, 0, 52) for i in range(5))
-    ),
-    "initial BWP too small for CORESET #0": dataclasses.replace(
-        cell, dl_bwps=(bwp(0, 0, 20, dedicated=False), *bwps[1:])
-    ),
-    "timer out of range": dataclasses.replace(cell, inactivity_timer_ms=5000),
-    "BWP outside the channel": dataclasses.replace(cell, channel_bandwidth_mhz=40.0),
-    "dangling default reference": dataclasses.replace(cell, default_dl_bwp=4),
+    "five dedicated BWPs": cell._replace(dl_bwps=tuple(bwp(i, 0, 52) for i in range(5))),
+    "initial BWP too small for CORESET #0": cell._replace(dl_bwps=(bwp(0, 0, 20, dedicated=False), *bwps[1:])),
+    "timer out of range": cell._replace(inactivity_timer_ms=5000),
+    "BWP outside the channel": cell._replace(channel_bandwidth_mhz=40.0),
+    "dangling default reference": cell._replace(default_dl_bwp=4),
 }
 
 for label, cfg in variants.items():

@@ -6,7 +6,6 @@ to the 52-RB default while the UL stays put. Then compares the
 bandwidth-time proxy against the same script with no timer configured.
 """
 
-import dataclasses
 from pathlib import Path
 
 from bwpsim import load_scenario, replay_metrics, run
@@ -32,8 +31,8 @@ for cell, m in replayed.cells.items():
 
 print()
 print("=== Power-saving direction ===")
-no_timer = dataclasses.replace(scenario.cells["pcell"], inactivity_timer_ms=None)
-scenario_no_timer = dataclasses.replace(scenario, cells={"pcell": no_timer})
+no_timer = scenario.cells["pcell"]._replace(inactivity_timer_ms=None)
+scenario_no_timer = scenario._replace(cells={"pcell": no_timer})
 _, metrics_no_timer = run(scenario_no_timer)
 with_timer = metrics.cells["pcell"].bandwidth_time_proxy_rb_ms
 without = metrics_no_timer.cells["pcell"].bandwidth_time_proxy_rb_ms

@@ -15,9 +15,8 @@ strings) is rejected at construction time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from .grid import (
     MAX_BWP_RBS,
@@ -25,6 +24,7 @@ from .grid import (
     BwpGeometry,
     FrequencyRange,
     HzSpan,
+    checked,
 )
 
 MIN_BWP_ID = 0
@@ -77,24 +77,21 @@ _UNASSIGNED, _TDD, _SCELL = FrequencyRange.UNASSIGNED, Duplex.TDD, CellRole.SCEL
 _ERROR, _WARNING = Severity.ERROR, Severity.WARNING
 
 
-@dataclass(frozen=True)
-class BwpCommon:
+class BwpCommon(NamedTuple):
     """Cell-specific part of a BWP configuration."""
 
     geometry: BwpGeometry
-    link_params: Mapping[str, Any] = field(default_factory=dict)
+    link_params: Mapping[str, Any] = {}  # one shared empty dict; the document reader makes one per object
 
 
-@dataclass(frozen=True)
-class BwpDedicated:
+class BwpDedicated(NamedTuple):
     """UE-specific part of a BWP configuration; contents stay opaque."""
 
-    link_params: Mapping[str, Any] = field(default_factory=dict)
+    link_params: Mapping[str, Any] = {}  # as BwpCommon's
     uplink_waveform: Optional[UplinkWaveform] = None
 
 
-@dataclass(frozen=True)
-class BwpConfig:
+class BwpConfig(NamedTuple):
     id: int
     common: BwpCommon
     dedicated: Optional[BwpDedicated] = None
@@ -108,8 +105,8 @@ class BwpConfig:
         return self.common.geometry
 
 
-@dataclass(frozen=True)
-class UeCapability:
+@checked
+class UeCapability(NamedTuple):
     """What a UE declares it can do, gating what a config may demand.
 
     max_rrc_bwps is the supported number of RRC-configured BWPs per
@@ -129,8 +126,8 @@ class UeCapability:
             raise ValueError("mixed-numerology support requires the four-BWP class")
 
 
-@dataclass(frozen=True)
-class CellConfig:
+@checked
+class CellConfig(NamedTuple):
     cell_role: CellRole
     duplex: Duplex
     fr: FrequencyRange
@@ -147,7 +144,7 @@ class CellConfig:
     rrc_processing_delay_ms: int = 10
     prach_configured_on: frozenset[int] = frozenset({0})
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> Optional[CellConfig]:
         if self.fr is _UNASSIGNED:
             raise ValueError("cell must sit in FR1 or FR2")
         width_hz = self.channel_bandwidth_mhz * 1_000_000
@@ -155,9 +152,9 @@ class CellConfig:
             raise ValueError(
                 f"channel bandwidth must be a positive finite number of MHz, got {self.channel_bandwidth_mhz}"
             )
-        object.__setattr__(self, "dl_bwps", tuple(self.dl_bwps))
-        object.__setattr__(self, "ul_bwps", tuple(self.ul_bwps))
-        object.__setattr__(self, "prach_configured_on", frozenset(self.prach_configured_on))
+        dl, ul, prach = self.dl_bwps, self.ul_bwps, self.prach_configured_on
+        if type(dl) is not tuple or type(ul) is not tuple or type(prach) is not frozenset:  # coerced, checked again
+            return self._replace(dl_bwps=tuple(dl), ul_bwps=tuple(ul), prach_configured_on=frozenset(prach))
 
     @property
     def channel_span(self) -> HzSpan:
@@ -173,8 +170,7 @@ class CellConfig:
         return bool(self.ul_bwps)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     rule_code: str
     severity: Severity
     message: str
@@ -189,8 +185,7 @@ class Finding:
         }
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     findings: tuple[Finding, ...]
 
     @property

@@ -8,9 +8,10 @@ becomes unreachable by DCI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from .grid import checked
 
 
 class IndicatorError(Exception):
@@ -56,35 +57,33 @@ class DciFormat(Enum):
 _FACTS = {fmt._value_: (fmt.direction, fmt.is_fallback) for fmt in DciFormat}
 
 
-@dataclass(frozen=True)
-class DciEvent:
+@checked
+class DciEvent(NamedTuple):
     """One received DCI. Fallback formats never carry indicator bits.
 
-    `direction` and `is_fallback` follow from the format; they are set
-    once here as plain attributes, not fields, so they take no part in
-    repr, == or hash.
+    `direction` and `is_fallback` follow from the format; they are
+    properties, not fields, so they take no part in repr, == or hash.
     """
 
     format: DciFormat
     bwp_indicator_bits: Optional[str] = None
+    direction = property(lambda self: _FACTS[self.format._value_][0])
+    is_fallback = property(lambda self: _FACTS[self.format._value_][1])
 
     def __post_init__(self) -> None:
         fmt = self.format
         if type(fmt) is not DciFormat:
             raise ValueError(f"DCI format must be a DciFormat, got {fmt!r}")
-        direction, is_fallback = _FACTS[fmt._value_]
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "is_fallback", is_fallback)
         bits = self.bwp_indicator_bits
         if bits is not None:
             if len(bits) > 2 or any(c not in "01" for c in bits):
                 raise ValueError(f"indicator bits must be a 0/1 string of length <= 2, got {bits!r}")
-            if is_fallback:
+            if _FACTS[fmt._value_][1]:
                 raise ValueError(f"fallback format {fmt.value} cannot carry a BWP indicator")
 
 
-@dataclass(frozen=True)
-class IndicatorContext:
+@checked
+class IndicatorContext(NamedTuple):
     """Number of RRC-configured BWPs in one direction, excluding the initial."""
 
     n_excl_initial: int

@@ -30,16 +30,16 @@ cell's two metrics become `Fraction`s once, when the cell finishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .config import CellConfig, UeCapability, validate
 from .dci import DciEvent, Direction
 from .fsm import SWITCH_CAUSES, CellStateMachine, EventRejection
+from .grid import Slots, checked
 from .trace import (
     EVENT_REJECTED,
     RUN_END,
@@ -95,8 +95,8 @@ _DELIVERY: dict[str, tuple[int, Callable[..., list[TraceRecord]]]] = {kind._valu
 }.items()}
 
 
-@dataclass(frozen=True)
-class SimEvent:
+@checked
+class SimEvent(NamedTuple):
     at_ms: Fraction
     cell: str
     kind: EventKind
@@ -109,16 +109,15 @@ class SimEvent:
             raise ValueError("DCI events need a DciEvent payload")
 
 
-@dataclass
-class Scenario:
-    cells: dict[str, CellConfig]
-    capability: UeCapability
-    events: list[SimEvent]
-    horizon_ms: Optional[Fraction]
+class Scenario(Slots):
+    __slots__ = ("cells", "capability", "events", "horizon_ms")
+
+    def __init__(self, cells: dict[str, CellConfig], capability: UeCapability, events: list[SimEvent],
+                 horizon_ms: Optional[Fraction]) -> None:
+        self.cells, self.capability, self.events, self.horizon_ms = cells, capability, events, horizon_ms
 
 
-@dataclass(frozen=True)
-class CellMetrics:
+class CellMetrics(NamedTuple):
     switch_count_by_cause: dict[str, int]
     rejected_event_count: int
     bandwidth_time_proxy_rb_ms: Fraction
@@ -133,8 +132,7 @@ class CellMetrics:
         }
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     total_time_ms: Fraction
     cells: dict[str, CellMetrics]
 
@@ -308,12 +306,8 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
 def _tick(m: CellStateMachine, now: int, trace: list[TraceRecord], keys: list[int], tally: _CellTally) -> None:
     """Tick m at `now`: its records go to `trace`, their times in eighths (a
     commit can lie before `now`) to `keys`, and those that move a metric to `tally`."""
-    last = _NO_TIME
-    for rec in m.on_tick(now):
+    for rec in m.on_tick(now, keys):
         trace.append(rec)
-        if rec.at_ms is not last:
-            last, at = rec.at_ms, to_units(rec.at_ms)
-        keys.append(at)
         if rec.record in _CellTally.KINDS:
             tally.add(rec)
 

@@ -37,7 +37,6 @@ here is synchronous and the whole machine is single-owner mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -51,6 +50,7 @@ from .config import (
     effective_default_dl,
 )
 from .dci import DciEvent, Direction, IndicatorContext, IndicatorError, decode_indicator
+from .grid import Slots
 from .trace import (
     DATA_SERVED,
     EVENT_REJECTED,
@@ -135,25 +135,25 @@ def _ceil_to(t: int, tick: int) -> int:
     return -(-t // tick) * tick
 
 
-@dataclass
-class SwitchWindow:
-    """An open switch window; its times are in eighths of a ms."""
+class SwitchWindow(Slots):
+    """An open switch window, its times in eighths of a ms: `commit_at` is the first tick at or after
+    `end_ms`, `cause` a SwitchCause, and `expiry_pending` set if the timer fires while it is open."""
 
-    end_ms: int
-    commit_at: int  # the first tick of the cell's grid at or after end_ms
-    target_dl: Optional[int]
-    target_ul: Optional[int]
-    cause: str  # a SwitchCause
-    expiry_pending: bool = False  # the timer fired while this window was open
+    __slots__ = ("end_ms", "commit_at", "target_dl", "target_ul", "cause", "expiry_pending")
+
+    def __init__(self, end_ms: int, commit_at: int, target_dl: Optional[int], target_ul: Optional[int], cause: str,
+                 expiry_pending: bool = False) -> None:
+        self.end_ms, self.commit_at, self.target_dl, self.target_ul = end_ms, commit_at, target_dl, target_ul
+        self.cause, self.expiry_pending = cause, expiry_pending
 
 
-@dataclass
-class BwpState:
-    active_dl: int
-    active_ul: Optional[int]
-    timer_expires_at: Optional[int] = None
-    switch_window: Optional[SwitchWindow] = None
-    rach_in_progress: bool = False
+class BwpState(Slots):
+    __slots__ = ("active_dl", "active_ul", "timer_expires_at", "switch_window", "rach_in_progress")
+
+    def __init__(self, active_dl: int, active_ul: Optional[int], timer_expires_at: Optional[int] = None,
+                 switch_window: Optional[SwitchWindow] = None, rach_in_progress: bool = False) -> None:
+        self.active_dl, self.active_ul, self.timer_expires_at = active_dl, active_ul, timer_expires_at
+        self.switch_window, self.rach_in_progress = switch_window, rach_in_progress
 
 
 class CellStateMachine:
@@ -292,13 +292,16 @@ class CellStateMachine:
         records = [self._open_window(now, target_dl, target_ul, SwitchCause.DCI)]
         return records + self._try_arm_timer(now)
 
-    def on_tick(self, now: int) -> list[TraceRecord]:
+    def on_tick(self, now: int, keys: Optional[list[int]] = None) -> list[TraceRecord]:
         """Commit the windows due by `now`, then fire the timer if it is due.
 
         `now` may lie on the tick grid or off it; the engine calls this at
         each `next_deadline()` it reaches and once more at the horizon.
+        `keys`, if given, gets each record's time in eighths of a ms: the end
+        of the window it commits, or `now`.
         """
-        records = self._close_due_windows(now)
+        ends: list[int] = []
+        records = self._close_due_windows(now, ends)
         st = self.state
         if st.timer_expires_at is not None and now >= st.timer_expires_at:
             st.timer_expires_at = None
@@ -307,6 +310,8 @@ class CellStateMachine:
                 st.switch_window.expiry_pending = True
             else:
                 records.append(self._open_expiry_window(now))
+        if keys is not None:
+            keys += ends + [now] * (len(records) - len(ends))
         return records
 
     def next_deadline(self) -> Optional[int]:
@@ -430,7 +435,7 @@ class CellStateMachine:
             cause=cause,
         )
 
-    def _close_due_windows(self, now: int) -> list[TraceRecord]:
+    def _close_due_windows(self, now: int, ends: list[int]) -> list[TraceRecord]:
         st = self.state
         records: list[TraceRecord] = []
         while st.switch_window is not None and st.switch_window.end_ms <= now:
@@ -466,6 +471,7 @@ class CellStateMachine:
                 # activation of a non-default BWP restarts the timer; for a
                 # DCI-driven switch the restart at reception already governs
                 records += self._try_arm_timer(t)
+            ends += [t] * (len(records) - len(ends))
         return records
 
     def _open_expiry_window(self, now: int) -> TraceRecord:

@@ -4,14 +4,16 @@ Everything here is a pure function over immutable values. Absolute
 frequencies are kept in integer Hz, span midpoints are exact rationals
 (denominator at most 2), and two spans share a center when their low + high
 sums are equal, so center-frequency equality checks are exact and never
-depend on floating-point rounding.
+depend on floating-point rounding. The bases of the value types, `checked`
+and `Slots`, are here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from enum import Enum
 from fractions import Fraction
+from typing import Any, NamedTuple
 
 SUBCARRIERS_PER_RB = 12
 
@@ -31,6 +33,41 @@ _EXTENDED = CyclicPrefix.EXTENDED
 # Timer granularity per frequency range: one subframe (FR1), half a subframe (FR2).
 _SUBFRAME_MS = Fraction(1)
 _HALF_SUBFRAME_MS = Fraction(1, 2)
+
+
+def checked(base: Any) -> Any:
+    """A NamedTuple type under `base`'s names whose construction, `_make` (so `_replace`) and unpickling
+    call its `__post_init__`: that raises ValueError for values it refuses, or returns other values to keep."""
+    n = len(base._fields)
+
+    class Checked(base):
+        __slots__ = ()
+        _make = classmethod(lambda cls, values: cls(*values))
+
+        def __new__(cls, *args: Any, **kwargs: Any) -> Any:
+            # every value by position, as the document reader gives them: no call of base's Python-level __new__
+            value = tuple.__new__(cls, args) if len(args) == n and not kwargs else base.__new__(cls, *args, **kwargs)
+            return value.__post_init__() or value
+
+    return functools.update_wrapper(Checked, base, updated=())  # base's names, and its signature for inspect
+
+
+class Slots:
+    """Base of a mutable value type: its `__slots__` are its fields, read in order as a NamedTuple's are."""
+
+    __slots__ = ()
+
+    def _asdict(self) -> dict[str, Any]:
+        return {k: getattr(self, k) for k in self.__slots__}
+
+    def _replace(self, **changes: Any) -> Any:
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in self._asdict().items())})"
+
+    def __eq__(self, other: object) -> bool:
+        return self._asdict() == other._asdict() if type(other) is type(self) else NotImplemented
 
 
 class FrequencyRange(Enum):
@@ -58,8 +95,8 @@ class FrequencyRange(Enum):
         raise ValueError("unassigned spectrum has no timer granularity")
 
 
-@dataclass(frozen=True)
-class Numerology:
+@checked
+class Numerology(NamedTuple):
     """Subcarrier-spacing index mu; SCS is 15 * 2**mu kHz."""
 
     mu: int
@@ -85,8 +122,8 @@ class Numerology:
         return SUBCARRIERS_PER_RB * self.scs_hz
 
 
-@dataclass(frozen=True)
-class HzSpan:
+@checked
+class HzSpan(NamedTuple):
     """Half-open-free frequency interval [low_hz, high_hz] in integer Hz."""
 
     low_hz: int
@@ -109,8 +146,8 @@ class HzSpan:
         return self.low_hz + self.high_hz == other.low_hz + other.high_hz
 
 
-@dataclass(frozen=True)
-class BwpGeometry:
+@checked
+class BwpGeometry(NamedTuple):
     """Frequency-domain shape of a bandwidth part.
 
     start_rb is the offset from Point A counted in this geometry's own RB

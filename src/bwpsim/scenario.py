@@ -12,7 +12,6 @@ engine.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from collections.abc import Mapping
 from enum import Enum, EnumMeta
@@ -133,7 +132,7 @@ def _step(hint: Any) -> _Step:
         return _list(_step(args[0]))
     if origin is Mapping:
         return _EXACT[dict]
-    if dataclasses.is_dataclass(hint):
+    if hasattr(hint, "_fields"):  # a NamedTuple config type
         return _object(_reader(hint))
     if isinstance(hint, EnumMeta):
         return _enum(hint)
@@ -145,8 +144,8 @@ def _reader(cls: type) -> Callable[[Any, str], Any]:
     """The reader of a config type's document object at path `where`:
     each field in order, by its annotation's `_step`, into the argument
     list of the constructor, which takes them positionally. An absent
-    field takes the field's default, a new one from its factory if it has
-    one; a required field has none and goes to `_read`, which refuses it.
+    field takes the field's default, a copy of its own if the default is a
+    dict; a required field has none and goes to `_read`, which refuses it.
     A nested object or list goes straight to its reader, with its path
     `where.key` built here; a constructor's TypeError, ValueError or
     OverflowError raises the ParseError of `where`. Built on first use,
@@ -154,11 +153,11 @@ def _reader(cls: type) -> Callable[[Any, str], Any]:
     """
     hints = get_type_hints(cls)
     plan = []
-    for f in dataclasses.fields(cls):
-        fresh = f.default_factory is not dataclasses.MISSING  # a new default for each object
-        default = f.default_factory if fresh else _REQUIRED if f.default is dataclasses.MISSING else f.default
-        step = _step(hints[f.name])
-        plan.append((f.name, step.exact, step.takes, step.inner, step.members, step, default, fresh))
+    for name in cls._fields:
+        default = cls._field_defaults.get(name, _REQUIRED)
+        fresh = type(default) is dict  # a copy for each object, not the type's one shared dict
+        step = _step(hints[name])
+        plan.append((name, step.exact, step.takes, step.inner, step.members, step, default, fresh))
 
     def read(obj: dict, where: str) -> Any:
         values = []
@@ -171,7 +170,7 @@ def _reader(cls: type) -> Callable[[Any, str], Any]:
                 elif kind is str and value in members:
                     value = members[value]
                 elif value is _REQUIRED and default is not _REQUIRED:
-                    value = default() if fresh else default
+                    value = default.copy() if fresh else default
                 elif value is not None or default is not None:  # null where the default is None stays None
                     value = _read(value, where, key, step)
             values.append(value)

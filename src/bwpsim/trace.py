@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Callable, Iterable, TextIO
+from typing import Any, Callable, Iterable, Optional, TextIO
+
+from .grid import Slots
 
 # Record kinds
 RUN_START = "RunStart"
@@ -196,12 +197,14 @@ def parse_ms(value: Any) -> Fraction:
     return Fraction(*dec.as_integer_ratio())
 
 
-@dataclass
-class TraceRecord:
-    at_ms: Fraction
-    cell: str
-    record: str
-    fields: dict[str, Any] = field(default_factory=dict)
+class TraceRecord(Slots):
+    """One record of a trace; `fields`, its payload, is a new dict if none is given."""
+
+    __slots__ = ("at_ms", "cell", "record", "fields")
+
+    def __init__(self, at_ms: Fraction, cell: str, record: str, fields: Optional[dict[str, Any]] = None) -> None:
+        self.at_ms, self.cell, self.record = at_ms, cell, record
+        self.fields = {} if fields is None else fields
 
     def to_obj(self) -> dict[str, Any]:
         """The record as a JSON object; ValueError if its time is not an int

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -335,8 +334,8 @@ def _some_extended_cp(rng: random.Random, bwps: tuple[b.BwpConfig, ...]) -> tupl
     out = []
     for bwp in bwps:
         if bwp.geometry.numerology.mu == 2 and rng.random() < 0.5:
-            geometry = dataclasses.replace(bwp.geometry, cyclic_prefix=b.CyclicPrefix.EXTENDED)
-            bwp = dataclasses.replace(bwp, common=dataclasses.replace(bwp.common, geometry=geometry))
+            geometry = bwp.geometry._replace(cyclic_prefix=b.CyclicPrefix.EXTENDED)
+            bwp = bwp._replace(common=bwp.common._replace(geometry=geometry))
         out.append(bwp)
     return tuple(out)
 
@@ -376,7 +375,7 @@ def random_asymmetric_scenario(rng: random.Random) -> b.Scenario:
             initial_dedicated=rng.random() < 0.5,
         )
         if shape == "dl-only":
-            cfg = dataclasses.replace(cfg, ul_bwps=(), first_active_ul=None, prach_configured_on=frozenset())
+            cfg = cfg._replace(ul_bwps=(), first_active_ul=None, prach_configured_on=frozenset())
         elif shape == "own-ul":
             ul_ids = [0, *sorted(rng.sample(ids[1:], rng.randint(0, n_bwps - 1)))]
             ul_bwps = spread_bwps(
@@ -385,15 +384,12 @@ def random_asymmetric_scenario(rng: random.Random) -> b.Scenario:
                 tuple(rng.choice((1, 2, 3, 6)) for _ in ids),
                 rng.random() < 0.5,
             )
-            cfg = dataclasses.replace(
-                cfg,
+            cfg = cfg._replace(
                 ul_bwps=tuple(bwp for bwp in ul_bwps if bwp.id in ul_ids),
                 first_active_ul=rng.choice([None, *ul_ids]),
                 prach_configured_on=frozenset(rng.sample(ul_ids, rng.randint(1, len(ul_ids)))),
             )
-        cfg = dataclasses.replace(
-            cfg, dl_bwps=_some_extended_cp(rng, cfg.dl_bwps), ul_bwps=_some_extended_cp(rng, cfg.ul_bwps)
-        )
+        cfg = cfg._replace(dl_bwps=_some_extended_cp(rng, cfg.dl_bwps), ul_bwps=_some_extended_cp(rng, cfg.ul_bwps))
         mixed_any |= len({bwp.geometry.numerology for bwp in (*cfg.dl_bwps, *cfg.ul_bwps)}) > 1
         cells[name] = cfg
     base = rng.choice([10, 30, 60])
@@ -407,7 +403,7 @@ def random_asymmetric_scenario(rng: random.Random) -> b.Scenario:
         ev = random_event(rng, at, cell, cfg)
         if ev.kind is b.EventKind.RRC_RECONFIG:
             ul = rng.choice([ev.first_active_dl, None, *(bwp.id for bwp in cfg.ul_bwps)])
-            ev = dataclasses.replace(ev, first_active_ul=ul)
+            ev = ev._replace(first_active_ul=ul)
         events.append(ev)
     capability = b.UeCapability(
         max_rrc_bwps=4,

@@ -5,7 +5,6 @@ per criterion. All clock comparisons are exact rational equality; no
 floating-point tolerances anywhere.
 """
 
-import dataclasses
 import random
 import time
 from fractions import Fraction as F
@@ -136,8 +135,8 @@ def test_criterion_05_counting_rule():
             make_bwp(i, 0, 100, dedicated=(i != 0 or initial_dedicated))
             for i in range(n_ids)
         )
-        bwps = (dataclasses.replace(bwps[0], common=cfg.dl_bwps[0].common),) + bwps[1:]
-        return dataclasses.replace(cfg, dl_bwps=bwps, ul_bwps=(cfg.ul_bwps[0],))
+        bwps = (bwps[0]._replace(common=cfg.dl_bwps[0].common),) + bwps[1:]
+        return cfg._replace(dl_bwps=bwps, ul_bwps=(cfg.ul_bwps[0],))
 
     # Option 1: #0 has no dedicated part, so 1..4 are the four configured
     opt1_full = dl_only_cell(5, initial_dedicated=False)
@@ -321,7 +320,7 @@ def test_criterion_08_adaptation_direction():
 
     def scenario(timer_ms):
         # 270-RB first-active #1, 52-RB default #2
-        cfg = dataclasses.replace(adaptation_cell(), inactivity_timer_ms=timer_ms)
+        cfg = adaptation_cell()._replace(inactivity_timer_ms=timer_ms)
         events = [b.SimEvent(F(10), "c", b.EventKind.RRC_RECONFIG,
                              first_active_dl=1, first_active_ul=1)]
         for t in range(25, 125, 10):  # 100 ms burst, then 500 ms idle

@@ -247,3 +247,14 @@ def test_module_entry_point_runs_the_cli():
     )
     assert proc.returncode == 1
     assert "TIMER-RANGE" in proc.stderr
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    """Every `bwpsim` command pays for its imports at start. Under `python -S`,
+    so that no site hook of the host imports them either, the CLI's import
+    chain leaves out `dataclasses` and `inspect`, which with `ast`, `dis` and
+    `tokenize` cost several ms per start."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    code = "import sys, bwpsim.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

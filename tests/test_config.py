@@ -1,6 +1,5 @@
 """Configuration model and validator."""
 
-import dataclasses
 import json
 import random
 import re
@@ -54,11 +53,11 @@ class TestDefaultAndDciAvailability:
         assert b.effective_default_dl(adaptation_cell()) == 2
 
     def test_unconfigured_default_is_initial(self):
-        cfg = dataclasses.replace(adaptation_cell(), default_dl_bwp=None)
+        cfg = adaptation_cell()._replace(default_dl_bwp=None)
         assert b.effective_default_dl(cfg) == 0
 
     def test_explicit_zero_equals_implicit(self):
-        cfg = dataclasses.replace(adaptation_cell(), default_dl_bwp=0)
+        cfg = adaptation_cell()._replace(default_dl_bwp=0)
         assert b.effective_default_dl(cfg) == 0
 
     def test_option1_initial_blocks_nonfallback(self):
@@ -75,7 +74,7 @@ class TestDefaultAndDciAvailability:
         """Only an Option 1 BWP #0 limits DCI; a cell without a DL BWP #0
         (invalid, INITIAL-BWP) has none, and the answer is not a KeyError."""
         cfg = adaptation_cell()
-        assert b.dci_switch_available(dataclasses.replace(cfg, dl_bwps=cfg.dl_bwps[1:]), 0)
+        assert b.dci_switch_available(cfg._replace(dl_bwps=cfg.dl_bwps[1:]), 0)
 
 
 class TestValidate:
@@ -84,14 +83,14 @@ class TestValidate:
 
     def test_five_dedicated_bwps_hit_count_rule(self):
         bwps = tuple(make_bwp(i, 0, 50) for i in range(5))  # Option 2 #0 counts too
-        cfg = dataclasses.replace(adaptation_cell(), dl_bwps=bwps, ul_bwps=bwps)
+        cfg = adaptation_cell()._replace(dl_bwps=bwps, ul_bwps=bwps)
         codes = report_codes(cfg, CAP4)
         assert codes.count("BWP-COUNT") == 2  # once per direction
 
     def test_small_initial_bwp_fails_coreset_containment(self):
         cfg = adaptation_cell()
         bwps = (make_bwp(0, 0, 20, dedicated=False), make_bwp(1, 0, 270), make_bwp(2, 0, 52))
-        cfg = dataclasses.replace(cfg, dl_bwps=bwps)
+        cfg = cfg._replace(dl_bwps=bwps)
         assert "CORESET0-CONTAIN" in report_codes(cfg, CAP4)
 
     def test_tdd_mismatched_centers(self):
@@ -99,7 +98,7 @@ class TestValidate:
         # shift UL #1 off-center: same width, different start
         ul = list(cfg.ul_bwps)
         ul[1] = make_bwp(1, 0, 100 - 2)
-        cfg = dataclasses.replace(cfg, ul_bwps=tuple(ul))
+        cfg = cfg._replace(ul_bwps=tuple(ul))
         assert "TDD-CENTER" in report_codes(cfg, CAP4)
 
     @pytest.mark.parametrize("shifted_first", [False, True])
@@ -108,7 +107,7 @@ class TestValidate:
         cfg = centered_cell(duplex=b.Duplex.TDD)
         centered, shifted = cfg.ul_bwps[1], make_bwp(1, 0, 100 - 2)
         pair = (shifted, centered) if shifted_first else (centered, shifted)
-        cfg = dataclasses.replace(cfg, ul_bwps=(cfg.ul_bwps[0], *pair, cfg.ul_bwps[2]))
+        cfg = cfg._replace(ul_bwps=(cfg.ul_bwps[0], *pair, cfg.ul_bwps[2]))
         assert next(u for u in cfg.ul_bwps if u.id == 1) is pair[0]
         codes = report_codes(cfg, CAP4)
         assert "DUPLICATE-ID" in codes
@@ -119,32 +118,32 @@ class TestValidate:
         cfg = centered_cell(duplex=b.Duplex.TDD)
         ul = cfg.ul_bwps[1]
         g = ul.geometry
-        odd = dataclasses.replace(ul, common=b.BwpCommon(_OneHzWider(g.start_rb, g.n_rbs, g.numerology)))
-        cfg = dataclasses.replace(cfg, ul_bwps=(cfg.ul_bwps[0], odd, cfg.ul_bwps[2]))
+        odd = ul._replace(common=b.BwpCommon(_OneHzWider(g.start_rb, g.n_rbs, g.numerology)))
+        cfg = cfg._replace(ul_bwps=(cfg.ul_bwps[0], odd, cfg.ul_bwps[2]))
         findings = b.validate(cfg, CAP4).findings
         assert [(f.rule_code, f.location) for f in findings] == [("TDD-CENTER", "ul_bwps[1]")]
 
     def test_tdd_id_sets_must_match(self):
         cfg = centered_cell(duplex=b.Duplex.TDD)
-        cfg = dataclasses.replace(cfg, ul_bwps=cfg.ul_bwps[:2], prach_configured_on=frozenset({0}))
+        cfg = cfg._replace(ul_bwps=cfg.ul_bwps[:2], prach_configured_on=frozenset({0}))
         assert "TDD-PAIR-IDS" in report_codes(cfg, CAP4)
 
     @pytest.mark.parametrize("timer,bad", [(2, False), (2560, False), (1, True), (3000, True)])
     def test_timer_range(self, timer, bad):
-        cfg = dataclasses.replace(adaptation_cell(), inactivity_timer_ms=timer)
+        cfg = adaptation_cell()._replace(inactivity_timer_ms=timer)
         assert ("TIMER-RANGE" in report_codes(cfg, CAP4)) == bad
 
     @pytest.mark.parametrize("delay,bad", [(5, False), (80, False), (4, True), (81, True)])
     def test_rrc_delay_range(self, delay, bad):
-        cfg = dataclasses.replace(adaptation_cell(), rrc_processing_delay_ms=delay)
+        cfg = adaptation_cell()._replace(rrc_processing_delay_ms=delay)
         assert ("RRC-DELAY" in report_codes(cfg, CAP4)) == bad
 
     def test_channel_bandwidth_range(self):
-        cfg = dataclasses.replace(adaptation_cell(), channel_bandwidth_mhz=450.0)
+        cfg = adaptation_cell()._replace(channel_bandwidth_mhz=450.0)
         assert "CHANNEL-BW" in report_codes(cfg, CAP4)
 
     def test_bwp_must_fit_in_channel(self):
-        cfg = dataclasses.replace(adaptation_cell(), channel_bandwidth_mhz=40.0)
+        cfg = adaptation_cell()._replace(channel_bandwidth_mhz=40.0)
         # 270 RB * 180 kHz = 48.6 MHz no longer fits
         assert "BWP-IN-CHANNEL" in report_codes(cfg, CAP4)
 
@@ -152,11 +151,11 @@ class TestValidate:
         # 100 RBs of 180 kHz from Point A end at exactly 18 MHz: inside an
         # 18 MHz channel, 10 Hz outside a 17.99999 MHz one
         bwps = (make_bwp(0, 0, 24, dedicated=False), make_bwp(1, 0, 100))
-        cfg = dataclasses.replace(adaptation_cell(), dl_bwps=bwps, ul_bwps=bwps, default_dl_bwp=None)
-        edge = dataclasses.replace(cfg, channel_bandwidth_mhz=18.0)
+        cfg = adaptation_cell()._replace(dl_bwps=bwps, ul_bwps=bwps, default_dl_bwp=None)
+        edge = cfg._replace(channel_bandwidth_mhz=18.0)
         assert edge.channel_span == b.HzSpan(cfg.point_a_hz, cfg.point_a_hz + 18_000_000)
         assert report_codes(edge, CAP4) == ()
-        short = dataclasses.replace(cfg, channel_bandwidth_mhz=17.99999)
+        short = cfg._replace(channel_bandwidth_mhz=17.99999)
         assert short.channel_span.high_hz == cfg.point_a_hz + 17_999_990
         assert [(f.rule_code, f.location) for f in b.validate(short, CAP4).findings] == [
             ("BWP-IN-CHANNEL", "dl_bwps[1]"), ("BWP-IN-CHANNEL", "ul_bwps[1]"),
@@ -165,13 +164,13 @@ class TestValidate:
     def test_oversized_bwp(self):
         cfg = adaptation_cell()
         bwps = (*cfg.dl_bwps[:2], make_bwp(2, 0, 276))
-        cfg = dataclasses.replace(cfg, dl_bwps=bwps, channel_bandwidth_mhz=60.0)
+        cfg = cfg._replace(dl_bwps=bwps, channel_bandwidth_mhz=60.0)
         assert "BWP-SIZE" in report_codes(cfg, CAP4)
 
     def test_rbg_floor_warning(self):
         cfg = adaptation_cell()
         bwps = (*cfg.dl_bwps, make_bwp(3, 0, 1))
-        cfg = dataclasses.replace(cfg, dl_bwps=bwps)
+        cfg = cfg._replace(dl_bwps=bwps)
         # no-restriction capability so the undersized BWP is the only finding
         cap = b.UeCapability(max_rrc_bwps=4, supports_no_bandwidth_restriction=True)
         rep = b.validate(cfg, cap)
@@ -182,31 +181,31 @@ class TestValidate:
     def test_id_out_of_range(self):
         cfg = adaptation_cell()
         bwps = (*cfg.dl_bwps, make_bwp(3, 0, 50), make_bwp(4, 0, 50), make_bwp(5, 0, 50))
-        cfg = dataclasses.replace(cfg, dl_bwps=bwps)
+        cfg = cfg._replace(dl_bwps=bwps)
         assert "BWP-ID-RANGE" in report_codes(cfg, CAP4)
 
     def test_duplicate_ids(self):
         cfg = adaptation_cell()
         bwps = (*cfg.dl_bwps, make_bwp(2, 0, 50))
-        cfg = dataclasses.replace(cfg, dl_bwps=bwps)
+        cfg = cfg._replace(dl_bwps=bwps)
         assert "DUPLICATE-ID" in report_codes(cfg, CAP4)
 
     def test_missing_initial_bwp(self):
         cfg = adaptation_cell()
-        cfg = dataclasses.replace(cfg, dl_bwps=cfg.dl_bwps[1:])
+        cfg = cfg._replace(dl_bwps=cfg.dl_bwps[1:])
         assert "INITIAL-BWP" in report_codes(cfg, CAP4)
 
     def test_missing_initial_ul_bwp(self):
         """A UL list needs BWP #0 too, though the DL list has it."""
         cfg = adaptation_cell()
-        cfg = dataclasses.replace(cfg, ul_bwps=cfg.ul_bwps[1:], prach_configured_on=frozenset({1}))
+        cfg = cfg._replace(ul_bwps=cfg.ul_bwps[1:], prach_configured_on=frozenset({1}))
         findings = b.validate(cfg, CAP4).findings
         assert [(f.rule_code, f.location) for f in findings if f.rule_code == "INITIAL-BWP"] == [
             ("INITIAL-BWP", "ul_bwps")]
         assert not b.validate(adaptation_cell(), CAP4).has_errors
 
     def test_tdd_first_active_ids_must_match(self):
-        cfg = dataclasses.replace(centered_cell(duplex=b.Duplex.TDD), first_active_ul=2)
+        cfg = centered_cell(duplex=b.Duplex.TDD)._replace(first_active_ul=2)
         findings = b.validate(cfg, CAP4).findings
         assert [(f.rule_code, f.severity, f.location) for f in findings] == [
             ("TDD-FIRST-ACTIVE", b.Severity.ERROR, "first_active_ul")]
@@ -214,7 +213,7 @@ class TestValidate:
     def test_nonzero_bwp_needs_dedicated(self):
         cfg = adaptation_cell()
         bwps = (cfg.dl_bwps[0], make_bwp(1, 0, 270, dedicated=False), cfg.dl_bwps[2])
-        cfg = dataclasses.replace(cfg, dl_bwps=bwps)
+        cfg = cfg._replace(dl_bwps=bwps)
         assert "BWP-DEDICATED" in report_codes(cfg, CAP4)
 
     def test_mixed_numerology_needs_capability(self):
@@ -222,7 +221,7 @@ class TestValidate:
         mixed = (*base.dl_bwps[:2], make_bwp(2, 12, 26, mu=1))
         mixed_cap = b.UeCapability(max_rrc_bwps=4, mixed_numerology_bwps=True)
         for direction in ("dl_bwps", "ul_bwps"):  # a numerology in one direction only counts too
-            cfg = dataclasses.replace(base, **{direction: mixed})
+            cfg = base._replace(**{direction: mixed})
             assert "MIXED-NUMEROLOGY" in report_codes(cfg, CAP4)
             assert "MIXED-NUMEROLOGY" not in report_codes(cfg, mixed_cap)
 
@@ -230,7 +229,7 @@ class TestValidate:
         cfg = adaptation_cell()
         # narrow #2 placed away from the SSB/CORESET block
         bwps = (*cfg.dl_bwps[:2], make_bwp(2, 100, 52))
-        cfg = dataclasses.replace(cfg, dl_bwps=bwps)
+        cfg = cfg._replace(dl_bwps=bwps)
         assert "BW-RESTRICTION" in report_codes(cfg, CAP4)
         free_cap = b.UeCapability(max_rrc_bwps=4, supports_no_bandwidth_restriction=True)
         assert "BW-RESTRICTION" not in report_codes(cfg, free_cap)
@@ -247,7 +246,7 @@ class TestValidate:
         # the SSB at RBs 30..40 lies outside the initial BWP (0..24), which
         # still contains CORESET #0 (0..24); #1 and #2 contain both
         cfg = adaptation_cell()
-        cfg = dataclasses.replace(cfg, ssb_span=self._rb_span(cfg, 30, 40))
+        cfg = cfg._replace(ssb_span=self._rb_span(cfg, 30, 40))
         assert self._restriction_findings(cfg) == [
             ("dl_bwps[0]", "DL BWP #0 does not contain SSB and the UE requires the bandwidth restriction")
         ]
@@ -256,8 +255,7 @@ class TestValidate:
     def test_bandwidth_restriction_needs_coreset0_on_the_spcell(self, role):
         # #2 at RBs 2..54 contains the SSB (4..20) but not CORESET #0 (0..24)
         cfg = adaptation_cell()
-        cfg = dataclasses.replace(
-            cfg, cell_role=role, ssb_span=self._rb_span(cfg, 4, 20),
+        cfg = cfg._replace(cell_role=role, ssb_span=self._rb_span(cfg, 4, 20),
             dl_bwps=(*cfg.dl_bwps[:2], make_bwp(2, 2, 52)),
         )
         expected = [("dl_bwps[2]", "DL BWP #2 does not contain CORESET #0 and the UE requires the bandwidth restriction")]
@@ -270,7 +268,7 @@ class TestValidate:
         cap = b.UeCapability(max_rrc_bwps=max_bwps)
         for n, over in ((max_bwps, False), (max_bwps + 1, True)):
             bwps = (cfg.dl_bwps[0], *(make_bwp(i, 0, 52) for i in range(1, n + 1)))
-            cell = dataclasses.replace(cfg, dl_bwps=bwps, ul_bwps=bwps, default_dl_bwp=None)
+            cell = cfg._replace(dl_bwps=bwps, ul_bwps=bwps, default_dl_bwp=None)
             findings = [f.message for f in b.validate(cell, cap).findings if f.rule_code == "BWP-COUNT"]
             assert findings == ([
                 f"{n} RRC-configured BWPs in dl_bwps exceeds the limit of {max_bwps}",
@@ -278,19 +276,19 @@ class TestValidate:
             ] if over else [])
 
     def test_scell_requires_first_active(self):
-        cfg = dataclasses.replace(adaptation_cell(), cell_role=b.CellRole.SCELL, first_active_dl=None)
+        cfg = adaptation_cell()._replace(cell_role=b.CellRole.SCELL, first_active_dl=None)
         assert "SCELL-FIRST-ACTIVE" in report_codes(cfg, CAP4)
 
     def test_dangling_references(self):
-        cfg = dataclasses.replace(adaptation_cell(), default_dl_bwp=4)
+        cfg = adaptation_cell()._replace(default_dl_bwp=4)
         assert "DEFAULT-REF" in report_codes(cfg, CAP4)
-        cfg = dataclasses.replace(adaptation_cell(), first_active_dl=4)
+        cfg = adaptation_cell()._replace(first_active_dl=4)
         assert "FIRST-ACTIVE-REF" in report_codes(cfg, CAP4)
-        cfg = dataclasses.replace(adaptation_cell(), prach_configured_on=frozenset({0, 4}))
+        cfg = adaptation_cell()._replace(prach_configured_on=frozenset({0, 4}))
         assert "PRACH-REF" in report_codes(cfg, CAP4)
 
     def test_validation_is_deterministic(self):
-        cfg = dataclasses.replace(adaptation_cell(), default_dl_bwp=4, inactivity_timer_ms=1)
+        cfg = adaptation_cell()._replace(default_dl_bwp=4, inactivity_timer_ms=1)
         r1 = b.validate(cfg, CAP4)
         r2 = b.validate(cfg, CAP4)
         assert json.dumps(r1.to_obj()) == json.dumps(r2.to_obj())
@@ -298,8 +296,7 @@ class TestValidate:
     def test_errors_never_raise(self):
         # a config violating many rules at once still just yields findings
         bwps = (make_bwp(1, 0, 276),)
-        cfg = dataclasses.replace(
-            adaptation_cell(),
+        cfg = adaptation_cell()._replace(
             dl_bwps=bwps,
             ul_bwps=(),
             channel_bandwidth_mhz=500.0,
@@ -359,12 +356,12 @@ def test_channel_must_be_positive_and_finite(mhz):
     """A channel narrower than half a Hz, negative or not finite is refused
     at construction; validation never sees it."""
     with pytest.raises(ValueError, match="positive finite number of MHz"):
-        dataclasses.replace(adaptation_cell(), channel_bandwidth_mhz=mhz)
+        adaptation_cell()._replace(channel_bandwidth_mhz=mhz)
 
 
 def test_a_one_hz_channel_is_constructed():
     """1 Hz is the narrowest channel that does not round to nothing."""
-    assert dataclasses.replace(adaptation_cell(), channel_bandwidth_mhz=1e-6).channel_bandwidth_mhz == 1e-6
+    assert adaptation_cell()._replace(channel_bandwidth_mhz=1e-6).channel_bandwidth_mhz == 1e-6
 
 
 def test_docs_list_every_rule_code_with_its_severity():

@@ -1,6 +1,5 @@
 """BWP indicator codec: exhaustive over the whole field interpretation."""
 
-import dataclasses
 import pickle
 import re
 
@@ -114,10 +113,10 @@ class TestDciEvent:
         ],
     )
     def test_facts_follow_the_format_after_construction_and_replace(self, fmt, direction, fallback):
-        """Set once per construction; dataclasses.replace constructs anew, so
-        an event moved to another format takes that format's facts."""
+        """Read from the format; _replace constructs anew, so an event moved
+        to another format takes that format's facts."""
         events = [DciEvent(fmt), DciEvent(fmt, None if fallback else "1")]
-        events += [dataclasses.replace(DciEvent(other), format=fmt) for other in DciFormat]
+        events += [DciEvent(other)._replace(format=fmt) for other in DciFormat]
         events += [pickle.loads(pickle.dumps(ev)) for ev in events]
         for ev in events:
             assert (ev.direction, ev.is_fallback) == (direction, fallback), ev
@@ -126,12 +125,12 @@ class TestDciEvent:
     def test_facts_are_not_fields(self):
         """repr, ==, hash and the field list see only the format and the bits."""
         ev = DciEvent(DciFormat.FMT_1_1, "01")
-        assert [f.name for f in dataclasses.fields(ev)] == ["format", "bwp_indicator_bits"]
+        assert ev._fields == ("format", "bwp_indicator_bits")
         assert repr(ev) == "DciEvent(format=<DciFormat.FMT_1_1: '1_1'>, bwp_indicator_bits='01')"
-        assert dataclasses.astuple(ev) == (DciFormat.FMT_1_1, "01")
+        assert tuple(ev) == (DciFormat.FMT_1_1, "01")
         assert ev == DciEvent(DciFormat.FMT_1_1, "01") != DciEvent(DciFormat.FMT_1_1, "10")
         assert hash(ev) == hash(DciEvent(DciFormat.FMT_1_1, "01")) == hash((DciFormat.FMT_1_1, "01"))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             ev.direction = Direction.UL_GRANT  # type: ignore[misc]
 
     def test_fallback_flags(self):

@@ -2,7 +2,6 @@
 
 import collections
 import cProfile
-import dataclasses
 import enum
 import io
 import json
@@ -142,7 +141,7 @@ def test_metrics_refuse_a_time_that_is_not_an_int_or_fraction(at_ms):
     exact = b.CellMetrics({}, 0, F(1, 2), 3)
     inexact = [("total_time_ms", b.RunMetrics(at_ms, {})), ("total_time_ms", b.RunMetrics(at_ms, {"c": exact}))]
     for name in ("bandwidth_time_proxy_rb_ms", "time_on_default_ms"):
-        inexact.append((name, b.RunMetrics(F(4), {"c": dataclasses.replace(exact, **{name: at_ms})})))
+        inexact.append((name, b.RunMetrics(F(4), {"c": exact._replace(**{name: at_ms})})))
     for name, metrics in inexact:
         message = re.escape(f"{name} at {at_ms!r} ms: a time must be an int or Fraction")
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -175,7 +174,7 @@ class TestScenarioErrors:
         b.run(scn)
 
     def test_invalid_config_carries_report(self):
-        cfg = dataclasses.replace(adaptation_cell(), inactivity_timer_ms=9999)
+        cfg = adaptation_cell()._replace(inactivity_timer_ms=9999)
         scn = b.Scenario(cells={"pcell": cfg}, capability=CAP4, events=[], horizon_ms=F(10))
         with pytest.raises(b.ScenarioInvalid) as exc:
             b.run(scn)
@@ -275,7 +274,7 @@ def test_rejected_events_are_traced_and_counted():
 
 
 def _burst_idle_scenario(timer_ms):
-    cfg = dataclasses.replace(adaptation_cell(), inactivity_timer_ms=timer_ms)
+    cfg = adaptation_cell()._replace(inactivity_timer_ms=timer_ms)
     events = [b.SimEvent(F(10), "pcell", b.EventKind.RRC_RECONFIG,
                          first_active_dl=1, first_active_ul=1)]
     # 100 ms burst of scheduling on the wide BWP, then 500 ms of silence
@@ -791,11 +790,11 @@ def count_ticks(monkeypatch, limit=None):
     calls = [0]
     on_tick = CellStateMachine.on_tick
 
-    def counted(self, now):
+    def counted(self, now, keys=None):
         calls[0] += 1
         if limit is not None and calls[0] > limit:
             raise AssertionError(f"on_tick called over {limit} times, now at {F(now, 8)} ms")
-        return on_tick(self, now)
+        return on_tick(self, now, keys)
 
     monkeypatch.setattr(CellStateMachine, "on_tick", counted)
     return calls
@@ -870,9 +869,9 @@ def test_a_horizon_only_bounds_the_run(monkeypatch):
     times = []
     on_tick = CellStateMachine.on_tick
 
-    def ticked(self, now):
+    def ticked(self, now, keys=None):
         times.append(now)
-        return on_tick(self, now)
+        return on_tick(self, now, keys)
 
     monkeypatch.setattr(CellStateMachine, "on_tick", ticked)
     doc = json.loads((FIXTURES / "tdd_scenario.json").read_text())
@@ -887,11 +886,11 @@ def test_run_drives_the_machines_on_an_integer_clock(monkeypatch):
     seen = []
     on_tick, next_deadline = CellStateMachine.on_tick, CellStateMachine.next_deadline
 
-    def ticked(self, now):
+    def ticked(self, now, keys=None):
         st = self.state
         seen.extend([now, st.timer_expires_at, *(
             (st.switch_window.end_ms, st.switch_window.commit_at) if st.switch_window else ())])
-        return on_tick(self, now)
+        return on_tick(self, now, keys)
 
     def deadline(self):
         d = next_deadline(self)
@@ -989,7 +988,7 @@ def _grown_scenarios(seed):
             cell = rng.choice(list(scn.cells))
             tick = scn.cells[cell].tick_ms
             events.append(random_event(rng, tick * rng.randint(0, int(end / tick)), cell, scn.cells[cell]))
-        grown.append(dataclasses.replace(scn, events=list(events)))
+        grown.append(scn._replace(events=list(events)))
     return grown
 
 
@@ -1000,8 +999,8 @@ def test_fixed_facts_are_looked_up_per_cell_not_per_event():
     for a random multicell scenario and for its cells with twice the events."""
     watched = {vars(enum.Enum)["value"].fget.__code__: "Enum.value"}
     for cls in (b.DciFormat, b.CellConfig, b.CellRole):
-        watched.update({p.fget.__code__: f"{cls.__name__}.{name}"
-                        for name, p in vars(cls).items() if isinstance(p, property)})
+        watched.update({p.fget.__code__: f"{cls.__name__}.{name}" for base in cls.__mro__
+                        for name, p in vars(base).items() if isinstance(p, property)})
 
     for seed in range(3):
         few, many = _grown_scenarios(seed)
@@ -1052,7 +1051,7 @@ def test_run_makes_fewer_fractions_than_record_times():
     watched = {F.__new__.__code__: "Fraction"}
     for seed in range(3):
         for scn in _grown_scenarios(seed):
-            _, base = _profiled_run(dataclasses.replace(scn, events=[]), watched)
+            _, base = _profiled_run(scn._replace(events=[]), watched)
             trace, calls = _profiled_run(scn, watched)
             times = {r.at_ms for r in trace}
             made = calls["Fraction"] - base["Fraction"]
@@ -1089,5 +1088,5 @@ def test_int_event_times_still_give_fraction_record_times():
     assert [(r.at_ms, r.record) for r in trace if r.at_ms in (0, 10)] == [
         (0, RUN_START), (0, "DataServed"), (10, "TimerStart"), (10, "DataServed")]
     assert {type(r.at_ms) for r in trace} == {F}
-    assert written(trace) == written(b.run(dataclasses.replace(scn, events=[
-        dataclasses.replace(ev, at_ms=F(ev.at_ms)) for ev in scn.events]))[0])
+    assert written(trace) == written(b.run(scn._replace(events=[
+        ev._replace(at_ms=F(ev.at_ms)) for ev in scn.events]))[0])

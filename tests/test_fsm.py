@@ -1,6 +1,5 @@
 """State-machine behavior, driven directly without the engine."""
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -54,7 +53,7 @@ def kinds(records) -> list[str]:
 
 def dl_only_cell(**kw) -> b.CellConfig:
     """centered_cell without UL BWPs, and so without PRACH occasions."""
-    return dataclasses.replace(centered_cell(**kw), ul_bwps=(), first_active_ul=None,
+    return centered_cell(**kw)._replace(ul_bwps=(), first_active_ul=None,
                                prach_configured_on=frozenset())
 
 
@@ -114,7 +113,7 @@ def test_start_record_is_the_state_before_any_event():
     rec = m.start_record()
     assert (rec.at_ms, rec.cell, rec.record) == (0, "cell", "RunStart")
     assert rec.fields == {"active_dl": 0, "active_ul": 0, "dl_rbs": 24, "default_dl": 2}
-    dl_only = dataclasses.replace(centered_cell(default_dl=None), ul_bwps=(), first_active_ul=None,
+    dl_only = centered_cell(default_dl=None)._replace(ul_bwps=(), first_active_ul=None,
                                   prach_configured_on=frozenset())
     assert machine(dl_only).start_record().fields == {
         "active_dl": 0, "active_ul": None, "dl_rbs": 24, "default_dl": 0}
@@ -124,7 +123,7 @@ def test_a_cell_without_dl_bwp0_is_refused_at_construction():
     """Every machine starts on DL BWP #0, so a cell without one is a
     ValueError naming it, not a KeyError in `start_record()`."""
     cfg = centered_cell()
-    no_bwp0 = dataclasses.replace(cfg, dl_bwps=cfg.dl_bwps[1:])
+    no_bwp0 = cfg._replace(dl_bwps=cfg.dl_bwps[1:])
     with pytest.raises(ValueError, match=r"^cell 'pcell' has no DL BWP #0 to start on$"):
         CellStateMachine("pcell", no_bwp0, b.UeCapability(max_rrc_bwps=4))
 
@@ -147,7 +146,7 @@ class TestRrcSwitch:
         assert m.state.switch_window is None
 
     def test_scell_activation_uses_configured_first_active(self):
-        cfg = dataclasses.replace(adaptation_cell(), cell_role=b.CellRole.SCELL, first_active_dl=2,
+        cfg = adaptation_cell()._replace(cell_role=b.CellRole.SCELL, first_active_dl=2,
                                   first_active_ul=2)
         m = machine(cfg)
         recs = m.on_rrc_reconfig(at(4), scell_activation=True)
@@ -258,7 +257,7 @@ class TestDciSwitch:
         cfg = centered_cell()
         option2, option1 = cfg.dl_bwps[0], make_bwp(0, 30, 40, dedicated=False)
         first, second = (option2, option1) if dedicated_first else (option1, option2)
-        cfg = dataclasses.replace(cfg, dl_bwps=(first, *cfg.dl_bwps[1:], second))
+        cfg = cfg._replace(dl_bwps=(first, *cfg.dl_bwps[1:], second))
         m = CellStateMachine("cell", cfg, b.UeCapability(max_rrc_bwps=4))
         assert m.start_record().fields["dl_rbs"] == first.geometry.n_rbs
         dci = b.DciEvent(b.DciFormat.FMT_1_1, "01")
@@ -286,7 +285,7 @@ class TestDciSwitch:
     def test_decoded_target_must_be_configured(self):
         cfg = centered_cell()
         bwps = (cfg.dl_bwps[0], cfg.dl_bwps[1], make_bwp(3, 24, 52))
-        cfg = dataclasses.replace(cfg, dl_bwps=bwps, ul_bwps=bwps, default_dl_bwp=None,
+        cfg = cfg._replace(dl_bwps=bwps, ul_bwps=bwps, default_dl_bwp=None,
                                   first_active_dl=None, first_active_ul=None)
         m = machine(cfg)
         with pytest.raises(EventRejection) as exc:
@@ -299,7 +298,7 @@ class TestDciSwitch:
         codepoint 11, and 10 names #2."""
         cfg = centered_cell()
         bwps = (cfg.dl_bwps[0], make_bwp(2, 0, 100), make_bwp(3, 24, 52))
-        cfg = dataclasses.replace(cfg, dl_bwps=bwps, ul_bwps=bwps, default_dl_bwp=None,
+        cfg = cfg._replace(dl_bwps=bwps, ul_bwps=bwps, default_dl_bwp=None,
                                   first_active_dl=None, first_active_ul=None)
         m = machine(cfg)
         assert rejection(lambda: m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_1_1, "11")))[0] == "InvalidCodepoint"
@@ -310,7 +309,7 @@ class TestDciSwitch:
     def test_each_direction_decodes_with_its_own_width(self):
         """Three DL BWPs take a 2-bit indicator, two UL BWPs a 1-bit one."""
         cfg = centered_cell()
-        cfg = dataclasses.replace(cfg, ul_bwps=cfg.ul_bwps[:2])
+        cfg = cfg._replace(ul_bwps=cfg.ul_bwps[:2])
         m = machine(cfg)
         m.on_dci(at(2), b.DciEvent(b.DciFormat.FMT_0_1, "1"))
         tick_until(m, at(2), at(3))
@@ -524,7 +523,7 @@ class TestRach:
         """An FDD PCell on UL BWP #3, which has PRACH but no DL BWP #3:
         the DL cannot follow the UL."""
         base = centered_cell(prach_on=frozenset({0, 3}))
-        m = machine(dataclasses.replace(base, ul_bwps=(*base.ul_bwps, make_bwp(3, 30, 40))))
+        m = machine(base._replace(ul_bwps=(*base.ul_bwps, make_bwp(3, 30, 40))))
         m.on_rrc_reconfig(at(5), 1, 3)
         tick_until(m, at(5), at(20))
         assert (m.state.active_dl, m.state.active_ul, m.state.switch_window) == (1, 3, None)
@@ -539,7 +538,7 @@ class TestRach:
         cfg = spread_cell(fr=b.FrequencyRange.FR2, mus=(4, 3), widths=(1, 1), duplex=b.Duplex.FDD,
                           role=b.CellRole.PCELL, default_dl=None, timer_ms=None, prach_on=frozenset({0, 1}),
                           first_active=None, rrc_delay_ms=10, initial_dedicated=True)
-        cfg = dataclasses.replace(cfg, ul_bwps=spread_bwps(b.FrequencyRange.FR2, (3, 3), (1, 1), True))
+        cfg = cfg._replace(ul_bwps=spread_bwps(b.FrequencyRange.FR2, (3, 3), (1, 1), True))
         cap = b.UeCapability(max_rrc_bwps=4, mixed_numerology_bwps=True)
         assert not b.validate(cfg, cap).has_errors
         m = CellStateMachine("cell", cfg, cap)
@@ -555,9 +554,8 @@ class TestRach:
             "NotInRach", "no random-access procedure in progress")
 
     def test_no_uplink_no_rach(self):
-        cfg = dataclasses.replace(centered_cell(role=b.CellRole.SCELL, first_active=1),
-                                  ul_bwps=(), first_active_ul=None,
-                                  prach_configured_on=frozenset())
+        cfg = centered_cell(role=b.CellRole.SCELL, first_active=1)._replace(
+            ul_bwps=(), first_active_ul=None, prach_configured_on=frozenset())
         m = machine(cfg)
         with pytest.raises(EventRejection) as exc:
             m.on_rach_start(at(4))
@@ -601,7 +599,7 @@ class TestDataService:
     def test_ul_data_carries_the_active_ul_width(self):
         # UL #0 is 12 RBs of 15 kHz, DL #0 24 RBs
         cfg = adaptation_cell()
-        cfg = dataclasses.replace(cfg, ul_bwps=(make_bwp(0, 0, 12, dedicated=False), *cfg.ul_bwps[1:]))
+        cfg = cfg._replace(ul_bwps=(make_bwp(0, 0, 12, dedicated=False), *cfg.ul_bwps[1:]))
         m = machine(cfg)
         recs = m.on_data(at(2), b.Direction.UL_GRANT)
         assert recs[0].fields == {"direction": "ul", "n_rbs": 12}

@@ -21,6 +21,7 @@ geometries = st.builds(
     start_rb=st.integers(0, 500),
     n_rbs=st.integers(1, 275),
     numerology=st.builds(Numerology, mu=st.integers(0, 4)),
+    cyclic_prefix=st.just(CyclicPrefix.NORMAL),  # builds() draws every field of a NamedTuple, defaulted ones too
 )
 
 

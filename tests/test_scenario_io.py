@@ -1,12 +1,13 @@
 """Scenario document parsing and the exact-decimal time syntax."""
 
-import dataclasses
+import hashlib
 import itertools
 import json
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -20,6 +21,21 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def adaptation_doc():
     return json.loads((FIXTURES / "adaptation_fdd_scenario.json").read_text())
+
+
+# sha256 of repr(load_scenario(...)) of each fixture: the differential's
+# parse digest, pinned here so that a change of repr shows in tier-1 too
+FIXTURE_REPR_SHA256 = {
+    "adaptation_fdd": "b20b295c8e1e541576836794892d1838b747a1646b25e4f01c7206aedfe0ede0",
+    "mixed_scs": "6fbd8c88315ae5683d3b2bab7d7c7570d1b11e9b939165f87409c5f8cd95e8f8",
+    "tdd": "b4302ea96625a1199e6fb14a7fb8596e8add4d29e61513c2b245ce98dd90adb1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_REPR_SHA256))
+def test_a_parsed_fixture_s_repr_is_pinned(name):
+    text = repr(load_scenario(FIXTURES / f"{name}_scenario.json"))
+    assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_REPR_SHA256[name], text
 
 
 def test_fixture_runs_identically_to_in_code_scenario():
@@ -47,8 +63,7 @@ def test_parsed_fields_match_document():
     assert scn.events[1].dci == b.DciEvent(b.DciFormat.FMT_1_1, "01")
 
 
-@dataclasses.dataclass(frozen=True)
-class Duplexes:
+class Duplexes(NamedTuple):
     modes: tuple[b.Duplex, ...] = ()
 
 

@@ -29,9 +29,10 @@ global's read; a saving of that kind can only be sized by timings.
 
 A count is the sum over the profiler's own entries, one per function.
 `pstats` totals are not used: pstats keys a function by file, line and
-name, under which every dataclass `__init__` is `<string>:2(__init__)`,
-and keeps one of the colliding entries, so its total drops a varying part
-of them from run to run.
+name, under which the `__new__` that `collections.namedtuple` generates
+for each NamedTuple type is `<string>:1(<lambda>)`, and keeps one of the
+colliding entries, so its total drops a varying part of them from run to
+run.
 """
 
 from __future__ import annotations

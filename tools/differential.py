@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import dataclasses
 import hashlib
 import io
 import json
@@ -86,8 +85,8 @@ def _use_tree(tree: Path, *subdirs: str) -> None:
 def _plain(value):
     """A config value as the JSON value of its document field: the field
     names of the documents mirror those of the config types."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if hasattr(value, "_asdict"):  # a NamedTuple config type, before the tuples below
+        return {k: _plain(v) for k, v in value._asdict().items()}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, frozenset):
