@@ -45,9 +45,8 @@ class CellRole(Enum):
     PSCELL = "PSCell"
     SCELL = "SCell"
 
-    @property
-    def is_spcell(self) -> bool:
-        return self in (CellRole.PCELL, CellRole.PSCELL)
+    def __init__(self, value: str) -> None:
+        self.is_spcell = value != "SCell"  # a PCell or a PSCell
 
 
 class Duplex(Enum):
@@ -77,17 +76,33 @@ _UNASSIGNED, _TDD, _SCELL = FrequencyRange.UNASSIGNED, Duplex.TDD, CellRole.SCEL
 _ERROR, _WARNING = Severity.ERROR, Severity.WARNING
 
 
+class _NoParams(dict):
+    """The default `link_params`: one empty dict shared by every BWP built
+    without its own, so it refuses writes. The document reader gives each
+    parsed object a plain dict of its own."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> Any:
+        raise TypeError("the default link_params is read-only; pass a dict of its own")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+
+_NO_PARAMS = _NoParams()
+
+
 class BwpCommon(NamedTuple):
     """Cell-specific part of a BWP configuration."""
 
     geometry: BwpGeometry
-    link_params: Mapping[str, Any] = {}  # one shared empty dict; the document reader makes one per object
+    link_params: Mapping[str, Any] = _NO_PARAMS
 
 
 class BwpDedicated(NamedTuple):
     """UE-specific part of a BWP configuration; contents stay opaque."""
 
-    link_params: Mapping[str, Any] = {}  # as BwpCommon's
+    link_params: Mapping[str, Any] = _NO_PARAMS
     uplink_waveform: Optional[UplinkWaveform] = None
 
 
@@ -114,7 +129,7 @@ class UeCapability(NamedTuple):
     four-BWP class.
     """
 
-    max_rrc_bwps: int = 1
+    max_rrc_bwps: int
     mixed_numerology_bwps: bool = False
     supports_no_bandwidth_restriction: bool = False
     switch_delay_type: DelayType = DelayType.TYPE1

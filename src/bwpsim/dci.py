@@ -41,20 +41,10 @@ class DciFormat(Enum):
     FMT_1_0 = "1_0"
     FMT_1_1 = "1_1"
 
-    @property
-    def is_fallback(self) -> bool:
-        return self in (DciFormat.FMT_0_0, DciFormat.FMT_1_0)
-
-    @property
-    def direction(self) -> Direction:
-        if self in (DciFormat.FMT_1_0, DciFormat.FMT_1_1):
-            return Direction.DL_ASSIGNMENT
-        return Direction.UL_GRANT
-
-
-# (direction, is_fallback) by format value, worked out once: on CPython 3.11 the properties read
-# members through `EnumType.__getattr__`, ten times a global's cost, and a member hashes in Python.
-_FACTS = {fmt._value_: (fmt.direction, fmt.is_fallback) for fmt in DciFormat}
+    def __init__(self, value: str) -> None:
+        # format x_y: x is 1 for a DL assignment, 0 for an UL grant; y is 0 for the fallback format
+        self.direction = Direction.DL_ASSIGNMENT if value[0] == "1" else Direction.UL_GRANT
+        self.is_fallback = value[2] == "0"
 
 
 @checked
@@ -67,8 +57,8 @@ class DciEvent(NamedTuple):
 
     format: DciFormat
     bwp_indicator_bits: Optional[str] = None
-    direction = property(lambda self: _FACTS[self.format._value_][0])
-    is_fallback = property(lambda self: _FACTS[self.format._value_][1])
+    direction = property(lambda self: self.format.direction)
+    is_fallback = property(lambda self: self.format.is_fallback)
 
     def __post_init__(self) -> None:
         fmt = self.format
@@ -78,7 +68,7 @@ class DciEvent(NamedTuple):
         if bits is not None:
             if len(bits) > 2 or any(c not in "01" for c in bits):
                 raise ValueError(f"indicator bits must be a 0/1 string of length <= 2, got {bits!r}")
-            if _FACTS[fmt._value_][1]:
+            if fmt.is_fallback:
                 raise ValueError(f"fallback format {fmt.value} cannot carry a BWP indicator")
 
 

@@ -306,8 +306,11 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
 def _tick(m: CellStateMachine, now: int, trace: list[TraceRecord], keys: list[int], tally: _CellTally) -> None:
     """Tick m at `now`: its records go to `trace`, their times in eighths (a
     commit can lie before `now`) to `keys`, and those that move a metric to `tally`."""
-    for rec in m.on_tick(now, keys):
+    records = m.on_tick(now)
+    at_now = m._times.get(now)  # None if no record is at `now`; `get` makes no Fraction for it
+    for rec in records:
         trace.append(rec)
+        keys.append(now if rec.at_ms is at_now else to_units(rec.at_ms))
         if rec.record in _CellTally.KINDS:
             tally.add(rec)
 

@@ -59,7 +59,6 @@ from .trace import (
     TIMER_EXPIRY,
     TIMER_RESTART,
     TIMER_START,
-    UNITS_PER_MS,  # not used here; callers read it as fsm.UNITS_PER_MS
     WINDOW_CLOSE,
     WINDOW_OPEN,
     Times,
@@ -259,14 +258,15 @@ class CellStateMachine:
         st = self.state
         if st.switch_window is not None:
             raise EventRejection("DciDuringSwitchWindow", "no reception during a switch window")
-        if dci.is_fallback:
-            return self._timer_on_scheduling(now, dci.direction)
+        fmt = dci.format
+        if fmt.is_fallback:
+            return self._timer_on_scheduling(now, fmt.direction)
         if st.active_dl == 0 and not self._nonfallback_on_bwp0:
             raise EventRejection(
                 "NonFallbackOnOption1Initial",
                 "BWP #0 without dedicated parameters only supports fallback DCI",
             )
-        to_ul = dci.direction is _UL
+        to_ul = fmt.direction is _UL
         if to_ul and not self._has_ul:
             raise EventRejection("NoUplinkConfigured", "UL grant on a DL-only cell")
         try:
@@ -275,7 +275,7 @@ class CellStateMachine:
             raise EventRejection(type(exc).__name__, str(exc)) from exc
         current = st.active_ul if to_ul else st.active_dl
         if target == current:
-            return self._timer_on_scheduling(now, dci.direction)
+            return self._timer_on_scheduling(now, fmt.direction)
 
         target_dl: Optional[int]
         target_ul: Optional[int]
@@ -292,16 +292,15 @@ class CellStateMachine:
         records = [self._open_window(now, target_dl, target_ul, SwitchCause.DCI)]
         return records + self._try_arm_timer(now)
 
-    def on_tick(self, now: int, keys: Optional[list[int]] = None) -> list[TraceRecord]:
+    def on_tick(self, now: int) -> list[TraceRecord]:
         """Commit the windows due by `now`, then fire the timer if it is due.
 
         `now` may lie on the tick grid or off it; the engine calls this at
-        each `next_deadline()` it reaches and once more at the horizon.
-        `keys`, if given, gets each record's time in eighths of a ms: the end
-        of the window it commits, or `now`.
+        each `next_deadline()` it reaches and once more at the horizon. A
+        commit's records carry the end of its window, which can lie before
+        `now`; the others carry `now`.
         """
-        ends: list[int] = []
-        records = self._close_due_windows(now, ends)
+        records = self._close_due_windows(now)
         st = self.state
         if st.timer_expires_at is not None and now >= st.timer_expires_at:
             st.timer_expires_at = None
@@ -310,8 +309,6 @@ class CellStateMachine:
                 st.switch_window.expiry_pending = True
             else:
                 records.append(self._open_expiry_window(now))
-        if keys is not None:
-            keys += ends + [now] * (len(records) - len(ends))
         return records
 
     def next_deadline(self) -> Optional[int]:
@@ -435,7 +432,7 @@ class CellStateMachine:
             cause=cause,
         )
 
-    def _close_due_windows(self, now: int, ends: list[int]) -> list[TraceRecord]:
+    def _close_due_windows(self, now: int) -> list[TraceRecord]:
         st = self.state
         records: list[TraceRecord] = []
         while st.switch_window is not None and st.switch_window.end_ms <= now:
@@ -471,7 +468,6 @@ class CellStateMachine:
                 # activation of a non-default BWP restarts the timer; for a
                 # DCI-driven switch the restart at reception already governs
                 records += self._try_arm_timer(t)
-            ends += [t] * (len(records) - len(ends))
         return records
 
     def _open_expiry_window(self, now: int) -> TraceRecord:

@@ -3,11 +3,9 @@
 Each document object is read from the fields of its configuration type:
 their names, order, kinds and defaults, where null means absent only if
 the default is None. So adding a field to a config type adds a document
-field. The one exception is `max_rrc_bwps`, which a document must give
-though `UeCapability` defaults it. A cell also carries its `cell_id`; the
-events and the top level are read by hand. Anything wrong with a document
-raises ParseError; semantic problems are left to the validator and the
-engine.
+field. A cell also carries its `cell_id`; the events and the top level
+are read by hand. Anything wrong with a document raises ParseError;
+semantic problems are left to the validator and the engine.
 """
 
 from __future__ import annotations
@@ -155,7 +153,7 @@ def _reader(cls: type) -> Callable[[Any, str], Any]:
     plan = []
     for name in cls._fields:
         default = cls._field_defaults.get(name, _REQUIRED)
-        fresh = type(default) is dict  # a copy for each object, not the type's one shared dict
+        fresh = isinstance(default, dict)  # a plain dict for each object, not the type's one read-only default
         step = _step(hints[name])
         plan.append((name, step.exact, step.takes, step.inner, step.members, step, default, fresh))
 
@@ -187,11 +185,6 @@ def _cell(obj: dict, where: str) -> tuple[str, CellConfig]:
     if not cell_id:
         raise ParseError(f"{where}.cell_id: expected a non-empty string")
     return cell_id, _reader(CellConfig)(obj, where)
-
-
-def _capability(obj: dict, where: str) -> UeCapability:
-    _get(obj, "max_rrc_bwps", where, _INT)  # required, though UeCapability defaults it
-    return _reader(UeCapability)(obj, where)
 
 
 _KIND = _enum(EventKind)
@@ -257,7 +250,7 @@ def _events() -> _Step:
 
 
 _CELLS = _list(_object(_cell))
-_CAPABILITY = _object(_capability)
+_CAPABILITY = _object(lambda obj, where: _reader(UeCapability)(obj, where))  # built on first use
 
 
 def scenario_from_obj(obj: Any) -> Scenario:

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import bwpsim as b
-from bwpsim.fsm import to_units
+from bwpsim.trace import to_units
 
 # Python's limit on the digits of an int parsed from a string, 3.10.7 and later
 HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")

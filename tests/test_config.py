@@ -1,6 +1,7 @@
 """Configuration model and validator."""
 
 import json
+import pickle
 import random
 import re
 from pathlib import Path
@@ -379,3 +380,34 @@ def test_capability_self_consistency():
         b.UeCapability(max_rrc_bwps=3)
     with pytest.raises(ValueError):
         b.UeCapability(max_rrc_bwps=2, mixed_numerology_bwps=True)
+
+
+def test_capability_requires_max_rrc_bwps():
+    """Every UE reports how many BWPs it supports: the field has no default."""
+    with pytest.raises(TypeError):
+        b.UeCapability()  # type: ignore[call-arg]
+    with pytest.raises(TypeError):
+        b.UeCapability(mixed_numerology_bwps=False, switch_delay_type=b.DelayType.TYPE2)  # type: ignore[call-arg]
+
+
+def test_cell_roles_carry_whether_they_are_an_spcell():
+    assert {role: role.is_spcell for role in b.CellRole} == {
+        b.CellRole.PCELL: True, b.CellRole.PSCELL: True, b.CellRole.SCELL: False}
+
+
+def test_default_link_params_are_read_only():
+    """BWPs built without link_params share one empty default: every write to
+    it raises TypeError, so no BWP's write shows in another's. It still reads,
+    compares and pickles as `{}`."""
+    geometry = adaptation_cell().dl_bwps[0].geometry
+    writes = [lambda p: p.__setitem__("k", 1), lambda p: p.__delitem__("k"), lambda p: p.__ior__({"k": 1}),
+              lambda p: p.update(k=1), lambda p: p.setdefault("k", 1), lambda p: p.pop("k", None),
+              lambda p: p.popitem(), lambda p: p.clear()]
+    for bwp in (b.BwpCommon(geometry), b.BwpDedicated()):
+        for write in writes:
+            with pytest.raises(TypeError):
+                write(bwp.link_params)
+        assert bwp.link_params == {} and repr(bwp.link_params) == "{}"
+        assert pickle.loads(pickle.dumps(bwp)) == bwp
+        assert bwp.link_params | {"k": 1} == {"k": 1}
+    assert b.BwpCommon(geometry).link_params == {} == b.BwpDedicated().link_params

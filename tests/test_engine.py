@@ -30,7 +30,7 @@ from tick_oracle import tick_run
 from bwpsim import fsm
 from bwpsim.fsm import CellStateMachine
 from bwpsim.scenario import scenario_from_obj
-from bwpsim.trace import RUN_END, RUN_START, STATE_CHANGE
+from bwpsim.trace import RUN_END, RUN_START, STATE_CHANGE, to_units
 
 CAP4 = b.UeCapability(max_rrc_bwps=4)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -790,11 +790,11 @@ def count_ticks(monkeypatch, limit=None):
     calls = [0]
     on_tick = CellStateMachine.on_tick
 
-    def counted(self, now, keys=None):
+    def counted(self, now):
         calls[0] += 1
         if limit is not None and calls[0] > limit:
             raise AssertionError(f"on_tick called over {limit} times, now at {F(now, 8)} ms")
-        return on_tick(self, now, keys)
+        return on_tick(self, now)
 
     monkeypatch.setattr(CellStateMachine, "on_tick", counted)
     return calls
@@ -869,9 +869,9 @@ def test_a_horizon_only_bounds_the_run(monkeypatch):
     times = []
     on_tick = CellStateMachine.on_tick
 
-    def ticked(self, now, keys=None):
+    def ticked(self, now):
         times.append(now)
-        return on_tick(self, now, keys)
+        return on_tick(self, now)
 
     monkeypatch.setattr(CellStateMachine, "on_tick", ticked)
     doc = json.loads((FIXTURES / "tdd_scenario.json").read_text())
@@ -886,11 +886,11 @@ def test_run_drives_the_machines_on_an_integer_clock(monkeypatch):
     seen = []
     on_tick, next_deadline = CellStateMachine.on_tick, CellStateMachine.next_deadline
 
-    def ticked(self, now, keys=None):
+    def ticked(self, now):
         st = self.state
         seen.extend([now, st.timer_expires_at, *(
             (st.switch_window.end_ms, st.switch_window.commit_at) if st.switch_window else ())])
-        return on_tick(self, now, keys)
+        return on_tick(self, now)
 
     def deadline(self):
         d = next_deadline(self)
@@ -1013,11 +1013,11 @@ def test_fixed_facts_are_looked_up_per_cell_not_per_event():
 
 def test_run_hashes_no_enum_member_and_converts_a_time_per_run_of_records():
     """`run()` keys its delivery table by each event kind's value and sorts
-    the trace by the eighths of a ms it already holds, converting a tick's
-    record time once per run of records that share it: under cProfile it
-    calls `Enum.__hash__` never, and `fsm.to_units` fewer times than it
+    the trace by the eighths of a ms it already holds, converting only the
+    time of a tick's record that lies before the tick: under cProfile it
+    calls `Enum.__hash__` never, and `to_units` fewer times than it
     makes records, for random multicell scenarios of 150 and 300 events."""
-    watched = {vars(enum.Enum)["__hash__"].__code__: "Enum.__hash__", fsm.to_units.__code__: "to_units"}
+    watched = {vars(enum.Enum)["__hash__"].__code__: "Enum.__hash__", to_units.__code__: "to_units"}
     for seed in range(3):
         for scn in _grown_scenarios(seed):
             trace, calls = _profiled_run(scn, watched)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import bwpsim as b
 from bwpsim import fsm
-from bwpsim.fsm import UNITS_PER_MS, CellStateMachine, EventRejection, to_units
+from bwpsim.fsm import CellStateMachine, EventRejection
+from bwpsim.trace import UNITS_PER_MS, to_units
 from support import (
     adaptation_cell,
     assert_machine_invariants,

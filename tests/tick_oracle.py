@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from bwpsim.config import effective_default_dl
 from bwpsim.engine import _DELIVERY, Scenario, _dispatch
-from bwpsim.fsm import UNITS_PER_MS, CellStateMachine, to_units
-from bwpsim.trace import RUN_END, RUN_START, TraceRecord
+from bwpsim.fsm import CellStateMachine
+from bwpsim.trace import RUN_END, RUN_START, UNITS_PER_MS, TraceRecord, to_units
 
 
 def _snapshot(m: CellStateMachine):
