@@ -21,11 +21,12 @@ since ticks, switch delays and timer values are whole eighths. The
 horizon only bounds the run: the loop stops at the last eighth at or
 before it, and only `RunEnd` and the metrics carry it exactly.
 
-Metrics are computed twice on purpose: once online while the run emits
-records, and once by `replay_metrics` walking a finished trace. The two
-must agree, which pins the trace as a complete account of the run.
-Both sum in ints over a common denominator of the record times; a
-cell's two metrics become `Fraction`s once, when the cell finishes.
+Metrics are computed twice on purpose: once by folding the run's log in
+the order its records were made, and once by `replay_metrics` walking a
+finished trace. The two must agree, which pins the trace as a complete
+account of the run. Both sum in ints over a common denominator of the
+record times; a cell's two metrics become `Fraction`s once, when the
+cell finishes.
 """
 
 from __future__ import annotations
@@ -209,10 +210,11 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     """Execute a scenario; returns the full trace and its metrics.
 
     Raises ScenarioInvalid when any cell fails validation with errors, the
-    horizon is negative or has no finite decimal form (its trace and
-    metrics could not be written), an event references an unknown cell,
-    or the horizon does not cover all events; EventMisaligned when an
-    event is off its cell's tick grid.
+    horizon or an event time is not an int or Fraction (a bool is not
+    one), the horizon is negative or has no finite decimal form (its trace
+    and metrics could not be written), an event references an unknown
+    cell, or the horizon does not cover all events; EventMisaligned when
+    an event is off its cell's tick grid.
     """
     if scenario.horizon_ms is None:
         raise ScenarioInvalid("scenario has no horizon_ms and cannot run")
@@ -222,7 +224,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
         raise ScenarioInvalid(
             "configuration errors in cells: " + ", ".join(sorted(bad)), reports=reports
         )
-    horizon = Fraction(scenario.horizon_ms)
+    horizon = Fraction(_exact_time(scenario.horizon_ms, "horizon", error=ScenarioInvalid))
     if horizon < 0:
         raise ScenarioInvalid("horizon must be >= 0 ms")
     # the run's other times are whole eighths, so they are decimal if the horizon
@@ -232,15 +234,16 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     end = to_units(horizon)  # the last eighth at or before the horizon
     machines = {cid: CellStateMachine(cid, cfg, scenario.capability) for cid, cfg in scenario.cells.items()}
     times = Times()  # one Fraction per record time of the run, an event's own where it has one
+    log: list[tuple[int, TraceRecord]] = []  # every record of the run, in the order made, by its time in eighths
     for m in machines.values():
-        m._times = times
+        m._times, m._log = times, log
     events_at: dict[int, list[tuple[int, SimEvent]]] = {}  # (phase, event) by time in eighths
     last_ms = _NO_TIME
     for ev in scenario.events:
         if ev.cell not in scenario.cells:
             raise ScenarioInvalid(f"event references unknown cell {ev.cell!r}")
         if ev.at_ms is not last_ms:  # once per run of events that share a time object
-            last_ms = ev.at_ms
+            last_ms = _exact_time(ev.at_ms, "event for cell {!r}", ev.cell, error=ScenarioInvalid)
             at, rest = divmod(ev.at_ms.numerator * UNITS_PER_MS, ev.at_ms.denominator)
             if at < 0 or at >= end and ev.at_ms > horizon:
                 raise ScenarioInvalid(f"event at {ev.at_ms} ms outside [0, {horizon}] ms")
@@ -255,10 +258,7 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
         if len(same_time) > 1:
             same_time.sort(key=itemgetter(0))  # stable: input order
 
-    trace = [m.start_record() for m in machines.values()]
-    keys = [0] * len(trace)  # each record's time in eighths, to sort the trace by
-    tallies = {rec.cell: _CellTally(rec) for rec in trace}
-    moves = _CellTally.KINDS
+    tallies = {cid: _CellTally(m.start_record()) for cid, m in machines.items()}
     event_times = sorted(events_at, reverse=True)  # the next one is last
     never = end + 1
     due = dict.fromkeys(machines, never)  # each cell's deadline
@@ -279,40 +279,24 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
         if next_due == now:  # some cell is due: tick those, in document order
             for cid, m in machines.items():
                 if due[cid] == now:
-                    _tick(m, now, trace, keys, tallies[cid])
+                    m.on_tick(now)
                     refresh(cid, now)
         if event_times and event_times[-1] == now:
             for _, ev in events_at[event_times.pop()]:
-                for rec in _dispatch(machines[ev.cell], ev, now):
-                    trace.append(rec)
-                    keys.append(now)  # an event's records are all at `now`
-                    if rec.record in moves:
-                        tallies[ev.cell].add(rec)
+                _dispatch(machines[ev.cell], ev, now)
                 refresh(ev.cell, now)
 
-    for cid, m in machines.items():
-        _tick(m, end, trace, keys, tallies[cid])  # windows ending after the last tick
+    for m in machines.values():
+        m.on_tick(end)  # windows ending after the last tick
 
-    # stable: same-time order is preserved
-    trace = list(map(trace.__getitem__, sorted(range(len(trace)), key=keys.__getitem__)))
-    cell_metrics = {}
-    for cid in machines:
-        cell_metrics[cid] = tallies[cid].finish(horizon)
-        trace.append(TraceRecord(horizon, cid, RUN_END, {}))  # after every record: `end` <= horizon
-    metrics = RunMetrics(total_time_ms=horizon, cells=cell_metrics)
-    return trace, metrics
-
-
-def _tick(m: CellStateMachine, now: int, trace: list[TraceRecord], keys: list[int], tally: _CellTally) -> None:
-    """Tick m at `now`: its records go to `trace`, their times in eighths (a
-    commit can lie before `now`) to `keys`, and those that move a metric to `tally`."""
-    records = m.on_tick(now)
-    at_now = m._times.get(now)  # None if no record is at `now`; `get` makes no Fraction for it
-    for rec in records:
-        trace.append(rec)
-        keys.append(now if rec.at_ms is at_now else to_units(rec.at_ms))
-        if rec.record in _CellTally.KINDS:
-            tally.add(rec)
+    moves = _CellTally.KINDS
+    for _, rec in log:  # in the order made, so each cell's in time order
+        if rec.record in moves:
+            tallies[rec.cell].add(rec)
+    log.sort(key=itemgetter(0))  # stable: same-time order is preserved
+    trace = list(map(itemgetter(1), log))
+    trace += [TraceRecord(horizon, cid, RUN_END, {}) for cid in machines]  # after every record: `end` <= horizon
+    return trace, RunMetrics(total_time_ms=horizon, cells={cid: t.finish(horizon) for cid, t in tallies.items()})
 
 
 def _dispatch(machine: CellStateMachine, ev: SimEvent, now: int) -> list[TraceRecord]:

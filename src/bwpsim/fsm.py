@@ -160,10 +160,12 @@ class CellStateMachine:
 
     Every handler returns the trace records it produced, as does every
     helper that makes records. A rejected event raises EventRejection
-    before any state changes, also in `_open_window`, the one method that
-    opens a window. Times in and out are whole eighths of a ms; the
-    records carry ms. A direct caller passes each time as `to_units(ms)`,
-    `8 * ms` as an int, and reads the records' `at_ms`.
+    before any state changes or record is made, also in `_open_window`,
+    the one method that opens a window. `_rec` makes every record and,
+    if `run()` gave the machine the run's log, appends `(t, record)` to it;
+    a machine built alone keeps none. Times in and out are whole eighths
+    of a ms; the records carry ms. A direct caller passes each time as
+    `to_units(ms)`, `8 * ms` as an int, and reads the records' `at_ms`.
 
     `cfg` and `cap` are read only in `__init__`, which refuses a cell without
     DL BWP #0 (ValueError) and derives the per-cell facts once: indicator
@@ -177,6 +179,7 @@ class CellStateMachine:
     def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability):
         self.cell = cell
         self._times = Times()  # run() gives all machines of a run one table
+        self._log: Optional[list[tuple[int, TraceRecord]]] = None  # and one log
         self.tick = to_units(cfg.tick_ms)
         self._dl, self._ul = _by_id(cfg.dl_bwps), _by_id(cfg.ul_bwps)  # (n_rbs, scs_khz) by BWP id
         if 0 not in self._dl:
@@ -392,7 +395,10 @@ class CellStateMachine:
     # internals
 
     def _rec(self, t: int, kind: str, **fields) -> TraceRecord:
-        return TraceRecord(self._times[t], self.cell, kind, fields)
+        rec = TraceRecord(self._times[t], self.cell, kind, fields)
+        if self._log is not None:
+            self._log.append((t, rec))
+        return rec
 
     def _switch_delay(self, target_dl: Optional[int], target_ul: Optional[int]) -> int:
         """Delay budget in eighths of a ms for moving to the targets; None leaves a direction alone.

@@ -254,6 +254,25 @@ class TestScenarioErrors:
         with pytest.raises(b.ScenarioInvalid, match="^horizon must be >= 0 ms$"):
             b.run(scn)
 
+    @pytest.mark.parametrize(
+        "horizon, at, what",
+        [
+            (100.1, F(2), "horizon at 100.1 ms"),
+            (True, F(0), "horizon at True ms"),
+            (F(80), 2.0, "event for cell 'pcell' at 2.0 ms"),
+            (F(80), True, "event for cell 'pcell' at True ms"),
+        ],
+        ids=["float-horizon", "bool-horizon", "float-event", "bool-event"],
+    )
+    def test_times_must_be_int_or_fraction(self, horizon, at, what):
+        # times the trace writer refuses: a float horizon of 100.1 would be
+        # written as its binary expansion, an event at 2.0 would fail inside
+        # the run, and True would run as 1 ms
+        scn = adaptation_scenario()
+        scn.horizon_ms, scn.events = horizon, [b.SimEvent(at, "pcell", b.EventKind.RACH_START)]
+        with pytest.raises(b.ScenarioInvalid, match=f"^{re.escape(what)}: a time must be an int or Fraction$"):
+            b.run(scn)
+
 
 def test_rejected_events_are_traced_and_counted():
     cfg = centered_cell()
@@ -728,14 +747,16 @@ def test_event_at_the_horizon_is_delivered():
 
 def test_same_time_commits_keep_handling_order():
     # both type 2 windows end at 2.25: the FR2 cell handles its commit at
-    # the tick 2.5, the FR1 cell, listed first, at the tick 3
+    # the tick 2.5, the FR1 cell, listed first, at the tick 3, after the
+    # FR2 cell has served data at 2.5; the trace puts that data after both commits
     dci = [b.SimEvent(F(0), c, b.EventKind.DCI, dci=b.DciEvent(b.DciFormat.FMT_1_1, "01")) for c in "ab"]
     scn = b.Scenario(cells={"a": centered_cell(mu=2), "b": centered_cell(fr=b.FrequencyRange.FR2, mu=3)},
                      capability=b.UeCapability(max_rrc_bwps=4, switch_delay_type=b.DelayType.TYPE2),
-                     events=dci, horizon_ms=F(5))
+                     events=dci + [b.SimEvent(F(5, 2), "b", b.EventKind.DATA_DL_ASSIGNMENT)], horizon_ms=F(5))
     trace, _ = b.run(scn)
-    assert [(r.cell, r.record) for r in trace if r.at_ms == F(9, 4)] == [
-        ("b", "WindowClose"), ("b", STATE_CHANGE), ("a", "WindowClose"), ("a", STATE_CHANGE),
+    assert [(r.at_ms, r.cell, r.record) for r in trace if F(9, 4) <= r.at_ms <= F(5, 2)] == [
+        (F(9, 4), "b", "WindowClose"), (F(9, 4), "b", STATE_CHANGE),
+        (F(9, 4), "a", "WindowClose"), (F(9, 4), "a", STATE_CHANGE), (F(5, 2), "b", "DataServed"),
     ]
 
 
@@ -1011,18 +1032,25 @@ def test_fixed_facts_are_looked_up_per_cell_not_per_event():
         assert calls["CellConfig.channel_span"] == len(many.cells), seed  # the counter sees each validate
 
 
-def test_run_hashes_no_enum_member_and_converts_a_time_per_run_of_records():
+def test_run_hashes_no_enum_member_and_converts_only_the_horizon():
     """`run()` keys its delivery table by each event kind's value and sorts
-    the trace by the eighths of a ms it already holds, converting only the
-    time of a tick's record that lies before the tick: under cProfile it
-    calls `Enum.__hash__` never, and `to_units` fewer times than it
-    makes records, for random multicell scenarios of 150 and 300 events."""
-    watched = {vars(enum.Enum)["__hash__"].__code__: "Enum.__hash__", to_units.__code__: "to_units"}
+    the trace by the eighths of a ms that each machine logs with a record
+    as it makes it, so no record's time is converted back: under cProfile,
+    for random multicell scenarios of 150 and 300 events, `Enum.__hash__`
+    runs never, `to_units` as often as in a run of the same cells without
+    events (the machines convert their config times when built), and
+    `run()` itself calls `to_units` exactly once, for the horizon."""
+    enum_hash = vars(enum.Enum)["__hash__"].__code__
     for seed in range(3):
         for scn in _grown_scenarios(seed):
-            trace, calls = _profiled_run(scn, watched)
-            assert calls["Enum.__hash__"] == 0, seed
-            assert 0 < calls["to_units"] < len(trace), (seed, calls["to_units"], len(trace))
+            _, base = _profiled_run(scn._replace(events=[]), {to_units.__code__: "to_units"})
+            prof = cProfile.Profile()
+            trace, _ = prof.runcall(b.run, scn)
+            stats = {entry.code: entry for entry in prof.getstats()}
+            assert len(trace) > len(scn.events) and enum_hash not in stats, seed
+            assert stats[to_units.__code__].callcount == base["to_units"], seed
+            assert [sub.callcount for sub in stats[b.run.__code__].calls
+                    if sub.code is to_units.__code__] == [1], seed
 
 
 def test_records_at_an_event_s_time_carry_that_event_s_parsed_time():

@@ -1,5 +1,6 @@
 """State-machine behavior, driven directly without the engine."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -118,6 +119,24 @@ def test_start_record_is_the_state_before_any_event():
                                   prach_configured_on=frozenset())
     assert machine(dl_only).start_record().fields == {
         "active_dl": 0, "active_ul": None, "dl_rbs": 24, "default_dl": 0}
+
+
+def test_a_machine_built_alone_keeps_no_record():
+    """Only `run()` gives a machine a log: the records that a direct caller
+    drops are freed. 5,000 data bursts at one time, each record dropped,
+    leave well under 200 kB behind: measured, a few dozen bytes, and up to
+    about 90 kB under a line tracer. A machine that kept them held 1.5 MB."""
+    m = machine(centered_cell())
+    m.on_data(8, b.Direction.DL_ASSIGNMENT)  # the time's Fraction, made once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(5000):
+            m.on_data(8, b.Direction.DL_ASSIGNMENT)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 200_000, grown
 
 
 def test_a_cell_without_dl_bwp0_is_refused_at_construction():

@@ -5,12 +5,16 @@ grid among the cells, ticking every cell at every tick of its own grid
 up to the horizon, then once more at the horizon. It shares the delivery
 table `_DELIVERY` (each event kind's phase and handler) and `_dispatch`
 with the engine, and so the tie order, but none of its deadline
-bookkeeping. On the way it checks the claim that lets `run()` skip
-ticks: a tick before a cell's `next_deadline()` emits nothing and leaves
-the state as it was, and no deadline is passed without a tick. It also
-counts the ticks that meet a deadline: `run()` should make those and one
-more per cell at the horizon, and no other. Like `run()` it counts
-eighths of a ms and stops at the last one at or before the horizon.
+bookkeeping. Its machines have no log: it reads the records that the
+handlers return, where `run()` reads the log that its machines append
+each record to as they make it, so the two traces agree only if no
+handler makes a record and then rejects its event. On the way it checks
+the claim that lets `run()` skip ticks: a tick before a cell's
+`next_deadline()` emits nothing and leaves the state as it was, and no
+deadline is passed without a tick. It also counts the ticks that meet a
+deadline: `run()` should make those and one more per cell at the
+horizon, and no other. Like `run()` it counts eighths of a ms and stops
+at the last one at or before the horizon.
 """
 
 from __future__ import annotations
