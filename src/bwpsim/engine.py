@@ -85,7 +85,7 @@ _KIND_DCI, _DL, _UL = EventKind.DCI, Direction.DL_ASSIGNMENT, Direction.UL_GRANT
 # How each kind is delivered, by the kind's value (a str hashes in C, a member
 # in Python): its phase in the same-time order (ticks run before all phases,
 # and one phase keeps input order) and its handler.
-_DELIVERY: dict[str, tuple[int, Callable[..., list[TraceRecord]]]] = {kind._value_: how for kind, how in {
+_DELIVERY: dict[str, tuple[int, Callable[..., None]]] = {kind._value_: how for kind, how in {
     EventKind.RRC_RECONFIG: (1, lambda m, ev, now: m.on_rrc_reconfig(now, ev.first_active_dl, ev.first_active_ul)),
     EventKind.SCELL_ACTIVATE: (1, lambda m, ev, now: m.on_rrc_reconfig(now, scell_activation=True)),
     EventKind.RACH_START: (2, lambda m, ev, now: m.on_rach_start(now)),
@@ -236,14 +236,16 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     times = Times()  # one Fraction per record time of the run, an event's own where it has one
     log: list[tuple[int, TraceRecord]] = []  # every record of the run, in the order made, by its time in eighths
     for m in machines.values():
-        m._times, m._log = times, log
+        m._times, m.log = times, log
     events_at: dict[int, list[tuple[int, SimEvent]]] = {}  # (phase, event) by time in eighths
     last_ms = _NO_TIME
     for ev in scenario.events:
         if ev.cell not in scenario.cells:
             raise ScenarioInvalid(f"event references unknown cell {ev.cell!r}")
         if ev.at_ms is not last_ms:  # once per run of events that share a time object
-            last_ms = _exact_time(ev.at_ms, "event for cell {!r}", ev.cell, error=ScenarioInvalid)
+            last_ms = ev.at_ms
+            if not isinstance(last_ms, (int, Fraction)) or type(last_ms) is bool:  # a valid time makes no call
+                _exact_time(last_ms, "event for cell {!r}", ev.cell, error=ScenarioInvalid)  # raises
             at, rest = divmod(ev.at_ms.numerator * UNITS_PER_MS, ev.at_ms.denominator)
             if at < 0 or at >= end and ev.at_ms > horizon:
                 raise ScenarioInvalid(f"event at {ev.at_ms} ms outside [0, {horizon}] ms")
@@ -299,13 +301,13 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     return trace, RunMetrics(total_time_ms=horizon, cells={cid: t.finish(horizon) for cid, t in tallies.items()})
 
 
-def _dispatch(machine: CellStateMachine, ev: SimEvent, now: int) -> list[TraceRecord]:
+def _dispatch(machine: CellStateMachine, ev: SimEvent, now: int) -> None:
     """Deliver ev to its cell's machine at `now`, ev's time in eighths of a
-    ms; a rejection is traced at `now`, as the machine's records are."""
+    ms; a rejection is logged at `now`, as the machine's records are."""
     try:
-        return _DELIVERY[ev.kind._value_][1](machine, ev, now)
+        _DELIVERY[ev.kind._value_][1](machine, ev, now)
     except EventRejection as rej:
-        return [machine.rejection_record(now, ev.kind._value_, rej)]
+        machine.rejection_record(now, ev.kind._value_, rej)
 
 
 def _payload(rec: TraceRecord, **kinds: type) -> list:

@@ -158,14 +158,15 @@ class BwpState(Slots):
 class CellStateMachine:
     """Mutable BWP state of one serving cell, advanced by the engine.
 
-    Every handler returns the trace records it produced, as does every
-    helper that makes records. A rejected event raises EventRejection
-    before any state changes or record is made, also in `_open_window`,
-    the one method that opens a window. `_rec` makes every record and,
-    if `run()` gave the machine the run's log, appends `(t, record)` to it;
-    a machine built alone keeps none. Times in and out are whole eighths
-    of a ms; the records carry ms. A direct caller passes each time as
-    `to_units(ms)`, `8 * ms` as an int, and reads the records' `at_ms`.
+    Its one output is `log`: `_rec` makes every record and appends
+    `(t, record)` to it, `t` in whole eighths of a ms; handlers return None.
+    A machine built alone has a log of its own; `run()` gives a run's
+    machines one list. A rejected event raises EventRejection before any
+    state changes or record is made, also in `_open_window`, the one method
+    that opens a window. Times in are whole eighths of a ms; the records
+    carry ms. A direct caller passes each time as `to_units(ms)`, `8 * ms`
+    as an int, reads what a call made as the part of `log` that it added,
+    and reads the records' `at_ms`.
 
     `cfg` and `cap` are read only in `__init__`, which refuses a cell without
     DL BWP #0 (ValueError) and derives the per-cell facts once: indicator
@@ -179,7 +180,7 @@ class CellStateMachine:
     def __init__(self, cell: str, cfg: CellConfig, cap: UeCapability):
         self.cell = cell
         self._times = Times()  # run() gives all machines of a run one table
-        self._log: Optional[list[tuple[int, TraceRecord]]] = None  # and one log
+        self.log: list[tuple[int, TraceRecord]] = []  # and one log
         self.tick = to_units(cfg.tick_ms)
         self._dl, self._ul = _by_id(cfg.dl_bwps), _by_id(cfg.ul_bwps)  # (n_rbs, scs_khz) by BWP id
         if 0 not in self._dl:
@@ -202,7 +203,7 @@ class CellStateMachine:
                         for scs in SWITCH_DELAY_SLOTS}  # eighths of a ms by governing SCS
 
     def start_record(self) -> TraceRecord:
-        """The cell's RunStart record: its state before any event."""
+        """Log and return the cell's RunStart record: its state before any event."""
         st = self.state
         return self._rec(0, RUN_START, active_dl=st.active_dl, active_ul=st.active_ul,
                          dl_rbs=self._dl[st.active_dl][0], default_dl=self._default_dl)
@@ -217,7 +218,7 @@ class CellStateMachine:
         first_active_ul: Optional[int] = None,
         *,
         scell_activation: bool = False,
-    ) -> list[TraceRecord]:
+    ) -> None:
         """Apply an RRC (re-)configuration or an SCell activation.
 
         SCell activation reads the first-active ids from the cell config;
@@ -231,7 +232,7 @@ class CellStateMachine:
         if scell_activation:
             first_active_dl, first_active_ul = self._scell_first_active
         if first_active_dl is None and first_active_ul is None:
-            return []
+            return
         if self._switch_as_pair:
             ids = {x for x in (first_active_dl, first_active_ul) if x is not None}
             if len(ids) > 1:
@@ -247,9 +248,9 @@ class CellStateMachine:
             raise EventRejection("InvalidTarget", f"first-active UL BWP #{first_active_ul} not configured")
 
         cause = SwitchCause.FIRST_ACTIVE_ON_SCELL_ACTIVATION if scell_activation else SwitchCause.RRC_RECONFIG
-        return [self._open_window(now, first_active_dl, first_active_ul, cause, self._rrc_delay)]
+        self._open_window(now, first_active_dl, first_active_ul, cause, self._rrc_delay)
 
-    def on_dci(self, now: int, dci: DciEvent) -> list[TraceRecord]:
+    def on_dci(self, now: int, dci: DciEvent) -> None:
         """Process one DCI: possibly a switch, possibly a timer restart.
 
         Fallback formats never switch. A non-fallback DCI whose indicator
@@ -263,7 +264,8 @@ class CellStateMachine:
             raise EventRejection("DciDuringSwitchWindow", "no reception during a switch window")
         fmt = dci.format
         if fmt.is_fallback:
-            return self._timer_on_scheduling(now, fmt.direction)
+            self._timer_on_scheduling(now, fmt.direction)
+            return
         if st.active_dl == 0 and not self._nonfallback_on_bwp0:
             raise EventRejection(
                 "NonFallbackOnOption1Initial",
@@ -278,7 +280,8 @@ class CellStateMachine:
             raise EventRejection(type(exc).__name__, str(exc)) from exc
         current = st.active_ul if to_ul else st.active_dl
         if target == current:
-            return self._timer_on_scheduling(now, fmt.direction)
+            self._timer_on_scheduling(now, fmt.direction)
+            return
 
         target_dl: Optional[int]
         target_ul: Optional[int]
@@ -292,10 +295,10 @@ class CellStateMachine:
             target_ul is not None and target_ul not in self._ul
         ):
             raise EventRejection("TargetNotConfigured", f"{what} #{target} not configured")
-        records = [self._open_window(now, target_dl, target_ul, SwitchCause.DCI)]
-        return records + self._try_arm_timer(now)
+        self._open_window(now, target_dl, target_ul, SwitchCause.DCI)
+        self._try_arm_timer(now)
 
-    def on_tick(self, now: int) -> list[TraceRecord]:
+    def on_tick(self, now: int) -> None:
         """Commit the windows due by `now`, then fire the timer if it is due.
 
         `now` may lie on the tick grid or off it; the engine calls this at
@@ -303,16 +306,15 @@ class CellStateMachine:
         commit's records carry the end of its window, which can lie before
         `now`; the others carry `now`.
         """
-        records = self._close_due_windows(now)
+        self._close_due_windows(now)
         st = self.state
         if st.timer_expires_at is not None and now >= st.timer_expires_at:
             st.timer_expires_at = None
-            records.append(self._rec(now, TIMER_EXPIRY))
+            self._rec(now, TIMER_EXPIRY)
             if st.switch_window is not None:
                 st.switch_window.expiry_pending = True
             else:
-                records.append(self._open_expiry_window(now))
-        return records
+                self._open_expiry_window(now)
 
     def next_deadline(self) -> Optional[int]:
         """The earliest tick of the cell's grid at which on_tick acts, or None.
@@ -328,7 +330,7 @@ class CellStateMachine:
         commit = st.switch_window.commit_at
         return commit if timer is None or commit <= timer else timer
 
-    def on_rach_start(self, now: int) -> list[TraceRecord]:
+    def on_rach_start(self, now: int) -> None:
         """Begin random access: clear the timer, move to a PRACH-capable UL.
 
         The UL BWP falls back to #0 unless the active one has PRACH
@@ -355,14 +357,12 @@ class CellStateMachine:
         if target_dl is not None and target_dl not in self._dl:
             raise EventRejection("InvalidTarget", f"no DL BWP #{target_dl} to align with the UL BWP")
 
-        records: list[TraceRecord] = []  # the window first: a rejected switch leaves the state alone
-        if target_dl is not None or target_ul is not None:
-            records.append(self._open_window(now, target_dl, target_ul, SwitchCause.RACH_INITIATED))
+        if target_dl is not None or target_ul is not None:  # first: a rejected switch leaves the state alone
+            self._open_window(now, target_dl, target_ul, SwitchCause.RACH_INITIATED)
         st.rach_in_progress = True
         st.timer_expires_at = None
-        return records
 
-    def on_rach_complete(self, now: int) -> list[TraceRecord]:
+    def on_rach_complete(self, now: int) -> None:
         """Finish random access; re-arm the timer if off the default BWP."""
         st = self.state
         if st.switch_window is not None:
@@ -370,9 +370,9 @@ class CellStateMachine:
         if not st.rach_in_progress:
             raise EventRejection("NotInRach", "no random-access procedure in progress")
         st.rach_in_progress = False
-        return self._try_arm_timer(now)
+        self._try_arm_timer(now)
 
-    def on_data(self, now: int, direction: Direction) -> list[TraceRecord]:
+    def on_data(self, now: int, direction: Direction) -> None:
         """Serve a scheduled data burst on the active BWP of that direction."""
         st = self.state
         if st.switch_window is not None:
@@ -385,10 +385,10 @@ class CellStateMachine:
         else:
             n_rbs = self._dl[st.active_dl][0]
             tag = "dl"
-        return [self._rec(now, DATA_SERVED, direction=tag, n_rbs=n_rbs)]
+        self._rec(now, DATA_SERVED, direction=tag, n_rbs=n_rbs)
 
     def rejection_record(self, t: int, event_kind: str, rej: EventRejection) -> TraceRecord:
-        """The EventRejected trace record for one event refused at `t` eighths of a ms."""
+        """Log and return the EventRejected record for one event refused at `t` eighths of a ms."""
         return self._rec(t, EVENT_REJECTED, event_kind=event_kind, reason=rej.reason, detail=rej.detail)
 
     # ------------------------------------------------------------------
@@ -396,8 +396,7 @@ class CellStateMachine:
 
     def _rec(self, t: int, kind: str, **fields) -> TraceRecord:
         rec = TraceRecord(self._times[t], self.cell, kind, fields)
-        if self._log is not None:
-            self._log.append((t, rec))
+        self.log.append((t, rec))
         return rec
 
     def _switch_delay(self, target_dl: Optional[int], target_ul: Optional[int]) -> int:
@@ -425,22 +424,15 @@ class CellStateMachine:
         target_ul: Optional[int],
         cause: str,
         extra: int = 0,
-    ) -> TraceRecord:
-        """Open a switch window `extra` eighths of a ms past its delay budget; return its WindowOpen."""
+    ) -> None:
+        """Open a switch window `extra` eighths of a ms past its delay budget, and log its WindowOpen."""
         end = now + extra + self._switch_delay(target_dl, target_ul)
         self.state.switch_window = SwitchWindow(end, _ceil_to(end, self.tick), target_dl, target_ul, cause)
-        return self._rec(
-            now,
-            WINDOW_OPEN,
-            end_ms=eighths_str(end),  # end >= now >= 0
-            target_dl=target_dl,
-            target_ul=target_ul,
-            cause=cause,
-        )
+        self._rec(now, WINDOW_OPEN, end_ms=eighths_str(end),  # end >= now >= 0
+                  target_dl=target_dl, target_ul=target_ul, cause=cause)
 
-    def _close_due_windows(self, now: int) -> list[TraceRecord]:
+    def _close_due_windows(self, now: int) -> None:
         st = self.state
-        records: list[TraceRecord] = []
         while st.switch_window is not None and st.switch_window.end_ms <= now:
             w = st.switch_window
             t = w.end_ms
@@ -451,53 +443,41 @@ class CellStateMachine:
                 st.active_ul = w.target_ul
             st.switch_window = None
             cause = w.cause
-            records.append(self._rec(t, WINDOW_CLOSE, cause=cause))
+            self._rec(t, WINDOW_CLOSE, cause=cause)
             if (st.active_dl, st.active_ul) != (old_dl, old_ul):
-                records.append(
-                    self._rec(
-                        t,
-                        STATE_CHANGE,
-                        old_dl=old_dl,
-                        old_ul=old_ul,
-                        new_dl=st.active_dl,
-                        new_ul=st.active_ul,
-                        cause=cause,
-                        new_dl_rbs=self._dl[st.active_dl][0],
-                    )
-                )
+                self._rec(t, STATE_CHANGE, old_dl=old_dl, old_ul=old_ul, new_dl=st.active_dl, new_ul=st.active_ul,
+                          cause=cause, new_dl_rbs=self._dl[st.active_dl][0])
             if st.active_dl == self._default_dl:
                 # the default BWP carries no inactivity tracking
                 st.timer_expires_at = None
             elif w.expiry_pending:
-                records.append(self._open_expiry_window(t))
+                self._open_expiry_window(t)
             elif st.timer_expires_at is None or w.cause != SwitchCause.DCI:
                 # activation of a non-default BWP restarts the timer; for a
                 # DCI-driven switch the restart at reception already governs
-                records += self._try_arm_timer(t)
-        return records
+                self._try_arm_timer(t)
 
-    def _open_expiry_window(self, now: int) -> TraceRecord:
+    def _open_expiry_window(self, now: int) -> None:
         default = self._default_dl
         target_ul = default if self._switch_as_pair else None
         try:
-            return self._open_window(now, default, target_ul, SwitchCause.TIMER_EXPIRY)
+            self._open_window(now, default, target_ul, SwitchCause.TIMER_EXPIRY)
         except EventRejection as rej:
             # a 240 kHz BWP cannot be switched; record the stuck expiry
-            return self.rejection_record(now, TIMER_EXPIRY, rej)
+            self.rejection_record(now, TIMER_EXPIRY, rej)
 
-    def _timer_on_scheduling(self, now: int, direction: Direction) -> list[TraceRecord]:
-        if self._paired and direction is not _DL:
-            return []
-        return self._try_arm_timer(now)
+    def _timer_on_scheduling(self, now: int, direction: Direction) -> None:
+        if direction is _DL or not self._paired:  # paired spectrum: only a DL assignment
+            self._try_arm_timer(now)
 
-    def _try_arm_timer(self, now: int) -> list[TraceRecord]:
+    def _try_arm_timer(self, now: int) -> None:
         st = self.state
         value = self._timer
         if value is None or st.rach_in_progress or st.active_dl == self._default_dl:
-            return []
+            return
         was_running = st.timer_expires_at is not None
         tick = self.tick
         # the first whole period ends at the first tick boundary a full tick
         # after arming; the last of value/tick periods ends value - tick later
         st.timer_expires_at = _ceil_to(now + tick, tick) + value - tick
-        return [self._rec(now, TIMER_RESTART if was_running else TIMER_START, value_ms=self._timer_ms)]
+        self._rec(now, TIMER_RESTART if was_running else TIMER_START, value_ms=self._timer_ms)

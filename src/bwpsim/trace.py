@@ -209,21 +209,15 @@ class TraceRecord(Slots):
     def to_obj(self) -> dict[str, Any]:
         """The record as a JSON object; ValueError if its time is not an int
         or Fraction or a payload field reuses a header key."""
-        return self._obj(self._at_ms_str())
-
-    def to_json(self) -> str:
-        return _encode(self.to_obj())
-
-    def _at_ms_str(self) -> str:
-        return ms_str(_exact_time(self.at_ms, "{} for cell {!r}", self.record, self.cell))
-
-    def _obj(self, at_ms: str) -> dict[str, Any]:
-        """to_obj with the time already rendered as `at_ms`."""
+        at_ms = ms_str(_exact_time(self.at_ms, "{} for cell {!r}", self.record, self.cell))
         obj = {"at_ms": at_ms, "cell": self.cell, "record": self.record, **self.fields}
         if len(obj) != len(_HEADER) + len(self.fields):
             clash = ", ".join(repr(k) for k in _HEADER if k in self.fields)
             raise ValueError(f"{self.record} record: payload field {clash} would overwrite the header")
         return obj
+
+    def to_json(self) -> str:
+        return _encode(self.to_obj())
 
     @classmethod
     def from_obj(cls, obj: Any) -> "TraceRecord":
@@ -257,12 +251,12 @@ def write_trace(records: Iterable[TraceRecord], out: TextIO) -> None:
             # as a run's record times are: exact, >= 0 and of denominator 1, 2, 4 or 8
             if type(last) is Fraction and (num := last.numerator) >= 0 and 8 % (den := last.denominator) == 0:
                 at_ms = eighths_str(num * (8 // den))
-            else:
-                at_ms = rec._at_ms_str()
+            else:  # any other time, rendered or refused as to_obj does
+                at_ms = rec.to_obj()["at_ms"]
         fields = rec.fields
         obj = {"at_ms": at_ms, "cell": rec.cell, "record": rec.record, **fields}
         if len(obj) != len(_HEADER) + len(fields):
-            rec._obj(at_ms)  # raises its error for the header key the payload reuses
+            rec.to_obj()  # raises its error for the header key the payload reuses
         out.write(_encode(obj) + "\n")
 
 

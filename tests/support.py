@@ -18,6 +18,15 @@ def at(ms: Fraction | int) -> int:
     return to_units(Fraction(ms))
 
 
+def made(handler, *args, **kw) -> list[b.TraceRecord]:
+    """The records that a machine's bound `handler(*args, **kw)` logs, in
+    the order made; the handler itself returns None."""
+    log = handler.__self__.log
+    n = len(log)
+    assert handler(*args, **kw) is None
+    return [rec for _, rec in log[n:]]
+
+
 # Channel bandwidth that comfortably fits a 100-RB grid per numerology.
 MU_CHANNEL_MHZ = {0: 20.0, 1: 40.0, 2: 100.0, 3: 200.0}
 POINT_A = {b.FrequencyRange.FR1: 3_400_000_000, b.FrequencyRange.FR2: 27_000_000_000}

@@ -21,6 +21,7 @@ from support import (
     assert_machine_invariants,
     at,
     centered_cell,
+    made,
     random_scenario,
 )
 
@@ -175,33 +176,31 @@ def _walk_machine(rng: random.Random, steps: int = 25):
     m, cfg = _random_machine(rng)
     now = 0
     tick = m.tick
-    records = []
     for _ in range(steps):
         roll = rng.random()
         try:
             if roll < 0.45:
                 now += tick
-                recs = m.on_tick(now)
+                recs = made(m.on_tick, now)
                 if m.state.rach_in_progress:
                     assert not any(r.record == "TimerExpiry" for r in recs)
             elif roll < 0.60:
                 fmt = rng.choice(list(b.DciFormat))
                 bits = None if fmt.is_fallback else rng.choice(["0", "1", "00", "01", "10", "11"])
-                recs = m.on_dci(now, b.DciEvent(fmt, bits))
+                m.on_dci(now, b.DciEvent(fmt, bits))
             elif roll < 0.70:
                 target = rng.choice([None, 0, 1, 2])
-                recs = m.on_rrc_reconfig(now, target, target)
+                m.on_rrc_reconfig(now, target, target)
             elif roll < 0.80:
-                recs = m.on_rach_start(now)
+                m.on_rach_start(now)
             elif roll < 0.90:
-                recs = m.on_rach_complete(now)
+                m.on_rach_complete(now)
             else:
-                recs = m.on_data(now, rng.choice(list(b.Direction)))
+                m.on_data(now, rng.choice(list(b.Direction)))
         except EventRejection:
-            recs = []
-        records.extend(recs)
+            pass
         assert_machine_invariants(m, cfg, now)
-    return cfg, records
+    return cfg, [rec for _, rec in m.log]
 
 
 def test_criterion_06_timer_properties():
@@ -232,7 +231,7 @@ def test_criterion_06_timer_properties():
     now = at(5)
     for _ in range(8):
         now += at(F(1, 2))
-        expiry_times += [r.at_ms for r in m.on_tick(now) if r.record == "TimerExpiry"]
+        expiry_times += [r.at_ms for r in made(m.on_tick, now) if r.record == "TimerExpiry"]
     assert expiry_times == [F(7)]  # 5 + 4 * 0.5
 
 

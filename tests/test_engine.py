@@ -30,7 +30,7 @@ from tick_oracle import tick_run
 from bwpsim import fsm
 from bwpsim.fsm import CellStateMachine
 from bwpsim.scenario import scenario_from_obj
-from bwpsim.trace import RUN_END, RUN_START, STATE_CHANGE, to_units
+from bwpsim.trace import RUN_END, RUN_START, STATE_CHANGE, _exact_time, to_units
 
 CAP4 = b.UeCapability(max_rrc_bwps=4)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -1039,7 +1039,9 @@ def test_run_hashes_no_enum_member_and_converts_only_the_horizon():
     for random multicell scenarios of 150 and 300 events, `Enum.__hash__`
     runs never, `to_units` as often as in a run of the same cells without
     events (the machines convert their config times when built), and
-    `run()` itself calls `to_units` exactly once, for the horizon."""
+    `run()` itself calls `to_units` and `_exact_time` exactly once each, for
+    the horizon: it checks each event time inline and calls `_exact_time`
+    only to raise."""
     enum_hash = vars(enum.Enum)["__hash__"].__code__
     for seed in range(3):
         for scn in _grown_scenarios(seed):
@@ -1049,8 +1051,9 @@ def test_run_hashes_no_enum_member_and_converts_only_the_horizon():
             stats = {entry.code: entry for entry in prof.getstats()}
             assert len(trace) > len(scn.events) and enum_hash not in stats, seed
             assert stats[to_units.__code__].callcount == base["to_units"], seed
-            assert [sub.callcount for sub in stats[b.run.__code__].calls
-                    if sub.code is to_units.__code__] == [1], seed
+            for fn in (to_units, _exact_time):
+                assert [sub.callcount for sub in stats[b.run.__code__].calls
+                        if sub.code is fn.__code__] == [1], (seed, fn)
 
 
 def test_records_at_an_event_s_time_carry_that_event_s_parsed_time():

@@ -5,14 +5,12 @@ grid among the cells, ticking every cell at every tick of its own grid
 up to the horizon, then once more at the horizon. It shares the delivery
 table `_DELIVERY` (each event kind's phase and handler) and `_dispatch`
 with the engine, and so the tie order, but none of its deadline
-bookkeeping. Its machines have no log: it reads the records that the
-handlers return, where `run()` reads the log that its machines append
-each record to as they make it, so the two traces agree only if no
-handler makes a record and then rejects its event. On the way it checks
-the claim that lets `run()` skip ticks: a tick before a cell's
-`next_deadline()` emits nothing and leaves the state as it was, and no
-deadline is passed without a tick. It also counts the ticks that meet a
-deadline: `run()` should make those and one more per cell at the
+bookkeeping: its machines share one log, as a run's do, and the trace
+is that log sorted by the records' `Fraction` times. On the way it
+checks the claim that lets `run()` skip ticks: a tick before a cell's
+`next_deadline()` leaves the log and the cell's state as they were, and
+no deadline is passed without a tick. It also counts the ticks that meet
+a deadline: `run()` should make those and one more per cell at the
 horizon, and no other. Like `run()` it counts eighths of a ms and stops
 at the last one at or before the horizon.
 """
@@ -32,19 +30,20 @@ def _snapshot(m: CellStateMachine):
     return copy.copy(m.state), copy.copy(m.state.switch_window)
 
 
-def _checked_tick(m: CellStateMachine, t: int) -> tuple[list[TraceRecord], bool]:
+def _checked_tick(m: CellStateMachine, t: int) -> bool:
     """m.on_tick(t), and whether t is m's deadline."""
     deadline = m.next_deadline()
     if deadline is not None:
         assert deadline % m.tick == 0, f"{m.cell}: deadline {deadline} off the tick grid"
         assert deadline >= t, f"{m.cell}: deadline {deadline} passed without a tick (now {t})"
     if deadline == t:
-        return m.on_tick(t), True
-    before = _snapshot(m)
-    records = m.on_tick(t)
-    assert records == [], f"{m.cell}: tick at {t} before deadline {deadline} emitted {records}"
+        m.on_tick(t)
+        return True
+    before, logged = _snapshot(m), len(m.log)
+    m.on_tick(t)
+    assert len(m.log) == logged, f"{m.cell}: tick at {t} before deadline {deadline} logged {m.log[logged:]}"
     assert _snapshot(m) == before, f"{m.cell}: tick at {t} before deadline {deadline} changed the state"
-    return records, False
+    return False
 
 
 def tick_run(scenario: Scenario) -> tuple[list[TraceRecord], int]:
@@ -56,6 +55,9 @@ def tick_run(scenario: Scenario) -> tuple[list[TraceRecord], int]:
     machines = {
         cid: CellStateMachine(cid, cfg, scenario.capability) for cid, cfg in scenario.cells.items()
     }
+    log: list[tuple[int, TraceRecord]] = []
+    for m in machines.values():
+        m.log = log
     trace = []
     for cid in cell_order:
         m, cfg = machines[cid], scenario.cells[cid]
@@ -77,18 +79,17 @@ def tick_run(scenario: Scenario) -> tuple[list[TraceRecord], int]:
         t = step * k
         for cid, stride in strides:
             if k and k % stride == 0:
-                records, at_deadline = _checked_tick(machines[cid], t)
-                trace += records
-                reached += at_deadline
+                reached += _checked_tick(machines[cid], t)
         for ev in events_at.get(k, ()):
-            trace += _dispatch(machines[ev.cell], ev, t)
+            _dispatch(machines[ev.cell], ev, t)
             deadline = machines[ev.cell].next_deadline()
             assert deadline is None or deadline > t, f"{ev.cell}: event at {t} set deadline {deadline}"
 
     for cid in cell_order:
         deadline = machines[cid].next_deadline()
         assert deadline is None or deadline > end, f"{cid}: deadline {deadline} passed without a tick"
-        trace += machines[cid].on_tick(end)
+        machines[cid].on_tick(end)
+    trace += [rec for _, rec in log]
     trace += [TraceRecord(horizon, cid, RUN_END, {}) for cid in cell_order]
     trace.sort(key=lambda rec: rec.at_ms)  # stable: same-time order is preserved
     return trace, reached
