@@ -159,7 +159,7 @@ class CellConfig(NamedTuple):
     rrc_processing_delay_ms: int = 10
     prach_configured_on: frozenset[int] = frozenset({0})
 
-    def __post_init__(self) -> Optional[CellConfig]:
+    def __post_init__(self) -> None:
         if self.fr is _UNASSIGNED:
             raise ValueError("cell must sit in FR1 or FR2")
         width_hz = self.channel_bandwidth_mhz * 1_000_000
@@ -168,8 +168,8 @@ class CellConfig(NamedTuple):
                 f"channel bandwidth must be a positive finite number of MHz, got {self.channel_bandwidth_mhz}"
             )
         dl, ul, prach = self.dl_bwps, self.ul_bwps, self.prach_configured_on
-        if type(dl) is not tuple or type(ul) is not tuple or type(prach) is not frozenset:  # coerced, checked again
-            return self._replace(dl_bwps=tuple(dl), ul_bwps=tuple(ul), prach_configured_on=frozenset(prach))
+        if type(dl) is not tuple or type(ul) is not tuple or type(prach) is not frozenset:
+            raise TypeError("dl_bwps and ul_bwps must be tuples, and prach_configured_on a frozenset")
 
     @property
     def channel_span(self) -> HzSpan:

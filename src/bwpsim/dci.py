@@ -99,12 +99,7 @@ _ENCODE: dict[int, dict[int, str]] = {
 
 def indicator_bitwidth(ctx: IndicatorContext) -> int:
     """Field width in bits: 0, 1, or 2."""
-    n = ctx.n_excl_initial
-    if n == 0:
-        return 0
-    if n == 1:
-        return 1
-    return 2
+    return min(ctx.n_excl_initial, 2)
 
 
 def decode_indicator(bits: str, ctx: IndicatorContext) -> int:

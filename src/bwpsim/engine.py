@@ -21,12 +21,14 @@ since ticks, switch delays and timer values are whole eighths. The
 horizon only bounds the run: the loop stops at the last eighth at or
 before it, and only `RunEnd` and the metrics carry it exactly.
 
-Metrics are computed twice on purpose: once by folding the run's log in
-the order its records were made, and once by `replay_metrics` walking a
-finished trace. The two must agree, which pins the trace as a complete
-account of the run. Both sum in ints over a common denominator of the
-record times; a cell's two metrics become `Fraction`s once, when the
-cell finishes.
+Metrics are computed twice: by folding the run's log in the order its
+records were made, and by `replay_metrics` walking a finished trace.
+Both feed the same `TraceRecord`s through `_CellTally.add`, each cell's
+in time order, so their agreement shows only that the stable time sort
+keeps each cell's order and puts `RunEnd` last; `tests/metrics_oracle.py`
+and the golden metrics check the metrics themselves. Both sum in ints
+over a common denominator of the record times; a cell's two metrics
+become `Fraction`s once, when the cell finishes.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Everything here is a pure function over immutable values. Absolute
 frequencies are kept in integer Hz, span midpoints are exact rationals
 (denominator at most 2), and two spans share a center when their low + high
 sums are equal, so center-frequency equality checks are exact and never
-depend on floating-point rounding. The bases of the value types, `checked`
-and `Slots`, are here too.
+depend on floating-point rounding. What the value types are built on,
+`checked` and `Slots`, is here too.
 """
 
 from __future__ import annotations
@@ -36,20 +36,20 @@ _HALF_SUBFRAME_MS = Fraction(1, 2)
 
 
 def checked(base: Any) -> Any:
-    """A NamedTuple type under `base`'s names whose construction, `_make` (so `_replace`) and unpickling
-    call its `__post_init__`: that raises ValueError for values it refuses, or returns other values to keep."""
-    n = len(base._fields)
+    """`base`, a NamedTuple type, patched in place so that its construction, `_make` (so `_replace`) and
+    unpickling call its `__post_init__`, which raises for values it refuses; what that returns is ignored."""
+    n, generated = len(base._fields), base.__new__
 
-    class Checked(base):
-        __slots__ = ()
-        _make = classmethod(lambda cls, values: cls(*values))
+    @functools.wraps(generated)  # its signature, the fields, for inspect
+    def __new__(cls: type, *args: Any, **kwargs: Any) -> Any:
+        # every value by position, as the document reader gives them: no call of the generated Python-level __new__
+        value = tuple.__new__(cls, args) if len(args) == n and not kwargs else generated(cls, *args, **kwargs)
+        value.__post_init__()
+        return value
 
-        def __new__(cls, *args: Any, **kwargs: Any) -> Any:
-            # every value by position, as the document reader gives them: no call of base's Python-level __new__
-            value = tuple.__new__(cls, args) if len(args) == n and not kwargs else base.__new__(cls, *args, **kwargs)
-            return value.__post_init__() or value
-
-    return functools.update_wrapper(Checked, base, updated=())  # base's names, and its signature for inspect
+    base.__new__ = __new__
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 class Slots:

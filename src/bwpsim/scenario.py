@@ -48,25 +48,20 @@ class _Step(NamedTuple):
     expected: str = ""  # what `_read` says a refused value should have been
 
 
-def _get(obj: dict, key: str, where: str, step: _Step, default: Any = _REQUIRED) -> Any:
-    """Read field `key` of the JSON object at path `where` by `step`: a
-    value of type `step.exact` as it is, any other by `_read`."""
-    value = obj.get(key, _REQUIRED)
-    return value if type(value) is step.exact else _read(value, where, key, step, default)
-
-
 def _read(value: Any, where: str, key: Any, step: _Step, default: Any = _REQUIRED) -> Any:
-    """Read a value that `step` neither takes as it is, nor looks up in its
-    members, nor hands straight to a nested reader: field `key` of the JSON
-    object at path `where`, or item `key` (an int) of the list there. A
-    missing field takes `default`; null does too, but only where the
-    default is None. A value of type `step.takes` (any, if None) is read
-    as step.inner(value, path). The path is built here for these calls
+    """Read by `step` field `key` of the JSON object at path `where`, or
+    item `key` (an int) of the list there: a value of type `step.exact`
+    as it is. A missing field (`_REQUIRED`, as `obj.get(key, _REQUIRED)`
+    gives it) takes `default`; null does too, but only where the default
+    is None. A value of type `step.takes` (any, if None) is read as
+    step.inner(value, path). The path is built here for these calls
     and refused values; `_reader` and `_list` build a nested reader's. A
     reader's, a conversion's or a constructor's TypeError, ValueError or
     OverflowError raises ParseError at the path; a ParseError from further
     in passes unchanged.
     """
+    if type(value) is step.exact:
+        return value
     if value is _REQUIRED:
         if default is _REQUIRED:
             raise ParseError(f"{where or 'top level'}: missing required field {key!r}")
@@ -92,15 +87,15 @@ def _object(reader: Callable[[Any, str], Any]) -> _Step:
     return _Step(None, takes=dict, inner=reader, expected="an object")
 
 
-def _list(item: _Step) -> _Step:
+def _list(item: _Step, container: type) -> _Step:
     """A JSON list whose item i is read by `item` at `path[i]`, built here
-    for an item that goes straight to a nested reader."""
+    for an item that goes straight to a nested reader, into a `container`."""
 
-    def read(value: list, path: str) -> list:
+    def read(value: list, path: str) -> Any:
         exact, takes, inner, members = item.exact, item.takes, item.inner, item.members
-        return [v if type(v) is exact else inner(v, f"{path}[{i}]") if type(v) is takes
-                else members[v] if type(v) is str and v in members else _read(v, path, i, item)
-                for i, v in enumerate(value)]
+        return container([v if type(v) is exact else inner(v, f"{path}[{i}]") if type(v) is takes
+                          else members[v] if type(v) is str and v in members else _read(v, path, i, item)
+                          for i, v in enumerate(value)])
 
     return _Step(None, takes=list, inner=read, expected="a list")
 
@@ -127,7 +122,7 @@ def _step(hint: Any) -> _Step:
     if origin is Union:
         return _step(args[0])
     if origin is tuple or origin is frozenset:
-        return _list(_step(args[0]))
+        return _list(_step(args[0]), origin)
     if origin is Mapping:
         return _EXACT[dict]
     if hasattr(hint, "_fields"):  # a NamedTuple config type
@@ -145,7 +140,8 @@ def _reader(cls: type) -> Callable[[Any, str], Any]:
     field takes the field's default, a copy of its own if the default is a
     dict; a required field has none and goes to `_read`, which refuses it.
     A nested object or list goes straight to its reader, with its path
-    `where.key` built here; a constructor's TypeError, ValueError or
+    `where.key` built here, and a list becomes the tuple or frozenset that
+    its annotation declares; a constructor's TypeError, ValueError or
     OverflowError raises the ParseError of `where`. Built on first use,
     not at import: resolving the annotations is the costly part.
     """
@@ -181,7 +177,7 @@ def _reader(cls: type) -> Callable[[Any, str], Any]:
 
 
 def _cell(obj: dict, where: str) -> tuple[str, CellConfig]:
-    cell_id = _get(obj, "cell_id", where, _STR)
+    cell_id = _read(obj.get("cell_id", _REQUIRED), where, "cell_id", _STR)
     if not cell_id:
         raise ParseError(f"{where}.cell_id: expected a non-empty string")
     return cell_id, _reader(CellConfig)(obj, where)
@@ -242,14 +238,14 @@ def _events() -> _Step:
                 except _REFUSED as exc:
                     raise ParseError(f"{where}: {exc}") from exc
         elif kind is _RRC_RECONFIG:
-            first_dl = _get(obj, "first_active_dl", where, _INT, None)
-            first_ul = _get(obj, "first_active_ul", where, _INT, None)
+            first_dl = _read(obj.get("first_active_dl", _REQUIRED), where, "first_active_dl", _INT, None)
+            first_ul = _read(obj.get("first_active_ul", _REQUIRED), where, "first_active_ul", _INT, None)
         return SimEvent(at_ms, cell, kind, dci, first_dl, first_ul)
 
-    return _list(_object(event))
+    return _list(_object(event), list)
 
 
-_CELLS = _list(_object(_cell))
+_CELLS = _list(_object(_cell), list)
 _CAPABILITY = _object(lambda obj, where: _reader(UeCapability)(obj, where))  # built on first use
 
 
@@ -257,11 +253,11 @@ def scenario_from_obj(obj: Any) -> Scenario:
     """Build a Scenario from a decoded bwpsim/1 document; raises ParseError."""
     if type(obj) is not dict:
         raise ParseError(f"top level: expected an object, got {obj!r}")
-    version = _get(obj, "version", "", _STR)
+    version = _read(obj.get("version", _REQUIRED), "", "version", _STR)
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported document version {version!r}, expected {FORMAT_VERSION!r}")
     cells: dict[str, CellConfig] = {}
-    for i, (cell_id, cell) in enumerate(_get(obj, "cells", "", _CELLS)):
+    for i, (cell_id, cell) in enumerate(_read(obj.get("cells", _REQUIRED), "", "cells", _CELLS)):
         if cell_id in cells:
             raise ParseError(f"cells[{i}]: duplicate cell_id {cell_id!r}")
         cells[cell_id] = cell
@@ -269,10 +265,10 @@ def scenario_from_obj(obj: Any) -> Scenario:
         raise ParseError("top level: at least one cell is required")
     return Scenario(
         cells=cells,
-        capability=_get(obj, "capability", "", _CAPABILITY),
-        events=_get(obj, "events", "", _events(), []),
+        capability=_read(obj.get("capability", _REQUIRED), "", "capability", _CAPABILITY),
+        events=_read(obj.get("events", _REQUIRED), "", "events", _events(), []),
         # run() requires a horizon; validate-only documents may omit it
-        horizon_ms=_get(obj, "horizon_ms", "", _TIME, None),
+        horizon_ms=_read(obj.get("horizon_ms", _REQUIRED), "", "horizon_ms", _TIME, None),
     )
 
 

@@ -365,6 +365,21 @@ def test_a_one_hz_channel_is_constructed():
     assert adaptation_cell()._replace(channel_bandwidth_mhz=1e-6).channel_bandwidth_mhz == 1e-6
 
 
+@pytest.mark.parametrize("field", ["dl_bwps", "ul_bwps", "prach_configured_on"])
+@pytest.mark.parametrize("other", [list, set])
+def test_a_cell_refuses_other_containers(field, other):
+    """The BWP lists are tuples and the PRACH ids a frozenset: a list or a
+    set (an empty one of BWPs, which do not hash) is refused however the
+    cell is built."""
+    cell = adaptation_cell()
+    value = other(getattr(cell, field) if other is list or field == "prach_configured_on" else ())
+    fields = {**cell._asdict(), field: value}
+    for build in (lambda: b.CellConfig(**fields), lambda: b.CellConfig(*fields.values()),
+                  lambda: cell._replace(**{field: value})):
+        with pytest.raises(TypeError, match=field):
+            build()
+
+
 def test_docs_list_every_rule_code_with_its_severity():
     """docs/file_formats.md's table and validate()'s docstring name the same
     codes, and mark the same ones as warnings."""

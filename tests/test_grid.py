@@ -1,5 +1,7 @@
 """Numerology and frequency arithmetic."""
 
+import inspect
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -62,6 +64,27 @@ def test_geometry_rejects_nonsense():
         BwpGeometry(-1, 10, Numerology(0))
     with pytest.raises(ValueError):
         BwpGeometry(0, 0, Numerology(0))
+
+
+def test_a_checked_type_is_its_own_namedtuple_class():
+    """`checked` patches the class in place: no subclass under it, and its
+    signature still lists the fields."""
+    assert HzSpan.__bases__ == (tuple,) and Numerology.__bases__ == (tuple,)
+    assert list(inspect.signature(HzSpan).parameters) == ["low_hz", "high_hz"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HzSpan(2, 1),
+    lambda: HzSpan(low_hz=2, high_hz=1),
+    lambda: HzSpan(1, 3)._replace(low_hz=3),
+    lambda: HzSpan._make([2, 1]),
+    lambda: pickle.loads(pickle.dumps(tuple.__new__(HzSpan, (2, 1)))),
+], ids=["positional", "keywords", "replace", "make", "unpickle"])
+def test_every_way_to_build_a_checked_value_checks_it(build):
+    """Unpickling too builds the value through the checking `__new__`, so a
+    span made without it does not come back."""
+    with pytest.raises(ValueError, match="low < high"):
+        build()
 
 
 class TestSpans:

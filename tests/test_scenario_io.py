@@ -65,14 +65,29 @@ def test_parsed_fields_match_document():
 
 class Duplexes(NamedTuple):
     modes: tuple[b.Duplex, ...] = ()
+    ids: frozenset[int] = frozenset()
 
 
 def test_a_list_reads_its_enum_items_as_members():
+    """Into the container that the field declares, a tuple or a frozenset."""
     read = _reader(Duplexes)
-    assert read({"modes": ["TDD", "FDD"]}, "x").modes == [b.Duplex.TDD, b.Duplex.FDD]
+    value = read({"modes": ["TDD", "FDD"], "ids": [2, 0, 2]}, "x")
+    assert type(value.modes) is tuple and value.modes == (b.Duplex.TDD, b.Duplex.FDD)
+    assert type(value.ids) is frozenset and value.ids == {0, 2}
     with pytest.raises(ParseError) as info:
         read({"modes": ["TDD", "tdd"]}, "x")
     assert str(info.value) == "x.modes[1]: expected one of 'FDD', 'TDD', got 'tdd'"
+
+
+@pytest.mark.parametrize("name", ["adaptation_fdd", "mixed_scs", "tdd"])
+def test_a_parsed_cell_is_built_and_checked_once(name, monkeypatch):
+    doc = json.loads((FIXTURES / f"{name}_scenario.json").read_text())
+    checks = []
+    post_init = b.CellConfig.__post_init__
+    monkeypatch.setattr(b.CellConfig, "__post_init__", lambda self: checks.append(self) or post_init(self))
+    cells = scenario_from_obj(doc).cells
+    assert len(checks) == len(doc["cells"]) == len(cells)
+    assert [id(c) for c in checks] == [id(c) for c in cells.values()]
 
 
 def test_version_is_checked():
@@ -103,9 +118,9 @@ def test_absent_link_params_are_distinct_empty_dicts():
 
 @pytest.mark.parametrize("name", ["adaptation_fdd", "mixed_scs", "tdd"])
 def test_only_top_level_and_event_ids_reach_read(name, monkeypatch):
-    """On a valid document `_read` sees the top-level fields and an RRC
-    event's absent first-active ids: no config field (an Enum member, an
-    absent default) and no event time goes there."""
+    """On a valid document `_read` sees the top-level fields, each cell's
+    id and an RRC event's first-active ids: no config field (an Enum
+    member, an absent default) and no event time goes there."""
     seen = []
 
     def counting(value, where, key, *args):
@@ -114,8 +129,8 @@ def test_only_top_level_and_event_ids_reach_read(name, monkeypatch):
 
     monkeypatch.setattr("bwpsim.scenario._read", counting)
     load_scenario(FIXTURES / f"{name}_scenario.json")
-    assert {key for where, key in seen if where == ""} == {"cells", "capability", "events", "horizon_ms"}
-    assert {key for where, key in seen if where != ""} <= {"first_active_dl", "first_active_ul"}
+    assert {key for where, key in seen if where == ""} == {"version", "cells", "capability", "events", "horizon_ms"}
+    assert {key for where, key in seen if where != ""} <= {"cell_id", "first_active_dl", "first_active_ul"}
 
 
 def test_bad_enum_value():
