@@ -21,14 +21,9 @@ since ticks, switch delays and timer values are whole eighths. The
 horizon only bounds the run: the loop stops at the last eighth at or
 before it, and only `RunEnd` and the metrics carry it exactly.
 
-Metrics are computed twice: by folding the run's log in the order its
-records were made, and by `replay_metrics` walking a finished trace.
-Both feed the same `TraceRecord`s through `_CellTally.add`, each cell's
-in time order, so their agreement shows only that the stable time sort
-keeps each cell's order and puts `RunEnd` last; `tests/metrics_oracle.py`
-and the golden metrics check the metrics themselves. Both sum in ints
-over a common denominator of the record times; a cell's two metrics
-become `Fraction`s once, when the cell finishes.
+`run()`'s metrics are `replay_metrics` of its trace, summed in ints over
+a common denominator of the record times; a cell's two metrics become
+`Fraction`s once, when the cell finishes.
 """
 
 from __future__ import annotations
@@ -192,9 +187,11 @@ class _CellTally:
             new_dl, new_dl_rbs, cause = fields.get("new_dl"), fields.get("new_dl_rbs"), fields.get("cause")
             if type(new_dl) is not int or type(new_dl_rbs) is not int or type(cause) is not str:
                 _payload(rec, new_dl=int, new_dl_rbs=int, cause=str)  # raises its error for the field
+            if cause not in self.switches:  # after the type test: a list is unhashable
+                raise MalformedTrace(f"StateChange field 'cause' must be a switch cause, got {cause!r}")
             self.integrate_to(rec.at_ms)
             self.active_dl, self.dl_rbs = new_dl, new_dl_rbs
-            self.switches[cause] = self.switches.get(cause, 0) + 1
+            self.switches[cause] += 1
         else:  # EVENT_REJECTED
             self.rejected += 1
 
@@ -209,7 +206,7 @@ class _CellTally:
 
 
 def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
-    """Execute a scenario; returns the full trace and its metrics.
+    """Execute a scenario; returns the full trace and `replay_metrics(trace)`.
 
     Raises ScenarioInvalid when any cell fails validation with errors, the
     horizon or an event time is not an int or Fraction (a bool is not
@@ -262,7 +259,8 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
         if len(same_time) > 1:
             same_time.sort(key=itemgetter(0))  # stable: input order
 
-    tallies = {cid: _CellTally(m.start_record()) for cid, m in machines.items()}
+    for m in machines.values():
+        m.start_record()  # after the events seed `times`: a RunStart shares an event's time at 0
     event_times = sorted(events_at, reverse=True)  # the next one is last
     never = end + 1
     due = dict.fromkeys(machines, never)  # each cell's deadline
@@ -293,14 +291,10 @@ def run(scenario: Scenario) -> tuple[list[TraceRecord], RunMetrics]:
     for m in machines.values():
         m.on_tick(end)  # windows ending after the last tick
 
-    moves = _CellTally.KINDS
-    for _, rec in log:  # in the order made, so each cell's in time order
-        if rec.record in moves:
-            tallies[rec.cell].add(rec)
     log.sort(key=itemgetter(0))  # stable: same-time order is preserved
     trace = list(map(itemgetter(1), log))
     trace += [TraceRecord(horizon, cid, RUN_END, {}) for cid in machines]  # after every record: `end` <= horizon
-    return trace, RunMetrics(total_time_ms=horizon, cells={cid: t.finish(horizon) for cid, t in tallies.items()})
+    return trace, replay_metrics(trace)
 
 
 def _dispatch(machine: CellStateMachine, ev: SimEvent, now: int) -> None:
@@ -331,8 +325,9 @@ def replay_metrics(trace: Iterable[TraceRecord]) -> RunMetrics:
     Independent of the engine's own bookkeeping: only the records are
     consulted. Raises MalformedTrace on a time that is not an int or
     Fraction (a bool is not one), out-of-order timestamps, records for
-    unknown cells, a missing RunStart/RunEnd bracket, or a RunStart or
-    StateChange payload field of the wrong type.
+    unknown cells, a missing RunStart/RunEnd bracket, a RunStart or
+    StateChange payload field of the wrong type, or a StateChange cause
+    outside SWITCH_CAUSES.
     """
     tallies: dict[str, _CellTally] = {}
     cells: dict[str, CellMetrics] = {}

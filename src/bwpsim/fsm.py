@@ -159,9 +159,9 @@ class CellStateMachine:
     """Mutable BWP state of one serving cell, advanced by the engine.
 
     Its one output is `log`: `_rec` makes every record and appends
-    `(t, record)` to it, `t` in whole eighths of a ms; handlers return None.
-    A machine built alone has a log of its own; `run()` gives a run's
-    machines one list. A rejected event raises EventRejection before any
+    `(t, record)` to it, `t` in whole eighths of a ms. No method returns a
+    record. A machine built alone has a log of its own; `run()` gives a
+    run's machines one list. A rejected event raises EventRejection before any
     state changes or record is made, also in `_open_window`, the one method
     that opens a window. Times in are whole eighths of a ms; the records
     carry ms. A direct caller passes each time as `to_units(ms)`, `8 * ms`
@@ -202,11 +202,11 @@ class CellStateMachine:
         self._delays = {scs: to_units(switch_delay_khz(scs, scs, cap.switch_delay_type)[1])
                         for scs in SWITCH_DELAY_SLOTS}  # eighths of a ms by governing SCS
 
-    def start_record(self) -> TraceRecord:
-        """Log and return the cell's RunStart record: its state before any event."""
+    def start_record(self) -> None:
+        """Log the cell's RunStart record: its state before any event."""
         st = self.state
-        return self._rec(0, RUN_START, active_dl=st.active_dl, active_ul=st.active_ul,
-                         dl_rbs=self._dl[st.active_dl][0], default_dl=self._default_dl)
+        self._rec(0, RUN_START, active_dl=st.active_dl, active_ul=st.active_ul,
+                  dl_rbs=self._dl[st.active_dl][0], default_dl=self._default_dl)
 
     # ------------------------------------------------------------------
     # event handlers
@@ -387,17 +387,15 @@ class CellStateMachine:
             tag = "dl"
         self._rec(now, DATA_SERVED, direction=tag, n_rbs=n_rbs)
 
-    def rejection_record(self, t: int, event_kind: str, rej: EventRejection) -> TraceRecord:
-        """Log and return the EventRejected record for one event refused at `t` eighths of a ms."""
-        return self._rec(t, EVENT_REJECTED, event_kind=event_kind, reason=rej.reason, detail=rej.detail)
+    def rejection_record(self, t: int, event_kind: str, rej: EventRejection) -> None:
+        """Log the EventRejected record for one event refused at `t` eighths of a ms."""
+        self._rec(t, EVENT_REJECTED, event_kind=event_kind, reason=rej.reason, detail=rej.detail)
 
     # ------------------------------------------------------------------
     # internals
 
-    def _rec(self, t: int, kind: str, **fields) -> TraceRecord:
-        rec = TraceRecord(self._times[t], self.cell, kind, fields)
-        self.log.append((t, rec))
-        return rec
+    def _rec(self, t: int, kind: str, **fields) -> None:
+        self.log.append((t, TraceRecord(self._times[t], self.cell, kind, fields)))
 
     def _switch_delay(self, target_dl: Optional[int], target_ul: Optional[int]) -> int:
         """Delay budget in eighths of a ms for moving to the targets; None leaves a direction alone.

@@ -2,10 +2,11 @@
 
 `reference_metrics` integrates a trace's `StateChange`s with `Fraction`
 arithmetic and nothing else: no common denominator, no rescaling and
-none of `engine._CellTally`. Comparing `run()` with `replay_metrics`
-cannot catch an error in the tally's arithmetic, since both go through
-it; comparing either with this reference can. It trusts the trace:
-ordering and payload checks are `replay_metrics`'s job.
+none of `engine._CellTally`. It is the independent check of the metrics'
+arithmetic: `run()`'s metrics are `replay_metrics` of its trace, one
+fold through the tally, so comparing the two checks nothing of it. It
+trusts the trace: ordering and payload checks are `replay_metrics`'s
+job.
 
 `mixed_denominator_trace` writes a seeded trace by hand whose times mix
 denominators (1, 2, 8, 10, 1000 and larger powers of ten), the kind of

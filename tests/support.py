@@ -19,8 +19,8 @@ def at(ms: Fraction | int) -> int:
 
 
 def made(handler, *args, **kw) -> list[b.TraceRecord]:
-    """The records that a machine's bound `handler(*args, **kw)` logs, in
-    the order made; the handler itself returns None."""
+    """The records that a machine's bound method `handler(*args, **kw)`
+    logs, in the order made; the method itself returns None."""
     log = handler.__self__.log
     n = len(log)
     assert handler(*args, **kw) is None

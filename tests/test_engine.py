@@ -29,6 +29,7 @@ from metrics_oracle import mixed_denominator_trace, reference_metrics
 from tick_oracle import tick_run
 from bwpsim import fsm
 from bwpsim.fsm import CellStateMachine
+from bwpsim import trace as trace_module
 from bwpsim.scenario import scenario_from_obj
 from bwpsim.trace import RUN_END, RUN_START, STATE_CHANGE, _exact_time, to_units
 
@@ -431,6 +432,29 @@ class TestReplayRejectsMalformedTraces:
         rec.fields[name] = value
         with pytest.raises(b.MalformedTrace, match=name):
             b.replay_metrics(trace)
+
+    def test_a_cause_that_is_not_a_switch_cause(self):
+        """A StateChange cause outside SWITCH_CAUSES is refused, naming the
+        cause, rather than counted under a key the metrics never have."""
+        trace = self._base()
+        for rec in trace:
+            if rec.record == STATE_CHANGE:
+                rec.fields["cause"] = "Bogus"
+        with pytest.raises(b.MalformedTrace, match="^StateChange field 'cause' must be a switch cause, got 'Bogus'$"):
+            b.replay_metrics(trace)
+
+
+def test_docs_list_every_switch_cause_and_record_kind():
+    """docs/file_formats.md's "Causes:" line names exactly `fsm.SWITCH_CAUSES`,
+    and its record table exactly the record kinds that `bwpsim.trace` defines."""
+    docs = (FIXTURES.parent / "docs" / "file_formats.md").read_text(encoding="utf-8")
+    causes = re.search(r"^Causes: ([^.]*)\.", docs, re.MULTILINE).group(1)
+    assert sorted(re.findall(r"`(\w+)`", causes)) == sorted(fsm.SWITCH_CAUSES)
+    table = docs.split("| record | payload |\n", 1)[1].split("\n\n", 1)[0]
+    listed = [kind for row in table.splitlines()[1:] for kind in re.findall(r"`(\w+)`", row.split(" | ")[0])]
+    kinds = [v for k, v in vars(trace_module).items() if k.isupper() and not k.startswith("_") and type(v) is str]
+    assert sorted(listed) == sorted(kinds)
+    assert len(kinds) == 10
 
 
 class TestReadTrace:

@@ -117,12 +117,12 @@ class TestUnits:
 
 def test_start_record_is_the_state_before_any_event():
     m = machine(centered_cell())
-    rec = m.start_record()
+    [rec] = made(m.start_record)
     assert (rec.at_ms, rec.cell, rec.record) == (0, "cell", "RunStart")
     assert rec.fields == {"active_dl": 0, "active_ul": 0, "dl_rbs": 24, "default_dl": 2}
     dl_only = centered_cell(default_dl=None)._replace(ul_bwps=(), first_active_ul=None,
                                   prach_configured_on=frozenset())
-    assert machine(dl_only).start_record().fields == {
+    assert made(machine(dl_only).start_record)[0].fields == {
         "active_dl": 0, "active_ul": None, "dl_rbs": 24, "default_dl": 0}
 
 
@@ -133,7 +133,7 @@ def test_handlers_return_nothing_and_log_each_record_with_its_eighths():
     an empty log of its own; `start_record()` logs its record too."""
     m, other = machine(centered_cell(timer_ms=2)), machine(centered_cell())
     assert m.log == [] and other.log == [] and m.log is not other.log
-    start = m.start_record()
+    [start] = made(m.start_record)
     assert m.log == [(0, start)]
     calls = [(m.on_data, at(1), b.Direction.DL_ASSIGNMENT),
              (m.on_dci, at(2), b.DciEvent(b.DciFormat.FMT_1_1, "01")),  # a window ending at 3 and the timer
@@ -282,7 +282,7 @@ class TestDciSwitch:
         first, second = (option2, option1) if dedicated_first else (option1, option2)
         cfg = cfg._replace(dl_bwps=(first, *cfg.dl_bwps[1:], second))
         m = CellStateMachine("cell", cfg, b.UeCapability(max_rrc_bwps=4))
-        assert m.start_record().fields["dl_rbs"] == first.geometry.n_rbs
+        assert made(m.start_record)[0].fields["dl_rbs"] == first.geometry.n_rbs
         dci = b.DciEvent(b.DciFormat.FMT_1_1, "01")
         if dedicated_first:
             assert kinds(made(m.on_dci, at(2), dci)) == ["WindowOpen", "TimerStart"]
